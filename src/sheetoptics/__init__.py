@@ -42,6 +42,7 @@ from .stack import (
     LayerStack,
     Sheet,
     Slab,
+    StackSolution,
     build_emission_ledger,
     decoupling_layer_number,
     interface_matrix,
@@ -51,6 +52,7 @@ from .stack import (
     propagation_matrix,
     reflectance_with_emission,
     sheet_matrix,
+    solve_stack,
     stack_absorbance,
     stack_coeffs,
     stack_matrix,

@@ -4,6 +4,10 @@ Subcommands: coeffs, twostate, stack, sweep, decouple, profile.
 Exit codes: 0 success, 1 configuration error, 2 file I/O error,
 3 numerical error.  Outputs are deterministic: CSV floats use fixed
 17-significant-digit formatting and JSON carries a provenance header.
+
+Record commands (coeffs, twostate, stack, decouple) return a result dict
+that one formatter renders as a JSON document or a one-row CSV; table
+commands (sweep, profile) return their CSV text.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .errors import DegenerateDecoupling, SheetOpticsError, SingularStack
 from . import fields as fields_mod
 from . import stack as stack_mod
 from . import surface, twostate
+from .codec import decode_complex, encode_complex
 
 _FMT = "{:.17g}"
 
@@ -118,7 +122,8 @@ def build_parser() -> _Parser:
                    help="var:start:stop:steps with var in "
                         "{cond,n_layers,wavelength_nm,thickness}")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers; results are order-preserving")
+                   help="accepted for compatibility and ignored; rows are "
+                        "computed serially")
 
     p = sub.add_parser("decouple", help="t + r = 0 layer-number search")
     common(p)
@@ -136,9 +141,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _num(z) -> float | list[float]:
-    z = complex(z)
-    return z.real if z.imag == 0.0 else [z.real, z.imag]
+def _json_default(value):
+    """JSON form of the non-JSON values in a result: complex scalars, arrays."""
+    if isinstance(value, complex):
+        return encode_complex(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _json_doc(config: RunConfig, results: dict) -> str:
@@ -153,7 +162,46 @@ def _json_doc(config: RunConfig, results: dict) -> str:
         },
         **results,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, default=_json_default) + "\n"
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return _FMT.format(value) if isinstance(value, float) else str(value)
+
+
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(v) for v in row])
+    return buf.getvalue()
+
+
+def _csv_record(results: dict) -> str:
+    """One-row CSV of a result's scalars.
+
+    A complex scalar takes two columns, key_re and key_im, unless its
+    imaginary part is zero (the JSON codec writes it as a plain number
+    then).  Arrays such as ``sheet_fields`` have no one-row form and are
+    left out.
+    """
+    header, row = [], []
+    for key, value in results.items():
+        if isinstance(value, complex):
+            encoded = encode_complex(value)
+            if isinstance(encoded, list):
+                header += [f"{key}_re", f"{key}_im"]
+                row += encoded
+            else:
+                header.append(key)
+                row.append(encoded)
+        elif value is None or isinstance(value, (int, float)):
+            header.append(key)
+            row.append(value)
+    return _csv(header, [row])
 
 
 def _write(config: RunConfig, text: str) -> None:
@@ -170,47 +218,34 @@ def _sheet_params(opts: dict) -> surface.SheetParams:
     )
 
 
-def _coeffs_results(params: surface.SheetParams) -> dict:
+def _cmd_coeffs(config: RunConfig) -> dict:
+    params = _sheet_params(config.options)
     coeffs = surface.solve_single_sheet(params)
     check = surface.solve_boundary_system(params)
     if abs(check.t - coeffs.t) > 1e-12 or abs(check.r - coeffs.r) > 1e-12:
         raise SheetOpticsError("closed form and boundary system disagree")
     a = surface.absorbance(coeffs, params)
     emission = surface.emission_amplitude(params, coeffs)
-    return {
-        "t": _num(coeffs.t),
-        "r": _num(coeffs.r),
-        "A": a,
-        "b": _num(emission.b_r),
-        "f_mag": emission.f_mag,
-    }
+    return {"t": coeffs.t, "r": coeffs.r, "A": a, "b": emission.b_r,
+            "f_mag": emission.f_mag}
 
 
-def _cmd_coeffs(config: RunConfig) -> str:
-    return _json_doc(config, _coeffs_results(_sheet_params(config.options)))
-
-
-def _as_c(value) -> complex:
-    if isinstance(value, list):
-        return complex(value[0], value[1])
-    return complex(value)
-
-
-def _cmd_twostate(config: RunConfig) -> str:
+def _cmd_twostate(config: RunConfig) -> dict:
     opts = config.options
     params = _sheet_params(opts)
     if opts.get("coeffs_json"):
         with open(opts["coeffs_json"], "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        coeffs = surface.ScatterCoeffs(t=_as_c(data["t"]), r=_as_c(data["r"]))
-        b = _as_c(data["b"])
+        coeffs = surface.ScatterCoeffs(t=decode_complex(data["t"], "t"),
+                                       r=decode_complex(data["r"], "r"))
+        b = decode_complex(data["b"], "b")
     else:
         coeffs = surface.solve_single_sheet(params)
         b = surface.emission_amplitude(params, coeffs).b_r
     sys_ = twostate.TwoStateSystem(
         coeffs=coeffs, b=b, overlap=opts["overlap"], energy_unit=opts["energy_unit"]
     )
-    results: dict = {"offdiagonal": _num(twostate.offdiagonal(sys_))}
+    results: dict = {"offdiagonal": twostate.offdiagonal(sys_)}
     try:
         pair = twostate.decouple(sys_)
     except DegenerateDecoupling:
@@ -226,10 +261,10 @@ def _cmd_twostate(config: RunConfig) -> str:
             theta_minus=theta_minus,
             e_plus=pair.energy_plus,
             e_minus=pair.energy_minus,
-            r_plus=_num(pair.reflection_plus),
-            r_minus=_num(pair.reflection_minus),
+            r_plus=pair.reflection_plus,
+            r_minus=pair.reflection_minus,
         )
-    return _json_doc(config, results)
+    return results
 
 
 def _stack_scale(wavelength_nm, reference_nm) -> float:
@@ -238,72 +273,76 @@ def _stack_scale(wavelength_nm, reference_nm) -> float:
     return wavelength_nm / reference_nm
 
 
-def _stack_results(stk, scale: float) -> dict:
-    coeffs = stack_mod.stack_coeffs(stk, scale)
-    fields = stack_mod.local_fields(stk, scale)
+def _cmd_stack(config: RunConfig) -> dict:
+    stk, reference_nm = stack_mod.load_stack(config.input_path)
+    scale = _stack_scale(config.options.get("wavelength_nm"), reference_nm)
+    solution = stack_mod.solve_stack(stk, scale)
     return {
-        "t": _num(coeffs.t),
-        "r": _num(coeffs.r),
-        "R": abs(coeffs.r) ** 2,
-        "T": (complex(stk.ambient_out).real / complex(stk.ambient_in).real)
-        * abs(coeffs.t) ** 2,
-        "A": stack_mod.stack_absorbance(stk, scale),
-        "R_emission": stack_mod.reflectance_with_emission(stk, None, scale),
-        "sheet_fields": [_num(f) for f in fields],
+        "t": solution.t,
+        "r": solution.r,
+        "R": solution.R,
+        "T": solution.T,
+        "A": solution.A,
+        "R_emission": solution.R_emission,
+        "sheet_fields": solution.sheet_fields,
     }
 
 
-def _cmd_stack(config: RunConfig) -> str:
-    stk, reference_nm = stack_mod.load_stack(config.input_path)
-    scale = _stack_scale(config.options.get("wavelength_nm"), reference_nm)
-    return _json_doc(config, _stack_results(stk, scale))
-
-
-def _cmd_decouple(config: RunConfig) -> str:
+def _cmd_decouple(config: RunConfig) -> dict:
     found = stack_mod.decoupling_layer_number(config.options["cond"])
-    return _json_doc(
-        config,
-        {"n_exact": found.n_exact, "n_int": found.n_int, "residual": found.residual},
+    return {"n_exact": found.n_exact, "n_int": found.n_int, "residual": found.residual}
+
+
+def _cond_row(opts: dict, value: float) -> list:
+    params = surface.SheetParams(
+        cond=value, branching=opts["branching"], f_sign=opts["f_sign"]
     )
+    coeffs = surface.solve_single_sheet(params)
+    return [value, coeffs.t.real, coeffs.t.imag, coeffs.r.real, coeffs.r.imag,
+            surface.absorbance(coeffs, params), abs(coeffs.t + coeffs.r)]
 
 
-def _sweep_row(config: RunConfig, value: float):
-    opts = config.options
-    spec = config.sweep
-    if spec.variable == "cond":
-        params = surface.SheetParams(
-            cond=value, branching=opts["branching"], f_sign=opts["f_sign"]
-        )
-        coeffs = surface.solve_single_sheet(params)
-        return [value, coeffs.t.real, coeffs.t.imag, coeffs.r.real, coeffs.r.imag,
-                surface.absorbance(coeffs, params), abs(coeffs.t + coeffs.r)]
-    if spec.variable == "n_layers":
-        n = int(round(value))
-        coeffs = stack_mod.nlayer_replacement(n, opts["cond"])
-        return [n, coeffs.t.real, coeffs.t.imag, coeffs.r.real, coeffs.r.imag,
-                abs(coeffs.t + coeffs.r)]
-    stk, reference_nm = opts["_stack"]
+def _n_layers_row(opts: dict, value: float) -> list:
+    n = int(round(value))
+    coeffs = stack_mod.nlayer_replacement(n, opts["cond"])
+    return [n, coeffs.t.real, coeffs.t.imag, coeffs.r.real, coeffs.r.imag,
+            abs(coeffs.t + coeffs.r)]
+
+
+def _re_im(z) -> list[float]:
+    """Real and imaginary part, a zero imaginary part written as +0 (the form
+    the JSON codec gives a complex number with zero imaginary part)."""
+    z = complex(z)
+    return [z.real, 0.0 if z.imag == 0.0 else z.imag]
+
+
+def _sweep_row(value: float, solution: stack_mod.StackSolution) -> list:
+    return [value, *_re_im(solution.t), *_re_im(solution.r), solution.R,
+            solution.T, solution.A, solution.R_emission]
+
+
+def _stack_sweep_rows(config: RunConfig, values: np.ndarray) -> list[list]:
+    spec, opts = config.sweep, config.options
+    if not config.input_path:
+        raise CliConfigError(f"{spec.variable} sweep requires --stack")
+    stk, reference_nm = stack_mod.load_stack(config.input_path)
     if spec.variable == "wavelength_nm":
-        scale = _stack_scale(value, reference_nm)
-        res = _stack_results(stk, scale)
-    else:  # thickness: rescale the last slab
-        slab_idx = [i for i, l in enumerate(stk.layers)
-                    if isinstance(l, stack_mod.Slab)]
-        if not slab_idx:
-            raise CliConfigError("thickness sweep needs a slab in the stack")
-        i = slab_idx[-1]
+        return [_sweep_row(v, stack_mod.solve_stack(stk, _stack_scale(v, reference_nm)))
+                for v in values]
+    # thickness: vary the last slab
+    slabs = [i for i, layer in enumerate(stk.layers)
+             if isinstance(layer, stack_mod.Slab)]
+    if not slabs:
+        raise CliConfigError("thickness sweep needs a slab in the stack")
+    i = slabs[-1]
+    scale = _stack_scale(opts.get("wavelength_nm"), reference_nm)
+    rows = []
+    for v in values:
         layers = list(stk.layers)
-        layers[i] = stack_mod.Slab(n=layers[i].n, d=value)
-        varied = stack_mod.LayerStack(
-            layers=tuple(layers),
-            ambient_in=stk.ambient_in,
-            ambient_out=stk.ambient_out,
-        )
-        res = _stack_results(varied, _stack_scale(opts.get("wavelength_nm"),
-                                                  reference_nm))
-    t, r = _as_c(res["t"]), _as_c(res["r"])
-    return [value, t.real, t.imag, r.real, r.imag, res["R"], res["T"], res["A"],
-            res["R_emission"]]
+        layers[i] = stack_mod.Slab(n=layers[i].n, d=v)
+        varied = replace(stk, layers=tuple(layers))
+        rows.append(_sweep_row(v, stack_mod.solve_stack(varied, scale)))
+    return rows
 
 
 _SWEEP_HEADERS = {
@@ -317,26 +356,17 @@ _SWEEP_HEADERS = {
 
 
 def _cmd_sweep(config: RunConfig) -> str:
-    spec = config.sweep
-    if spec.variable in ("wavelength_nm", "thickness"):
-        if not config.input_path:
-            raise CliConfigError(f"{spec.variable} sweep requires --stack")
-        config.options["_stack"] = stack_mod.load_stack(config.input_path)
+    # --jobs is accepted and ignored: a thread pool over these small,
+    # GIL-bound numpy solves ran slower than the serial loop.
+    spec, opts = config.sweep, config.options
     values = spec.values()
-    jobs = max(1, int(config.options.get("jobs", 1)))
-    if jobs == 1:
-        rows = [_sweep_row(config, v) for v in values]
+    if spec.variable == "cond":
+        rows = [_cond_row(opts, v) for v in values]
+    elif spec.variable == "n_layers":
+        rows = [_n_layers_row(opts, v) for v in values]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(config, v), values))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_HEADERS[spec.variable])
-    for row in rows:
-        writer.writerow(
-            [str(v) if isinstance(v, int) else _FMT.format(v) for v in row]
-        )
-    return buf.getvalue()
+        rows = _stack_sweep_rows(config, values)
+    return _csv(_SWEEP_HEADERS[spec.variable], rows)
 
 
 def _cmd_profile(config: RunConfig) -> str:
@@ -360,18 +390,15 @@ def _cmd_profile(config: RunConfig) -> str:
     return buf.getvalue()
 
 
-_COMMANDS = {
+_RECORD_COMMANDS = {
     "coeffs": _cmd_coeffs,
     "twostate": _cmd_twostate,
     "stack": _cmd_stack,
-    "sweep": _cmd_sweep,
     "decouple": _cmd_decouple,
-    "profile": _cmd_profile,
 }
-
-_DEFAULT_FMT = {
-    "coeffs": "json", "twostate": "json", "stack": "json",
-    "decouple": "json", "sweep": "csv", "profile": "csv",
+_TABLE_COMMANDS = {
+    "sweep": _cmd_sweep,
+    "profile": _cmd_profile,
 }
 
 
@@ -379,8 +406,9 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
     opts = dict(vars(args))
     command = opts.pop("command")
     out = opts.pop("out", None)
-    fmt = opts.pop("fmt", None) or _DEFAULT_FMT[command]
-    if _DEFAULT_FMT[command] == "csv" and fmt != "csv":
+    table = command in _TABLE_COMMANDS
+    fmt = opts.pop("fmt", None) or ("csv" if table else "json")
+    if table and fmt != "csv":
         raise CliConfigError(f"command {command!r} only emits csv")
     sweep = _parse_sweep(opts.pop("sweep")) if opts.get("sweep") else None
     input_path = opts.pop("stack_file", None)
@@ -394,34 +422,14 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _json_to_csv(text: str) -> str:
-    """Flatten the scalar results of a JSON document into a one-row CSV."""
-    doc = json.loads(text)
-    doc.pop("tool_version", None)
-    doc.pop("config_echo", None)
-    header, row = [], []
-    for key, value in doc.items():
-        if isinstance(value, list) and len(value) == 2 \
-                and all(isinstance(v, float) for v in value):
-            header += [f"{key}_re", f"{key}_im"]
-            row += [_FMT.format(value[0]), _FMT.format(value[1])]
-        elif isinstance(value, (int, float, bool)) or value is None:
-            header.append(key)
-            row.append("" if value is None else
-                       _FMT.format(value) if isinstance(value, float) else str(value))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return buf.getvalue()
-
-
 def run(config: RunConfig) -> str:
     """Execute a run configuration and return the produced text artifact."""
-    text = _COMMANDS[config.command](config)
-    if config.fmt == "csv" and _DEFAULT_FMT[config.command] == "json":
-        text = _json_to_csv(text)
-    return text
+    if config.command in _TABLE_COMMANDS:
+        return _TABLE_COMMANDS[config.command](config)
+    results = _RECORD_COMMANDS[config.command](config)
+    if config.fmt == "csv":
+        return _csv_record(results)
+    return _json_doc(config, results)
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,17 @@
 """Transfer-matrix optics for stacks of conducting sheets and dielectric slabs.
 
 Normal incidence only; amplitudes are E-field coefficients of the
-(right-moving, left-moving) pair.  Inside the stack pipeline every 2x2 factor
-maps the amplitudes on the exit (right) side of an element to the amplitudes
-on its entry (left) side, so the stack matrix is the ordered product of the
-per-element matrices in stack order and (1, r) = M (t, 0).
+(right-moving, left-moving) pair.
+
+Matrix convention: every element matrix of a stack maps the amplitudes on
+the exit (right) side of its element to the amplitudes on its entry (left)
+side.  The stack matrix is the ordered product of the element matrices in
+stack order, and (1, r) = M (t, 0).
+
+:func:`solve_stack` builds the element matrices once, takes their product,
+extracts t and r, back-propagates (t, 0) to the sheets and builds the
+emission ledger from those fields.  The coefficient, field and ledger
+functions below are views on its :class:`StackSolution`.
 
 Slab thicknesses are measured in units of the reference vacuum wavelength;
 ``wavelength_scale`` rescales them for wavelength sweeps (scale = lambda /
@@ -14,6 +21,7 @@ lambda_ref, frequency-independent sheet conductance assumed).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -21,11 +29,15 @@ from importlib import resources
 
 import numpy as np
 
+from .codec import decode_complex, encode_complex
 from .errors import LedgerMismatch, SingularStack
-from .surface import ScatterCoeffs, SheetParams, solve_single_sheet
-
-_DEGENERATE_TOL = 1e-14
-_TWO_PI = 2.0 * np.pi
+from .surface import (
+    DEGENERATE_TOL,
+    TWO_PI,
+    ScatterCoeffs,
+    SheetParams,
+    solve_single_sheet,
+)
 
 
 @dataclass(frozen=True)
@@ -105,10 +117,34 @@ class DecouplingSearch:
     residual: float
 
 
+@dataclass(frozen=True, eq=False)
+class StackSolution:
+    """Everything one transfer-matrix solve of a stack yields.
+
+    R, T and A are the reflected, transmitted and absorbed fractions;
+    ``sheet_fields`` holds the total E field at each sheet for unit incident
+    amplitude; the ledger uses each sheet's own branch sign.
+    """
+
+    t: complex
+    r: complex
+    R: float
+    T: float
+    A: float
+    sheet_fields: np.ndarray
+    ledger: EmissionLedger
+    R_emission_unclamped: float
+
+    @property
+    def R_emission(self) -> float:
+        """Emission-corrected reflectance, clamped to 1 with a warning."""
+        return _clamp_reflectance(self.R_emission_unclamped)
+
+
 def sheet_matrix(params: SheetParams) -> np.ndarray:
     """Interface matrix of one sheet: E continuity plus the B-field jump.
 
-    Maps exit-side to entry-side amplitudes; cond = 0 gives the identity.
+    cond = 0 gives the identity.
     """
     g = complex(params.cond)
     return np.array(
@@ -119,15 +155,15 @@ def sheet_matrix(params: SheetParams) -> np.ndarray:
 def propagation_matrix(n: complex, d: float, wavelength_scale: float = 1.0) -> np.ndarray:
     """Phase accumulation diag(e^{i phi}, e^{-i phi}) across a slab.
 
-    phi = 2*pi*n*d / wavelength_scale, mapping entry-side to exit-side
-    amplitudes (the inverse of this matrix is the exit-to-entry factor used
-    in the stack pipeline).
+    phi = 2*pi*n*d / wavelength_scale.  Unlike the stack's element matrices
+    this maps entry-side to exit-side amplitudes; its inverse is the slab's
+    element matrix.
     """
     if d < 0:
         raise ValueError("propagation distance must be >= 0")
     if wavelength_scale <= 0:
         raise ValueError("wavelength_scale must be positive")
-    phi = _TWO_PI * complex(n) * d / wavelength_scale
+    phi = TWO_PI * complex(n) * d / wavelength_scale
     return np.array(
         [[np.exp(1j * phi), 0.0], [0.0, np.exp(-1j * phi)]], dtype=complex
     )
@@ -143,56 +179,95 @@ def interface_matrix(n1: complex, n2: complex) -> np.ndarray:
     )
 
 
-def _tagged_elements(
-    stack: LayerStack, wavelength_scale: float
-) -> list[tuple[Layer | None, np.ndarray]]:
-    """Exit-to-entry matrix factors in stack order, tagged with their layer."""
-    elements: list[tuple[Layer | None, np.ndarray]] = []
+def element_matrices(
+    stack: LayerStack,
+    wavelength_scale: float = 1.0,
+    sheet_slots: list[int] | None = None,
+) -> list[np.ndarray]:
+    """Element matrices in stack order; their ordered product is :func:`stack_matrix`.
+
+    When ``sheet_slots`` is a list, the index of each sheet's matrix is
+    appended to it.
+    """
+    mats: list[np.ndarray] = []
     current = complex(stack.ambient_in)
     for layer in stack.layers:
         if isinstance(layer, Sheet):
-            elements.append((layer, sheet_matrix(layer.params)))
+            if sheet_slots is not None:
+                sheet_slots.append(len(mats))
+            mats.append(sheet_matrix(layer.params))
         else:
             if layer.n != current:
                 # interface_matrix(a, b) maps a-side to b-side; the slab is
                 # on the right of this boundary.
-                elements.append((layer, interface_matrix(layer.n, current)))
-            phi = _TWO_PI * complex(layer.n) * layer.d / wavelength_scale
-            back = np.array(
+                mats.append(interface_matrix(layer.n, current))
+            phi = TWO_PI * complex(layer.n) * layer.d / wavelength_scale
+            mats.append(np.array(
                 [[np.exp(-1j * phi), 0.0], [0.0, np.exp(1j * phi)]], dtype=complex
-            )
-            elements.append((layer, back))
+            ))
             current = complex(layer.n)
     if complex(stack.ambient_out) != current:
-        elements.append((None, interface_matrix(stack.ambient_out, current)))
-    return elements
-
-
-def element_matrices(stack: LayerStack, wavelength_scale: float = 1.0) -> list[np.ndarray]:
-    """Exit-to-entry matrices whose ordered product is :func:`stack_matrix`."""
-    return [m for _, m in _tagged_elements(stack, wavelength_scale)]
+        mats.append(interface_matrix(stack.ambient_out, current))
+    return mats
 
 
 def stack_matrix(stack: LayerStack, wavelength_scale: float = 1.0) -> np.ndarray:
-    mats = element_matrices(stack, wavelength_scale)
-    return reduce(np.matmul, mats, np.eye(2, dtype=complex))
+    return reduce(np.matmul, element_matrices(stack, wavelength_scale),
+                  np.eye(2, dtype=complex))
+
+
+def solve_stack(stack: LayerStack, wavelength_scale: float = 1.0) -> StackSolution:
+    """Solve the stack once: coefficients, sheet fields and emission ledger.
+
+    Raises :class:`SingularStack` when the pivot M00 of the stack matrix
+    vanishes or the product overflows.
+    """
+    slots: list[int] = []
+    mats = element_matrices(stack, wavelength_scale, slots)
+    m = reduce(np.matmul, mats, np.eye(2, dtype=complex))
+    if abs(m[0, 0]) < DEGENERATE_TOL or not np.all(np.isfinite(m)):
+        raise SingularStack("stack transfer matrix is numerically singular")
+    t = 1.0 / m[0, 0]
+    r = m[1, 0] / m[0, 0]
+
+    # Back-propagate (t, 0) from the exit side.  Just right of a sheet v
+    # holds the amplitudes there, and the field is continuous across it.
+    v = np.array([t, 0.0], dtype=complex)
+    fields: list[complex] = []
+    j = len(mats)
+    for slot in reversed(slots):
+        while j > slot + 1:
+            j -= 1
+            v = mats[j] @ v
+        fields.append(v[0] + v[1])
+    sheet_fields = np.array(fields[::-1], dtype=complex)
+
+    signs = [sheet.sign for sheet in stack.sheets()]
+    ledger = _ledger(stack, wavelength_scale, signs, sheet_fields, t + r)
+    ratio = complex(stack.ambient_out).real / complex(stack.ambient_in).real
+    reflected = abs(r) ** 2
+    transmitted = ratio * abs(t) ** 2
+    return StackSolution(
+        t=t,
+        r=r,
+        R=reflected,
+        T=transmitted,
+        A=1.0 - reflected - transmitted,
+        sheet_fields=sheet_fields,
+        ledger=ledger,
+        R_emission_unclamped=_emission_reflectance(r, ledger),
+    )
 
 
 def stack_coeffs(stack: LayerStack, wavelength_scale: float = 1.0) -> ScatterCoeffs:
     """Scattering amplitudes of the whole stack, (1, r) = M (t, 0)."""
-    m = stack_matrix(stack, wavelength_scale)
-    if abs(m[0, 0]) < _DEGENERATE_TOL or not np.all(np.isfinite(m)):
-        raise SingularStack("stack transfer matrix is numerically singular")
-    t = 1.0 / m[0, 0]
-    r = m[1, 0] / m[0, 0]
-    return ScatterCoeffs(t=t, r=r)
+    solution = solve_stack(stack, wavelength_scale)
+    return ScatterCoeffs(t=solution.t, r=solution.r)
 
 
 def stack_absorbance(stack: LayerStack, wavelength_scale: float = 1.0) -> float:
     """Absorbed fraction 1 - |r|^2 - (Re n_out / Re n_in) |t|^2."""
-    coeffs = stack_coeffs(stack, wavelength_scale)
-    ratio = complex(stack.ambient_out).real / complex(stack.ambient_in).real
-    return 1.0 - abs(coeffs.r) ** 2 - ratio * abs(coeffs.t) ** 2
+    return solve_stack(stack, wavelength_scale).A
 
 
 def nlayer_replacement(n_layers: int, cond: complex) -> ScatterCoeffs:
@@ -205,15 +280,20 @@ def nlayer_replacement(n_layers: int, cond: complex) -> ScatterCoeffs:
 def decoupling_layer_number(cond: float) -> DecouplingSearch:
     """Layer count with t + r = 0: exact value 2/cond plus the integer minimizer.
 
-    The integer minimizer of |t_N + r_N| is found by exhaustive scan over
-    N in [1, ceil(2 * n_exact)], ties broken toward smaller N.
+    |t_N + r_N| = |2 - N g| / |2 + N g| falls until N = 2/g and rises after
+    it, so the integer minimizer over N in [1, max(2, ceil(4/g))] is
+    floor(2/g) or ceil(2/g); ties go to the smaller N.
     """
     if not cond > 0:
         raise ValueError("cond must be positive")
     n_exact = 2.0 / cond
-    n_max = max(2, int(np.ceil(2.0 * n_exact)))
+    if not math.isfinite(n_exact):
+        raise ValueError("cond is too small for a finite layer number")
+    n_max = max(2, math.ceil(2.0 * n_exact))
+    candidates = {min(max(1, math.floor(n_exact)), n_max),
+                  min(max(1, math.ceil(n_exact)), n_max)}
     best_n, best = 1, np.inf
-    for n in range(1, n_max + 1):
+    for n in sorted(candidates):
         c = nlayer_replacement(n, cond)
         residual = abs(c.t + c.r)
         if residual < best:
@@ -226,16 +306,7 @@ def local_fields(stack: LayerStack, wavelength_scale: float = 1.0) -> np.ndarray
 
     For a single sheet in vacuum this equals t.
     """
-    coeffs = stack_coeffs(stack, wavelength_scale)
-    v = np.array([coeffs.t, 0.0], dtype=complex)
-    fields: list[complex] = []
-    for layer, m in reversed(_tagged_elements(stack, wavelength_scale)):
-        if isinstance(layer, Sheet):
-            # v currently holds the amplitudes just to the right of the
-            # sheet; the field is continuous across it.
-            fields.append(v[0] + v[1])
-        v = m @ v
-    return np.array(fields[::-1], dtype=complex)
+    return solve_stack(stack, wavelength_scale).sheet_fields
 
 
 def _front_phases(stack: LayerStack, wavelength_scale: float) -> np.ndarray:
@@ -246,8 +317,34 @@ def _front_phases(stack: LayerStack, wavelength_scale: float) -> np.ndarray:
         if isinstance(layer, Sheet):
             phases.append(acc)
         else:
-            acc = acc + _TWO_PI * complex(layer.n) * layer.d / wavelength_scale
+            acc = acc + TWO_PI * complex(layer.n) * layer.d / wavelength_scale
     return np.array(phases, dtype=complex)
+
+
+def _ledger(
+    stack: LayerStack,
+    wavelength_scale: float,
+    signs: list[int],
+    fields: np.ndarray,
+    t_plus_r: complex,
+) -> EmissionLedger:
+    phases = _front_phases(stack, wavelength_scale)
+    unit = t_plus_r / abs(t_plus_r) if abs(t_plus_r) >= DEGENERATE_TOL else 1j
+
+    entries = []
+    for sheet, sign, field_amp, phi in zip(stack.sheets(), signs, fields, phases):
+        p = sheet.params
+        a_abs = complex(p.cond).real * abs(field_amp) ** 2
+        amp = np.sqrt((p.branching / 2.0) * a_abs)
+        damping = float(np.exp(-2.0 * phi.imag))  # return trip through lossy slabs
+        b = -p.f_sign * amp * field_amp * damping
+        if abs(b) < DEGENERATE_TOL:
+            entries.append(EmissionEntry(b=b, theta=0.0, sign=sign))
+            continue
+        target = sign * unit * amp * abs(field_amp) * damping * np.exp(2j * phi.real)
+        theta = float(np.angle(target / b) % TWO_PI)
+        entries.append(EmissionEntry(b=b, theta=theta, sign=sign))
+    return EmissionLedger(entries=tuple(entries))
 
 
 def build_emission_ledger(
@@ -264,33 +361,30 @@ def build_emission_ledger(
     at the stack level the branch phase is taken in quadrature, which makes
     the reflectance independent of the (then degenerate) branch choice.
     """
-    sheets = stack.sheets()
+    n_sheets = len(stack.sheets())
+    if signs is not None and len(signs) != n_sheets:
+        raise LedgerMismatch(f"{len(signs)} signs supplied for {n_sheets} sheets")
+    solution = solve_stack(stack, wavelength_scale)
     if signs is None:
-        signs = [sheet.sign for sheet in sheets]
-    if len(signs) != len(sheets):
-        raise LedgerMismatch(
-            f"{len(signs)} signs supplied for {len(sheets)} sheets"
-        )
-    coeffs = stack_coeffs(stack, wavelength_scale)
-    fields = local_fields(stack, wavelength_scale)
-    phases = _front_phases(stack, wavelength_scale)
-    s = coeffs.t + coeffs.r
-    unit = s / abs(s) if abs(s) >= _DEGENERATE_TOL else 1j
+        return solution.ledger
+    return _ledger(stack, wavelength_scale, signs, solution.sheet_fields,
+                   solution.t + solution.r)
 
-    entries = []
-    for sheet, sign, field_amp, phi in zip(sheets, signs, fields, phases):
-        p = sheet.params
-        a_abs = complex(p.cond).real * abs(field_amp) ** 2
-        amp = np.sqrt((p.branching / 2.0) * a_abs)
-        damping = float(np.exp(-2.0 * phi.imag))  # return trip through lossy slabs
-        b = -p.f_sign * amp * field_amp * damping
-        if abs(b) < _DEGENERATE_TOL:
-            entries.append(EmissionEntry(b=b, theta=0.0, sign=sign))
-            continue
-        target = sign * unit * amp * abs(field_amp) * damping * np.exp(2j * phi.real)
-        theta = float(np.angle(target / b) % _TWO_PI)
-        entries.append(EmissionEntry(b=b, theta=theta, sign=sign))
-    return EmissionLedger(entries=tuple(entries))
+
+def _emission_reflectance(r: complex, ledger: EmissionLedger) -> float:
+    total = r + sum(np.exp(1j * e.theta) * e.b for e in ledger.entries)
+    return float(abs(total) ** 2)
+
+
+def _clamp_reflectance(reflectance: float) -> float:
+    if reflectance > 1.0:
+        warnings.warn(
+            f"emission-corrected reflectance {reflectance} > 1 clamped; the "
+            "additive emission formula is only approximately energy-conserving",
+            stacklevel=3,
+        )
+        return 1.0
+    return reflectance
 
 
 def reflectance_with_emission(
@@ -305,37 +399,18 @@ def reflectance_with_emission(
     clamped with a warning.
     """
     if ledger is None:
-        ledger = build_emission_ledger(stack, wavelength_scale)
+        return solve_stack(stack, wavelength_scale).R_emission
     if len(ledger.entries) != len(stack.sheets()):
         raise LedgerMismatch(
             f"ledger has {len(ledger.entries)} entries for "
             f"{len(stack.sheets())} sheets"
         )
-    coeffs = stack_coeffs(stack, wavelength_scale)
-    total = coeffs.r + sum(
-        np.exp(1j * e.theta) * e.b for e in ledger.entries
-    )
-    reflectance = float(abs(total) ** 2)
-    if reflectance > 1.0:
-        warnings.warn(
-            f"emission-corrected reflectance {reflectance} > 1 clamped; the "
-            "additive emission formula is only approximately energy-conserving",
-            stacklevel=2,
-        )
-        reflectance = 1.0
-    return reflectance
+    r = solve_stack(stack, wavelength_scale).r
+    return _clamp_reflectance(_emission_reflectance(r, ledger))
 
 
 # ---------------------------------------------------------------------------
 # Stack description files
-
-
-def _as_complex(value, what: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"{what} must be a number or an [re, im] pair")
 
 
 def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
@@ -350,7 +425,7 @@ def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
         kind = entry.get("type")
         if kind == "sheet":
             params = SheetParams(
-                cond=_as_complex(entry.get("cond", 0.0), f"layers[{i}].cond"),
+                cond=decode_complex(entry.get("cond", 0.0), f"layers[{i}].cond"),
                 branching=float(entry.get("branching", 1.0)),
                 f_sign=int(entry.get("f_sign", 1)),
             )
@@ -366,25 +441,21 @@ def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
             raise ValueError(f"layers[{i}].type must be 'sheet' or 'slab', got {kind!r}")
     stack = LayerStack(
         layers=tuple(layers),
-        ambient_in=_as_complex(data.get("ambient_in", 1.0), "ambient_in"),
-        ambient_out=_as_complex(data.get("ambient_out", 1.0), "ambient_out"),
+        ambient_in=decode_complex(data.get("ambient_in", 1.0), "ambient_in"),
+        ambient_out=decode_complex(data.get("ambient_out", 1.0), "ambient_out"),
     )
     wavelength_nm = data.get("wavelength_nm")
     return stack, (float(wavelength_nm) if wavelength_nm is not None else None)
 
 
 def stack_to_dict(stack: LayerStack, wavelength_nm: float | None = None) -> dict:
-    def num(z: complex):
-        z = complex(z)
-        return z.real if z.imag == 0.0 else [z.real, z.imag]
-
     layers = []
     for layer in stack.layers:
         if isinstance(layer, Sheet):
             layers.append(
                 {
                     "type": "sheet",
-                    "cond": num(layer.params.cond),
+                    "cond": encode_complex(layer.params.cond),
                     "branching": layer.params.branching,
                     "f_sign": layer.params.f_sign,
                     "sign": layer.sign,
@@ -394,8 +465,8 @@ def stack_to_dict(stack: LayerStack, wavelength_nm: float | None = None) -> dict
             n = complex(layer.n)
             layers.append({"type": "slab", "n_re": n.real, "n_im": n.imag, "d": layer.d})
     data = {
-        "ambient_in": num(stack.ambient_in),
-        "ambient_out": num(stack.ambient_out),
+        "ambient_in": encode_complex(stack.ambient_in),
+        "ambient_out": encode_complex(stack.ambient_out),
         "layers": layers,
     }
     if wavelength_nm is not None:

@@ -19,6 +19,11 @@ FINE_STRUCTURE = 7.2973525693e-3
 #: Dimensionless conductance of a pristine graphene sheet, g = pi * alpha.
 GRAPHENE_COND = np.pi * FINE_STRUCTURE
 
+#: Magnitude below which t + r, b or a transfer-matrix pivot counts as zero.
+DEGENERATE_TOL = 1e-14
+
+TWO_PI = 2.0 * np.pi
+
 
 @dataclass(frozen=True)
 class SheetParams:

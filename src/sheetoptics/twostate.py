@@ -14,10 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDecoupling
-from .surface import ScatterCoeffs
-
-_TWO_PI = 2.0 * np.pi
-_DEGENERATE_TOL = 1e-14
+from .surface import DEGENERATE_TOL, TWO_PI, ScatterCoeffs
 
 
 @dataclass(frozen=True)
@@ -77,12 +74,12 @@ def decoupling_phase(sys: TwoStateSystem) -> tuple[float, float]:
     Re[e^{i theta} conj(t+r) b] positive.
     """
     z = np.conj(sys.t_plus_r) * sys.b
-    if abs(sys.t_plus_r) < _DEGENERATE_TOL or abs(sys.b) < _DEGENERATE_TOL:
+    if abs(sys.t_plus_r) < DEGENERATE_TOL or abs(sys.b) < DEGENERATE_TOL:
         raise DegenerateDecoupling(
             "t + r or b vanishes; any theta decouples the pair"
         )
-    theta_plus = float((-np.angle(z)) % _TWO_PI)
-    theta_minus = float((theta_plus + np.pi) % _TWO_PI)
+    theta_plus = float((-np.angle(z)) % TWO_PI)
+    theta_minus = float((theta_plus + np.pi) % TWO_PI)
     for theta in (theta_plus, theta_minus):
         if abs(cross_element(sys, theta)) > 1e-12 * abs(offdiagonal(sys)):
             raise DegenerateDecoupling(  # unreachable; numeric safety net
@@ -112,7 +109,7 @@ def corrected_reflection(sys: TwoStateSystem) -> tuple[complex, complex]:
     is stabilized.
     """
     s = sys.t_plus_r
-    if abs(s) < _DEGENERATE_TOL:
+    if abs(s) < DEGENERATE_TOL:
         raise DegenerateDecoupling("t + r = 0: the correction branch is undefined")
     unit = s / abs(s)
     correction = unit * abs(sys.b)

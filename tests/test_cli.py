@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sheetoptics import stack as stack_mod
 from sheetoptics.cli import main
 
 GRAPHENE = "0.0229253"
@@ -116,6 +117,46 @@ class TestStack:
         assert 0.0 <= doc["R"] <= 1.0
         assert 0.0 <= doc["A"] <= 1.0
         assert len(doc["sheet_fields"]) == 1
+
+    def test_csv_two_real_sheets(self, capsys, tmp_path):
+        # Two real sheet fields once passed for one complex number and
+        # produced bogus sheet_fields_re/_im columns.
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"layers": [
+            {"type": "sheet", "cond": 0.3}, {"type": "sheet", "cond": 0.5}]}))
+        code, out, _ = run_cli(capsys, "stack", "--stack", str(path), "--format", "csv")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "t,r,R,T,A,R_emission"
+        doc = run_json(capsys, "stack", "--stack", str(path))
+        assert len(doc["sheet_fields"]) == 2
+        assert [float(v) for v in row.split(",")] == [
+            doc[key] for key in ("t", "r", "R", "T", "A", "R_emission")]
+
+    def test_csv_complex_columns(self, capsys, stack_file):
+        code, out, _ = run_cli(capsys, "stack", "--stack", stack_file, "--format", "csv")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "t_re,t_im,r_re,r_im,R,T,A,R_emission"
+        doc = run_json(capsys, "stack", "--stack", stack_file)
+        assert [float(v) for v in row.split(",")[:4]] == doc["t"] + doc["r"]
+
+    def test_one_element_build_per_run(self, capsys, stack_file, monkeypatch):
+        calls = []
+        original = stack_mod.element_matrices
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stack_mod, "element_matrices", counting)
+        run_json(capsys, "stack", "--stack", stack_file)
+        assert len(calls) == 1
+        code, out, _ = run_cli(capsys, "sweep", "--stack", stack_file,
+                               "--sweep", "wavelength_nm:400:700:4")
+        assert code == 0
+        assert len(out.splitlines()) == 5
+        assert len(calls) == 1 + 4
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "stack", "--stack", "/no/such/file.json")

@@ -48,6 +48,19 @@ def sheet_stack(n, cond=GRAPHENE_COND, spacing=0.0, **sheet_kwargs):
     return LayerStack(layers=tuple(layers))
 
 
+def exhaustive_decoupling_scan(cond):
+    """Minimize |t_N + r_N| over every N in [1, max(2, ceil(4/cond))], ties
+    toward smaller N; returns (N, residual)."""
+    n_max = max(2, int(np.ceil(2.0 * (2.0 / cond))))
+    best_n, best = 1, np.inf
+    for n in range(1, n_max + 1):
+        c = nlayer_replacement(n, cond)
+        residual = abs(c.t + c.r)
+        if residual < best:
+            best_n, best = n, residual
+    return best_n, float(best)
+
+
 class TestElementMatrices:
     def test_sheet_identity_at_zero(self):
         assert np.allclose(sheet_matrix(SheetParams(cond=0.0)), np.eye(2))
@@ -111,6 +124,25 @@ class TestElementMatrices:
         total = stack_matrix(stk)
         assert np.allclose(left, total, atol=1e-12)
         assert np.allclose(right, total, atol=1e-12)
+
+    def test_sheet_slots(self):
+        stk = LayerStack(
+            layers=(
+                Sheet(params=SheetParams(cond=0.1)),
+                Slab(n=1.46, d=0.2),
+                Sheet(params=SheetParams(cond=0.05)),
+                Slab(n=1.46, d=0.1),
+                Sheet(params=SheetParams(cond=0.2)),
+            ),
+            ambient_out=3.0,
+        )
+        slots = []
+        mats = element_matrices(stk, 1.0, slots)
+        # sheet, interface + slab, sheet, slab (same index), sheet, exit interface
+        assert slots == [0, 3, 5]
+        assert len(mats) == 7
+        for slot, sheet in zip(slots, stk.sheets()):
+            assert np.array_equal(mats[slot], sheet_matrix(sheet.params))
 
 
 class TestStackCoeffs:
@@ -222,9 +254,21 @@ class TestDecouplingSearch:
             best = min(residuals, key=lambda n: (residuals[n], n))
             assert found.n_int == best
 
+    def test_closed_form_matches_exhaustive_scan(self):
+        for g in np.logspace(-4, np.log10(3.0), 25):
+            g = float(g)
+            found = decoupling_layer_number(g)
+            n_int, residual = exhaustive_decoupling_scan(g)
+            assert found.n_int == n_int, g
+            assert found.residual == residual, g
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             decoupling_layer_number(0.0)
+
+    def test_rejects_underflowing_cond(self):
+        with pytest.raises(ValueError):
+            decoupling_layer_number(5e-324)
 
 
 class TestLocalFields:
