@@ -53,6 +53,7 @@ from .stack import (
     reflectance_with_emission,
     sheet_matrix,
     solve_stack,
+    solve_sweep,
     stack_absorbance,
     stack_coeffs,
     stack_matrix,

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -236,6 +236,11 @@ def _cmd_twostate(config: RunConfig) -> dict:
     if opts.get("coeffs_json"):
         with open(opts["coeffs_json"], "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("--coeffs file must hold a JSON object")
+        for key in ("t", "r", "b"):
+            if key not in data:
+                raise ValueError(f"--coeffs file lacks the key {key!r}")
         coeffs = surface.ScatterCoeffs(t=decode_complex(data["t"], "t"),
                                        r=decode_complex(data["r"], "r"))
         b = decode_complex(data["b"], "b")
@@ -327,22 +332,14 @@ def _stack_sweep_rows(config: RunConfig, values: np.ndarray) -> list[list]:
         raise CliConfigError(f"{spec.variable} sweep requires --stack")
     stk, reference_nm = stack_mod.load_stack(config.input_path)
     if spec.variable == "wavelength_nm":
-        return [_sweep_row(v, stack_mod.solve_stack(stk, _stack_scale(v, reference_nm)))
-                for v in values]
-    # thickness: vary the last slab
-    slabs = [i for i, layer in enumerate(stk.layers)
-             if isinstance(layer, stack_mod.Slab)]
-    if not slabs:
-        raise CliConfigError("thickness sweep needs a slab in the stack")
-    i = slabs[-1]
-    scale = _stack_scale(opts.get("wavelength_nm"), reference_nm)
-    rows = []
-    for v in values:
-        layers = list(stk.layers)
-        layers[i] = stack_mod.Slab(n=layers[i].n, d=v)
-        varied = replace(stk, layers=tuple(layers))
-        rows.append(_sweep_row(v, stack_mod.solve_stack(varied, scale)))
-    return rows
+        scales = [_stack_scale(v, reference_nm) for v in values]
+        solutions = stack_mod.solve_sweep(stk, scales)
+    else:  # thickness: vary the last slab
+        if not any(isinstance(layer, stack_mod.Slab) for layer in stk.layers):
+            raise CliConfigError("thickness sweep needs a slab in the stack")
+        scale = _stack_scale(opts.get("wavelength_nm"), reference_nm)
+        solutions = stack_mod.solve_sweep(stk, [scale], last_slab_d=values)
+    return [_sweep_row(v, solution) for v, solution in zip(values, solutions)]
 
 
 _SWEEP_HEADERS = {

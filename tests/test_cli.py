@@ -95,6 +95,21 @@ class TestTwostate:
             assert via_file[key] == direct[key]
 
 
+    def test_coeffs_file_missing_key(self, capsys, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps({"r": 0.1, "b": 0.2}))
+        code, _, err = run_cli(capsys, "twostate", "--coeffs", str(path))
+        assert code == 1
+        assert "'t'" in err
+
+    def test_coeffs_file_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps([0.9, 0.1, 0.2]))
+        code, _, err = run_cli(capsys, "twostate", "--coeffs", str(path))
+        assert code == 1
+        assert "JSON object" in err
+
+
 class TestStack:
     @pytest.fixture
     def stack_file(self, tmp_path):
@@ -156,11 +171,27 @@ class TestStack:
                                "--sweep", "wavelength_nm:400:700:4")
         assert code == 0
         assert len(out.splitlines()) == 5
-        assert len(calls) == 1 + 4
+        assert len(calls) == 1 + 1  # one build per sweep command
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "stack", "--stack", "/no/such/file.json")
         assert code == 2
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"layers": [1]}, "layers[0]"),
+        ({"layers": {"type": "sheet"}}, "layers"),
+        ({"layers": [{"type": "slab"}]}, "layers[0].d"),
+        ({"layers": [{"type": "slab", "d": 0.1, "n_re": None}]}, "layers[0].n_re"),
+        ({"layers": [], "wavelength_nm": [1]}, "wavelength_nm"),
+    ], ids=["layer_not_object", "layers_not_list", "slab_without_d",
+            "null_index", "list_wavelength"])
+    def test_malformed_file(self, capsys, tmp_path, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "stack", "--stack", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"sheetoptics: config error: {field} ")
 
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -216,6 +247,16 @@ class TestSweep:
             capsys, "sweep", "--sweep", "cond:0:5:101", "--jobs", "4"
         )
         assert serial == parallel
+
+    def test_negative_thickness(self, capsys, tmp_path):
+        path = tmp_path / "slab.json"
+        path.write_text(json.dumps({"layers": [
+            {"type": "sheet", "cond": 0.1}, {"type": "slab", "n_re": 1.5, "d": 0.2}]}))
+        code, out, err = run_cli(capsys, "sweep", "--stack", str(path),
+                                 "--sweep", "thickness:-0.1:0.3:5")
+        assert code == 1
+        assert out == ""
+        assert "slab thickness must be >= 0" in err
 
     def test_bad_spec(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--sweep", "cond:1:0:5")
