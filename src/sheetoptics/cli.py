@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 configuration error, 2 file I/O error,
 3 numerical error.  Outputs are deterministic: CSV floats use fixed
 17-significant-digit formatting and JSON carries a provenance header.
 
-Record commands (coeffs, twostate, stack, decouple) return a result dict
-that one formatter renders as a JSON document or a one-row CSV; table
-commands (sweep, profile) return their CSV text.
+Every command returns data and one renderer writes it.  Record commands
+(coeffs, twostate, stack, decouple) return a result dict, rendered as a
+JSON document or as a one-row CSV; table commands (sweep, profile) return
+columns, an ordered dict of column name to equal-length values, rendered
+as CSV only.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -28,7 +31,7 @@ from . import stack as stack_mod
 from . import surface, twostate
 from .codec import decode_complex, encode_complex
 
-_FMT = "{:.17g}"
+_FLOAT_SPEC = ".17g"
 
 
 class CliConfigError(Exception):
@@ -76,6 +79,8 @@ def _parse_sweep(text: str) -> SweepSpec:
         raise CliConfigError(f"bad sweep spec {text!r}: {exc}") from exc
     if spec.steps < 1:
         raise CliConfigError("sweep steps must be >= 1")
+    if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
+        raise CliConfigError("sweep start and stop must be finite")
     if spec.start > spec.stop:
         raise CliConfigError("sweep start must be <= stop")
     return spec
@@ -117,7 +122,6 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--stack", dest="stack_file", default=None)
     p.add_argument("--wavelength-nm", type=float, default=None)
-    p.add_argument("--n-layers", type=int, default=1)
     p.add_argument("--sweep", dest="sweep", required=True,
                    help="var:start:stop:steps with var in "
                         "{cond,n_layers,wavelength_nm,thickness}")
@@ -168,40 +172,44 @@ def _json_doc(config: RunConfig, results: dict) -> str:
 def _cell(value) -> str:
     if value is None:
         return ""
-    return _FMT.format(value) if isinstance(value, float) else str(value)
+    # float.__format__ also formats numpy float64 cells, about twice as fast
+    # as their own __format__ and to the same text
+    return float.__format__(value, _FLOAT_SPEC) if isinstance(value, float) else str(value)
 
 
-def _csv(header: list[str], rows) -> str:
+def _csv(columns: dict) -> str:
+    """CSV text of columns: a header of their names, then one row per index.
+
+    The columns are read cell by cell, so numpy columns are never copied
+    into Python lists.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerow(columns)
+    writer.writerows(zip(*(map(_cell, column) for column in columns.values()),
+                         strict=True))
     return buf.getvalue()
 
 
-def _csv_record(results: dict) -> str:
-    """One-row CSV of a result's scalars.
+def _record_columns(results: dict) -> dict:
+    """One-row columns of a result's scalars.
 
     A complex scalar takes two columns, key_re and key_im, unless its
     imaginary part is zero (the JSON codec writes it as a plain number
     then).  Arrays such as ``sheet_fields`` have no one-row form and are
     left out.
     """
-    header, row = [], []
+    columns = {}
     for key, value in results.items():
         if isinstance(value, complex):
             encoded = encode_complex(value)
             if isinstance(encoded, list):
-                header += [f"{key}_re", f"{key}_im"]
-                row += encoded
+                columns[f"{key}_re"], columns[f"{key}_im"] = [encoded[0]], [encoded[1]]
             else:
-                header.append(key)
-                row.append(encoded)
+                columns[key] = [encoded]
         elif value is None or isinstance(value, (int, float)):
-            header.append(key)
-            row.append(value)
-    return _csv(header, [row])
+            columns[key] = [value]
+    return columns
 
 
 def _write(config: RunConfig, text: str) -> None:
@@ -273,8 +281,10 @@ def _cmd_twostate(config: RunConfig) -> dict:
 
 
 def _stack_scale(wavelength_nm, reference_nm) -> float:
-    if wavelength_nm is None or reference_nm is None:
+    if wavelength_nm is None:
         return 1.0
+    if reference_nm is None:
+        raise CliConfigError("--wavelength-nm needs wavelength_nm in the stack file")
     return wavelength_nm / reference_nm
 
 
@@ -298,75 +308,58 @@ def _cmd_decouple(config: RunConfig) -> dict:
     return {"n_exact": found.n_exact, "n_int": found.n_int, "residual": found.residual}
 
 
-def _cond_row(opts: dict, value: float) -> list:
-    params = surface.SheetParams(
-        cond=value, branching=opts["branching"], f_sign=opts["f_sign"]
-    )
-    coeffs = surface.solve_single_sheet(params)
-    return [value, coeffs.t.real, coeffs.t.imag, coeffs.r.real, coeffs.r.imag,
-            surface.absorbance(coeffs, params), abs(coeffs.t + coeffs.r)]
+def _signless_imag(z) -> float:
+    """Imaginary part, a zero written as +0 (the form the JSON codec gives a
+    complex number with zero imaginary part)."""
+    return 0.0 if z.imag == 0.0 else z.imag
 
 
-def _n_layers_row(opts: dict, value: float) -> list:
-    n = int(round(value))
-    coeffs = stack_mod.nlayer_replacement(n, opts["cond"])
-    return [n, coeffs.t.real, coeffs.t.imag, coeffs.r.real, coeffs.r.imag,
-            abs(coeffs.t + coeffs.r)]
+def _coeff_columns(results, imag=lambda z: z.imag) -> dict:
+    """t_re, t_im, r_re, r_im columns of results that carry t and r."""
+    return {"t_re": [x.t.real for x in results], "t_im": [imag(x.t) for x in results],
+            "r_re": [x.r.real for x in results], "r_im": [imag(x.r) for x in results]}
 
 
-def _re_im(z) -> list[float]:
-    """Real and imaginary part, a zero imaginary part written as +0 (the form
-    the JSON codec gives a complex number with zero imaginary part)."""
-    z = complex(z)
-    return [z.real, 0.0 if z.imag == 0.0 else z.imag]
-
-
-def _sweep_row(value: float, solution: stack_mod.StackSolution) -> list:
-    return [value, *_re_im(solution.t), *_re_im(solution.r), solution.R,
-            solution.T, solution.A, solution.R_emission]
-
-
-def _stack_sweep_rows(config: RunConfig, values: np.ndarray) -> list[list]:
+def _stack_sweep(config: RunConfig, values: np.ndarray) -> list[stack_mod.StackSolution]:
     spec, opts = config.sweep, config.options
     if not config.input_path:
         raise CliConfigError(f"{spec.variable} sweep requires --stack")
     stk, reference_nm = stack_mod.load_stack(config.input_path)
     if spec.variable == "wavelength_nm":
         scales = [_stack_scale(v, reference_nm) for v in values]
-        solutions = stack_mod.solve_sweep(stk, scales)
-    else:  # thickness: vary the last slab
-        if not any(isinstance(layer, stack_mod.Slab) for layer in stk.layers):
-            raise CliConfigError("thickness sweep needs a slab in the stack")
-        scale = _stack_scale(opts.get("wavelength_nm"), reference_nm)
-        solutions = stack_mod.solve_sweep(stk, [scale], last_slab_d=values)
-    return [_sweep_row(v, solution) for v, solution in zip(values, solutions)]
+        return stack_mod.solve_sweep(stk, scales)
+    # thickness: vary the last slab
+    if not any(isinstance(layer, stack_mod.Slab) for layer in stk.layers):
+        raise CliConfigError("thickness sweep needs a slab in the stack")
+    scale = _stack_scale(opts.get("wavelength_nm"), reference_nm)
+    return stack_mod.solve_sweep(stk, [scale], last_slab_d=values)
 
 
-_SWEEP_HEADERS = {
-    "cond": ["cond", "t_re", "t_im", "r_re", "r_im", "A", "abs_t_plus_r"],
-    "n_layers": ["n_layers", "t_re", "t_im", "r_re", "r_im", "abs_t_plus_r"],
-    "wavelength_nm": ["wavelength_nm", "t_re", "t_im", "r_re", "r_im",
-                      "R", "T", "A", "R_emission"],
-    "thickness": ["thickness", "t_re", "t_im", "r_re", "r_im",
-                  "R", "T", "A", "R_emission"],
-}
-
-
-def _cmd_sweep(config: RunConfig) -> str:
+def _cmd_sweep(config: RunConfig) -> dict:
     # --jobs is accepted and ignored: a thread pool over these small,
     # GIL-bound numpy solves ran slower than the serial loop.
     spec, opts = config.sweep, config.options
     values = spec.values()
     if spec.variable == "cond":
-        rows = [_cond_row(opts, v) for v in values]
-    elif spec.variable == "n_layers":
-        rows = [_n_layers_row(opts, v) for v in values]
-    else:
-        rows = _stack_sweep_rows(config, values)
-    return _csv(_SWEEP_HEADERS[spec.variable], rows)
+        params = [surface.SheetParams(cond=v, branching=opts["branching"],
+                                      f_sign=opts["f_sign"]) for v in values]
+        coeffs = [surface.solve_single_sheet(p) for p in params]
+        return {"cond": values, **_coeff_columns(coeffs),
+                "A": [surface.absorbance(c, p) for c, p in zip(coeffs, params)],
+                "abs_t_plus_r": [abs(c.t + c.r) for c in coeffs]}
+    if spec.variable == "n_layers":
+        n_layers = [int(round(v)) for v in values]
+        coeffs = [stack_mod.nlayer_replacement(n, opts["cond"]) for n in n_layers]
+        return {"n_layers": n_layers, **_coeff_columns(coeffs),
+                "abs_t_plus_r": [abs(c.t + c.r) for c in coeffs]}
+    solutions = _stack_sweep(config, values)
+    return {spec.variable: values, **_coeff_columns(solutions, _signless_imag),
+            "R": [s.R for s in solutions], "T": [s.T for s in solutions],
+            "A": [s.A for s in solutions],
+            "R_emission": [s.R_emission for s in solutions]}
 
 
-def _cmd_profile(config: RunConfig) -> str:
+def _cmd_profile(config: RunConfig) -> dict:
     opts = config.options
     params = _sheet_params(opts)
     grid_x = np.linspace(-opts["x_max"], opts["x_max"], opts["points"] + 1)
@@ -382,21 +375,25 @@ def _cmd_profile(config: RunConfig) -> str:
             emission = surface.emission_amplitude(params, coeffs)
             b_r, b_l = emission.b_r, emission.b_l
         profile = fields_mod.eval_b(b_r, b_l, grid_x, k=opts["k"])
-    buf = io.StringIO()
-    fields_mod.write_profile_csv(profile, buf)
-    return buf.getvalue()
+    dec = fields_mod.decompose(profile)
+    return {"x": profile.x,
+            "re_right": profile.right_env.real, "im_right": profile.right_env.imag,
+            "re_left": profile.left_env.real, "im_left": profile.left_env.imag,
+            "re_polar": dec.polar_env.real, "im_polar": dec.polar_env.imag,
+            "re_axial": dec.axial_env.real, "im_axial": dec.axial_env.imag,
+            "side": profile.side}
 
 
-_RECORD_COMMANDS = {
+_COMMANDS = {
     "coeffs": _cmd_coeffs,
     "twostate": _cmd_twostate,
     "stack": _cmd_stack,
     "decouple": _cmd_decouple,
-}
-_TABLE_COMMANDS = {
     "sweep": _cmd_sweep,
     "profile": _cmd_profile,
 }
+#: Commands that return columns rather than a record; they emit CSV only.
+_TABLE_COMMANDS = frozenset({"sweep", "profile"})
 
 
 def _to_config(args: argparse.Namespace) -> RunConfig:
@@ -407,6 +404,10 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
     fmt = opts.pop("fmt", None) or ("csv" if table else "json")
     if table and fmt != "csv":
         raise CliConfigError(f"command {command!r} only emits csv")
+    for name, value in opts.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliConfigError(
+                f"--{name.replace('_', '-')} must be finite, got {value!r}")
     sweep = _parse_sweep(opts.pop("sweep")) if opts.get("sweep") else None
     input_path = opts.pop("stack_file", None)
     return RunConfig(
@@ -421,12 +422,12 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
 
 def run(config: RunConfig) -> str:
     """Execute a run configuration and return the produced text artifact."""
+    results = _COMMANDS[config.command](config)
+    if config.fmt == "json":
+        return _json_doc(config, results)
     if config.command in _TABLE_COMMANDS:
-        return _TABLE_COMMANDS[config.command](config)
-    results = _RECORD_COMMANDS[config.command](config)
-    if config.fmt == "csv":
-        return _csv_record(results)
-    return _json_doc(config, results)
+        return _csv(results)
+    return _csv(_record_columns(results))
 
 
 def main(argv=None) -> int:

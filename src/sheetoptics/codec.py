@@ -6,6 +6,8 @@ zero and as an ``[re, im]`` pair otherwise; both forms are read back.
 
 from __future__ import annotations
 
+import cmath
+
 
 def encode_complex(z) -> float | list[float]:
     z = complex(z)
@@ -13,11 +15,16 @@ def encode_complex(z) -> float | list[float]:
 
 
 def decode_complex(value, what: str) -> complex:
+    z = None
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+        z = complex(value)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
         try:
-            return complex(float(value[0]), float(value[1]))
+            z = complex(float(value[0]), float(value[1]))
         except (TypeError, ValueError):
             pass
-    raise ValueError(f"{what} must be a number or an [re, im] pair")
+    if z is None:
+        raise ValueError(f"{what} must be a number or an [re, im] pair")
+    if not cmath.isfinite(z):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return z

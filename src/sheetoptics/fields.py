@@ -11,7 +11,6 @@ component that of A_R - A_L; polar is parity-odd, axial parity-even.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,19 +217,3 @@ def parity_transform(profile: FieldProfile) -> FieldProfile:
         k=profile.k,
     )
 
-
-def write_profile_csv(profile: FieldProfile, fh) -> None:
-    """Emit a profile and its decomposition, one row per grid point."""
-    dec = decompose(profile)
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(
-        ["x", "re_right", "im_right", "re_left", "im_left",
-         "re_polar", "im_polar", "re_axial", "im_axial", "side"]
-    )
-    for i in range(profile.x.size):
-        row = [profile.x[i],
-               profile.right_env[i].real, profile.right_env[i].imag,
-               profile.left_env[i].real, profile.left_env[i].imag,
-               dec.polar_env[i].real, dec.polar_env[i].imag,
-               dec.axial_env[i].real, dec.axial_env[i].imag]
-        writer.writerow([f"{v:.17g}" for v in row] + [profile.side[i]])

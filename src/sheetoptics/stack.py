@@ -33,6 +33,7 @@ lambda_ref, frequency-independent sheet conductance assumed).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
@@ -79,6 +80,9 @@ class Slab:
 
     def __post_init__(self):
         n = complex(self.n)
+        if not (cmath.isfinite(n) and math.isfinite(self.d)):
+            raise ValueError(f"slab index and thickness must be finite, got "
+                             f"n={self.n!r}, d={self.d!r}")
         if self.d < 0:
             raise ValueError("slab thickness must be >= 0")
         if n.imag < 0:
@@ -101,6 +105,8 @@ class LayerStack:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         for n in (self.ambient_in, self.ambient_out):
+            if not cmath.isfinite(complex(n)):
+                raise ValueError(f"ambient indices must be finite, got {n!r}")
             if complex(n).real <= 0:
                 raise ValueError("ambient indices must have Re(n) > 0")
 
@@ -576,11 +582,15 @@ def reflectance_with_emission(
 
 
 def _number(convert, value, what: str):
-    """``convert(value)`` (float or int), a ValueError naming ``what`` if it fails."""
+    """``convert(value)`` (float or int), a ValueError naming ``what`` if it
+    fails or the value is not finite."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        number = convert(value) if math.isfinite(float(value)) else None
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
+    if number is None:
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:

@@ -7,6 +7,7 @@ Natural units are used throughout (epsilon_0 = c = 1, incident amplitude 1).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class SheetParams:
     f_sign: int = 1
 
     def __post_init__(self):
+        if not cmath.isfinite(complex(self.cond)):
+            raise ValueError(f"cond must be finite, got {self.cond!r}")
         if complex(self.cond).real < 0:
             raise ValueError("Re(cond) must be >= 0 (gain sheets are out of scope)")
         if not 0.0 <= self.branching <= 1.0:

@@ -1,11 +1,18 @@
 """CLI behavior: outputs, determinism, exit codes, sweeps, round trips."""
 
+import contextlib
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheetoptics import stack as stack_mod
+from sheetoptics import surface
 from sheetoptics.cli import main
+from sheetoptics.fields import decompose, eval_a, eval_b
 
 GRAPHENE = "0.0229253"
 
@@ -20,6 +27,112 @@ def run_json(capsys, *args):
     code, out, err = run_cli(capsys, *args)
     assert code == 0, err
     return json.loads(out)
+
+
+def reference_table(header, rows) -> str:
+    """Row-by-row CSV: floats to 17 significant digits, None empty."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else f"{v:.17g}" if isinstance(v, float)
+                         else str(v) for v in row])
+    return buf.getvalue()
+
+
+PROFILE_HEADER = ["x", "re_right", "im_right", "re_left", "im_left",
+                  "re_polar", "im_polar", "re_axial", "im_axial", "side"]
+
+
+def reference_profile_csv(profile) -> str:
+    """A profile and its decomposition, one row per grid point."""
+    dec = decompose(profile)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(PROFILE_HEADER)
+    for i in range(profile.x.size):
+        row = [profile.x[i],
+               profile.right_env[i].real, profile.right_env[i].imag,
+               profile.left_env[i].real, profile.left_env[i].imag,
+               dec.polar_env[i].real, dec.polar_env[i].imag,
+               dec.axial_env[i].real, dec.axial_env[i].imag]
+        writer.writerow([f"{v:.17g}" for v in row] + [profile.side[i]])
+    return buf.getvalue()
+
+
+def reference_sweep_rows(variable, values, cond, branching, f_sign, stack_path):
+    """The sweep header and rows, one evaluation per row."""
+    def re_im(z):
+        z = complex(z)
+        return [z.real, 0.0 if z.imag == 0.0 else z.imag]
+
+    rows = []
+    for v in values:
+        if variable == "cond":
+            params = surface.SheetParams(cond=v, branching=branching, f_sign=f_sign)
+            c = surface.solve_single_sheet(params)
+            rows.append([v, c.t.real, c.t.imag, c.r.real, c.r.imag,
+                         surface.absorbance(c, params), abs(c.t + c.r)])
+        elif variable == "n_layers":
+            n = int(round(v))
+            c = stack_mod.nlayer_replacement(n, cond)
+            rows.append([n, c.t.real, c.t.imag, c.r.real, c.r.imag, abs(c.t + c.r)])
+        else:
+            stk, reference_nm = stack_mod.load_stack(stack_path)
+            if variable == "wavelength_nm":
+                s = stack_mod.solve_stack(stk, v / reference_nm)
+            else:
+                s = stack_mod.solve_sweep(stk, [1.0], last_slab_d=[v])[0]
+            rows.append([v, *re_im(s.t), *re_im(s.r), s.R, s.T, s.A, s.R_emission])
+    if variable == "cond":
+        header = ["cond", "t_re", "t_im", "r_re", "r_im", "A", "abs_t_plus_r"]
+    elif variable == "n_layers":
+        header = ["n_layers", "t_re", "t_im", "r_re", "r_im", "abs_t_plus_r"]
+    else:
+        header = [variable, "t_re", "t_im", "r_re", "r_im", "R", "T", "A", "R_emission"]
+    return header, rows
+
+
+NO_REFERENCE_STACK = {"layers": [{"type": "sheet", "cond": 0.1},
+                                 {"type": "slab", "n_re": 1.5, "d": 0.2}]}
+
+
+@pytest.mark.parametrize("argv, file_text, message", [
+    (["coeffs", "--cond", "nan"], None, "--cond must be finite"),
+    (["coeffs", "--cond", "inf", "--format", "csv"], None, "--cond must be finite"),
+    (["decouple", "--cond", "inf"], None, "--cond must be finite"),
+    (["twostate", "--overlap", "nan"], None, "--overlap must be finite"),
+    (["profile", "--k", "nan"], None, "--k must be finite"),
+    (["profile", "--which", "b", "--b-r=-inf"], None, "--b-r must be finite"),
+    (["stack", "--wavelength-nm", "inf", "--stack", "{file}"], '{"layers": []}',
+     "--wavelength-nm must be finite"),
+    (["sweep", "--sweep", "cond:nan:1:3"], None, "sweep start and stop must be finite"),
+    (["sweep", "--sweep", "cond:0:inf:3"], None, "sweep start and stop must be finite"),
+    (["coeffs", "--cond", "abc"], None, "invalid float value"),
+    (["stack", "--stack", "{file}"],
+     '{"layers": [{"type": "slab", "n_re": NaN, "d": 0.1}]}', "layers[0].n_re must be finite"),
+    (["stack", "--stack", "{file}"],
+     '{"layers": [{"type": "slab", "n_re": 1.5, "d": Infinity}]}', "layers[0].d must be finite"),
+    (["stack", "--stack", "{file}"],
+     '{"layers": [{"type": "sheet", "sign": -Infinity}]}', "layers[0].sign must be finite"),
+    (["stack", "--stack", "{file}"],
+     '{"layers": [{"type": "sheet", "cond": [0.1, NaN]}]}', "layers[0].cond must be finite"),
+    (["stack", "--stack", "{file}"], '{"ambient_out": NaN}', "ambient_out must be finite"),
+    (["stack", "--stack", "{file}"], '{"wavelength_nm": NaN}', "wavelength_nm must be finite"),
+    (["twostate", "--coeffs", "{file}"], '{"t": 1, "r": 0, "b": [0, NaN]}', "b must be finite"),
+], ids=["coeffs_nan", "coeffs_inf_csv", "decouple_inf", "overlap_nan", "profile_k_nan",
+        "profile_b_r_inf", "stack_wavelength_inf", "sweep_start_nan", "sweep_stop_inf",
+        "not_a_number", "file_index_nan", "file_thickness_inf", "file_sign_inf",
+        "file_cond_nan", "file_ambient_nan", "file_wavelength_nan", "coeffs_file_b_nan"])
+def test_non_finite_input_is_config_error(capsys, tmp_path, argv, file_text, message):
+    if file_text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(file_text)
+        argv = [str(path) if a == "{file}" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 class TestCoeffs:
@@ -82,6 +195,15 @@ class TestTwostate:
         assert doc["degenerate"] is True
         assert doc["offdiagonal"] == 0.0
         assert doc["e_plus"] == 0.0
+
+    def test_degenerate_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "twostate", "--cond", "2", "--format", "csv")
+        assert code == 0
+        header, row = out.splitlines()
+        cells = dict(zip(header.split(","), row.split(","), strict=True))
+        assert cells["degenerate"] == "True"
+        assert cells["theta_plus"] == cells["r_minus"] == ""
+        assert cells["e_plus"] == "0"
 
     def test_round_trip_through_coeffs_json(self, capsys, tmp_path):
         path = tmp_path / "coeffs.json"
@@ -177,6 +299,15 @@ class TestStack:
         code, _, err = run_cli(capsys, "stack", "--stack", "/no/such/file.json")
         assert code == 2
 
+    def test_wavelength_needs_reference(self, capsys, tmp_path):
+        path = tmp_path / "noref.json"
+        path.write_text(json.dumps(NO_REFERENCE_STACK))
+        code, out, err = run_cli(capsys, "stack", "--stack", str(path),
+                                 "--wavelength-nm", "500")
+        assert code == 1
+        assert out == ""
+        assert "--wavelength-nm needs wavelength_nm in the stack file" in err
+
     @pytest.mark.parametrize("doc, field", [
         ({"layers": [1]}, "layers[0]"),
         ({"layers": {"type": "sheet"}}, "layers"),
@@ -258,6 +389,46 @@ class TestSweep:
         assert out == ""
         assert "slab thickness must be >= 0" in err
 
+    def test_wavelength_sweep_needs_reference(self, capsys, tmp_path):
+        path = tmp_path / "noref.json"
+        path.write_text(json.dumps(NO_REFERENCE_STACK))
+        code, out, err = run_cli(capsys, "sweep", "--stack", str(path),
+                                 "--sweep", "wavelength_nm:400:700:3")
+        assert code == 1
+        assert out == ""
+        assert "needs wavelength_nm in the stack file" in err
+
+    ABSORBING = {"wavelength_nm": 633.0, "ambient_out": [1.46, 0.0], "layers": [
+        {"type": "sheet", "cond": [0.05, 0.02], "sign": 1},
+        {"type": "slab", "n_re": 1.46, "n_im": 0.01, "d": 0.3},
+        {"type": "sheet", "cond": 0.0229253}]}
+    # r = -0.1304... - 0j at zero thickness: the stack sweep writes +0
+    SIGNED_ZERO = {"layers": [{"type": "sheet", "cond": 0.3},
+                              {"type": "slab", "n_re": 1.0, "d": 0.3}]}
+
+    @pytest.mark.parametrize("variable, spec, extra, doc", [
+        ("cond", "cond:0:3:7", ["--branching", "0.4", "--f-sign", "-1"], None),
+        ("n_layers", "n_layers:1:9:6", ["--cond", "0.3"], None),
+        ("wavelength_nm", "wavelength_nm:400:700:5", [], ABSORBING),
+        ("thickness", "thickness:0:0.5:6", [], ABSORBING),
+        ("thickness", "thickness:0:0.5:6", [], SIGNED_ZERO),
+    ], ids=["cond", "n_layers", "wavelength_nm", "thickness", "thickness_signed_zero"])
+    def test_matches_row_reference(self, capsys, tmp_path, variable, spec, extra, doc):
+        path = tmp_path / "stack.json"
+        path.write_text(json.dumps(doc))
+        argv = ["sweep", "--sweep", spec, *extra]
+        if doc is not None:
+            argv += ["--stack", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        _, start, stop, steps = spec.split(":")
+        cond = 0.3 if variable == "n_layers" else None
+        branching, f_sign = (0.4, -1) if variable == "cond" else (1.0, 1)
+        header, rows = reference_sweep_rows(
+            variable, np.linspace(float(start), float(stop), int(steps)),
+            cond, branching, f_sign, str(path))
+        assert out == reference_table(header, rows)
+
     def test_bad_spec(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--sweep", "cond:1:0:5")
         assert code == 1
@@ -295,6 +466,52 @@ class TestProfile:
     def test_json_format_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "profile", "--format", "json")
         assert code == 1
+
+    def test_header_and_side_tags(self, capsys):
+        code, out, _ = run_cli(capsys, "profile", "--which", "a", "--cond", "0.5",
+                               "--points", "4", "--x-max", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == ("x,re_right,im_right,re_left,im_left,"
+                            "re_polar,im_polar,re_axial,im_axial,side")
+        sides = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert sides.count("minus") == 1
+        assert sides.count("plus") == 1
+        assert set(sides) == {"minus", "plus", "bulk"}
+
+    def test_deterministic(self, capsys):
+        argv = ["profile", "--which", "b", "--b-r", "0.123456789", "--b-l", "-0.5"]
+        outs = [run_cli(capsys, *argv)[1] for _ in range(2)]
+        assert outs[0] == outs[1]
+
+    @settings(deadline=None)
+    @given(which=st.sampled_from(["a", "b"]),
+           points=st.integers(1, 41),
+           x_max=st.floats(1e-3, 50.0),
+           k=st.floats(-5.0, 5.0),
+           cond=st.floats(0.0, 5.0),
+           b_r=st.none() | st.floats(-1.0, 1.0),
+           b_l=st.none() | st.floats(-1.0, 1.0))
+    def test_matches_row_reference(self, which, points, x_max, k, cond, b_r, b_l):
+        argv = ["profile", "--which", which, "--points", str(points),
+                f"--x-max={x_max!r}", f"--k={k!r}", f"--cond={cond!r}"]
+        argv += [] if b_r is None else [f"--b-r={b_r!r}"]
+        argv += [] if b_l is None else [f"--b-l={b_l!r}"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+
+        params = surface.SheetParams(cond=cond)
+        coeffs = surface.solve_single_sheet(params)
+        grid = np.linspace(-x_max, x_max, points + 1)
+        if which == "a":
+            profile = eval_a(coeffs.t, coeffs.r, grid, k=k)
+        elif b_r is None and b_l is None:
+            emission = surface.emission_amplitude(params, coeffs)
+            profile = eval_b(emission.b_r, emission.b_l, grid, k=k)
+        else:
+            profile = eval_b(b_r or 0.0, b_l or 0.0, grid, k=k)
+        assert out.getvalue() == reference_profile_csv(profile)
 
 
 class TestOutputFile:

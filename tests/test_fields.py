@@ -1,6 +1,5 @@
 """Field profiles, polar/axial decomposition, surface and parity checks."""
 
-import io
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from sheetoptics import (
     make_grid,
     parity_transform,
 )
-from sheetoptics.fields import write_profile_csv
 
 amplitudes = st.floats(min_value=-1.0, max_value=1.0,
                        allow_nan=False, allow_infinity=False)
@@ -186,23 +184,3 @@ class TestParity:
         with pytest.raises(AsymmetricGrid):
             parity_transform(profile)
 
-
-class TestCsv:
-    def test_header_and_side_tags(self):
-        buf = io.StringIO()
-        write_profile_csv(eval_a(0.8, -0.2, np.linspace(-1, 1, 5)), buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == ("x,re_right,im_right,re_left,im_left,"
-                            "re_polar,im_polar,re_axial,im_axial,side")
-        sides = [line.rsplit(",", 1)[1] for line in lines[1:]]
-        assert sides.count("minus") == 1
-        assert sides.count("plus") == 1
-        assert set(sides) == {"minus", "plus", "bulk"}
-
-    def test_deterministic(self):
-        out = []
-        for _ in range(2):
-            buf = io.StringIO()
-            write_profile_csv(eval_b(0.123456789, -0.5), buf)
-            out.append(buf.getvalue())
-        assert out[0] == out[1]

@@ -421,3 +421,16 @@ class TestValidation:
     def test_ambient_validation(self):
         with pytest.raises(ValueError):
             LayerStack(ambient_in=-1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SheetParams(cond=float("nan")),
+        lambda: SheetParams(cond=complex(0.1, float("inf"))),
+        lambda: Slab(n=complex(float("nan"), 0.0), d=0.1),
+        lambda: Slab(n=1.5, d=float("inf")),
+        lambda: LayerStack(ambient_in=float("nan")),
+        lambda: LayerStack(ambient_out=complex(1.0, float("inf"))),
+    ], ids=["nan_cond", "inf_cond_imag", "nan_slab_index", "inf_thickness",
+            "nan_ambient_in", "inf_ambient_out"])
+    def test_rejects_non_finite(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
