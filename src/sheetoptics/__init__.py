@@ -49,14 +49,12 @@ from .stack import (
     load_stack,
     local_fields,
     nlayer_replacement,
-    propagation_matrix,
     reflectance_with_emission,
     sheet_matrix,
     solve_stack,
     solve_sweep,
     stack_absorbance,
     stack_coeffs,
-    stack_matrix,
 )
 from .fields import (
     FieldProfile,

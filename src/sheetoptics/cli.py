@@ -280,11 +280,15 @@ def _cmd_twostate(config: RunConfig) -> dict:
     return results
 
 
-def _stack_scale(wavelength_nm, reference_nm) -> float:
+def _stack_scale(wavelength_nm, reference_nm, name="--wavelength-nm") -> float:
+    """Wavelength scale of ``wavelength_nm`` (None: the reference); ``name``
+    is where the value came from, for the error message."""
     if wavelength_nm is None:
         return 1.0
     if reference_nm is None:
         raise CliConfigError("--wavelength-nm needs wavelength_nm in the stack file")
+    if wavelength_nm <= 0:
+        raise CliConfigError(f"{name} must be positive, got {float(wavelength_nm)!r}")
     return wavelength_nm / reference_nm
 
 
@@ -326,7 +330,7 @@ def _stack_sweep(config: RunConfig, values: np.ndarray) -> list[stack_mod.StackS
         raise CliConfigError(f"{spec.variable} sweep requires --stack")
     stk, reference_nm = stack_mod.load_stack(config.input_path)
     if spec.variable == "wavelength_nm":
-        scales = [_stack_scale(v, reference_nm) for v in values]
+        scales = [_stack_scale(v, reference_nm, "wavelength_nm sweep value") for v in values]
         return stack_mod.solve_sweep(stk, scales)
     # thickness: vary the last slab
     if not any(isinstance(layer, stack_mod.Slab) for layer in stk.layers):

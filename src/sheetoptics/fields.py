@@ -42,15 +42,10 @@ def make_grid(x_max: float = 5.0, n_bulk: int = 200) -> tuple[np.ndarray, np.nda
 
 
 def _normalize_grid(grid) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a bare x array (0-/0+ pair added) or an (x, side) pair."""
+    """(x, side) arrays of a bare x array with the 0-/0+ pair added;
+    None gives :func:`make_grid`."""
     if grid is None:
         return make_grid()
-    if isinstance(grid, tuple) and len(grid) == 2 and not np.isscalar(grid[0]):
-        x, side = np.asarray(grid[0], dtype=float), np.asarray(grid[1])
-        if not (np.any((x == 0.0) & (side == SIDE_MINUS)) and
-                np.any((x == 0.0) & (side == SIDE_PLUS))):
-            raise ValueError("grid must contain both 0- and 0+ samples")
-        return x, side
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or np.any(np.diff(x) <= 0):
         raise ValueError("grid must be a strictly increasing 1-D array")

@@ -14,9 +14,7 @@ the (K, W, 2, 2) element array once, folds it left to right with one
 batched product per element, extracts t and r, back-propagates (t, 0) to
 the sheets and computes the emission ledger as (sheets, W) arrays.
 :func:`solve_stack` is its W = 1 case, and the coefficient, field and
-ledger functions below are views on its :class:`StackSolution`.  The
-``EmissionEntry`` objects of a solution are built when its ``ledger`` is
-first read.
+ledger functions below are views on its :class:`StackSolution`.
 
 Every row of a batch is bit-identical to the same evaluation done alone
 and to the scalar reference in ``tests/test_solve.py``, so CLI output does
@@ -37,8 +35,8 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from importlib import resources
 
@@ -120,17 +118,13 @@ class LayerStack:
 
 
 @dataclass(frozen=True)
-class EmissionEntry:
-    """Per-sheet emission amplitude, total phase and branch sign."""
-
-    b: complex
-    theta: float
-    sign: int
-
-
-@dataclass(frozen=True)
 class EmissionLedger:
-    entries: tuple[EmissionEntry, ...] = ()
+    """Each sheet's emission amplitude b, return-trip phase theta and branch
+    sign, one tuple each in sheet order."""
+
+    b: tuple[complex, ...] = ()
+    theta: tuple[float, ...] = ()
+    signs: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -148,9 +142,8 @@ class StackSolution:
 
     R, T and A are the reflected, transmitted and absorbed fractions;
     ``sheet_fields`` holds the total E field at each sheet for unit incident
-    amplitude; ``emission_b`` and ``emission_theta`` hold each sheet's
-    emission amplitude and return-trip phase, with the sheet's own branch
-    sign from ``signs``.
+    amplitude; ``ledger`` holds each sheet's emission amplitude and
+    return-trip phase, with the sheet's own branch sign.
     """
 
     t: complex
@@ -160,16 +153,7 @@ class StackSolution:
     A: float
     sheet_fields: np.ndarray
     R_emission_unclamped: float
-    emission_b: np.ndarray
-    emission_theta: np.ndarray
-    signs: tuple[int, ...]
-
-    @cached_property
-    def ledger(self) -> EmissionLedger:
-        """The emission ledger, built on first read."""
-        return EmissionLedger(entries=tuple(map(
-            EmissionEntry, self.emission_b.tolist(), self.emission_theta.tolist(),
-            self.signs)))
+    ledger: EmissionLedger
 
     @property
     def R_emission(self) -> float:
@@ -191,21 +175,13 @@ def sheet_matrix(params: SheetParams) -> np.ndarray:
     return np.array(_sheet_entries(complex(params.cond)), dtype=complex).reshape(2, 2)
 
 
-def propagation_matrix(n: complex, d: float, wavelength_scale: float = 1.0) -> np.ndarray:
-    """Phase accumulation diag(e^{i phi}, e^{-i phi}) across a slab.
-
-    phi = 2*pi*n*d / wavelength_scale.  Unlike the stack's element matrices
-    this maps entry-side to exit-side amplitudes; its inverse is the slab's
-    element matrix.
-    """
-    if d < 0:
-        raise ValueError("propagation distance must be >= 0")
-    if wavelength_scale <= 0:
-        raise ValueError("wavelength_scale must be positive")
-    phi = TWO_PI * complex(n) * d / wavelength_scale
-    return np.array(
-        [[np.exp(1j * phi), 0.0], [0.0, np.exp(-1j * phi)]], dtype=complex
-    )
+def _interface_entries(n1: np.ndarray, n2: np.ndarray):
+    """Entries (00, 01, 10, 11) of the interface matrix for complex arrays
+    n1 and n2.  The prefactor 1/(2 n2) is a Python complex division; the
+    array products round the same for any array length."""
+    prefactor = np.array([1.0 / (2.0 * b) for b in n2.tolist()], dtype=complex)
+    plus, minus = prefactor * (n2 + n1), prefactor * (n2 - n1)
+    return plus, minus, minus, plus
 
 
 def interface_matrix(n1: complex, n2: complex) -> np.ndarray:
@@ -213,9 +189,7 @@ def interface_matrix(n1: complex, n2: complex) -> np.ndarray:
     n1, n2 = complex(n1), complex(n2)
     if n1.real <= 0 or n2.real <= 0:
         raise ValueError("interface indices must have Re(n) > 0")
-    return (1.0 / (2.0 * n2)) * np.array(
-        [[n2 + n1, n2 - n1], [n2 - n1, n2 + n1]], dtype=complex
-    )
+    return np.array(_interface_entries(np.array([n1]), np.array([n2]))).reshape(2, 2)
 
 
 class _Layout:
@@ -260,12 +234,9 @@ class _Layout:
         cond = np.array([p.cond for p in params], dtype=complex)
         n1 = np.array([n1 for _, n1, _ in steps], dtype=complex)
         n2 = np.array([n2 for _, _, n2 in steps], dtype=complex)
-        # interface_matrix(n1, n2): its prefactor is a Python complex division
-        prefactor = np.array([1.0 / (2.0 * b) for _, _, b in steps], dtype=complex)
         self.const = np.concatenate([
             np.stack(_sheet_entries(cond), axis=-1).reshape(-1, 2, 2),
-            prefactor[:, None, None]
-            * np.stack([n2 + n1, n2 - n1, n2 - n1, n2 + n1], axis=-1).reshape(-1, 2, 2),
+            np.stack(_interface_entries(n1, n2), axis=-1).reshape(-1, 2, 2),
         ])
         self.slab_at = np.array(slab_at, dtype=int)
         n = np.array(slab_n, dtype=complex)
@@ -304,23 +275,15 @@ def _column(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def element_matrices(
-    stack: LayerStack,
-    wavelength_scale=1.0,
-    sheet_slots: list[int] | None = None,
-    last_slab_d=None,
-) -> np.ndarray:
-    """Element matrices in stack order; their ordered product is :func:`stack_matrix`.
+def element_matrices(stack: LayerStack, wavelength_scale=1.0, last_slab_d=None) -> np.ndarray:
+    """Element matrices in stack order; their ordered product is the stack matrix.
 
     A scalar ``wavelength_scale`` gives shape (K, 2, 2).  An array of W
     scales, or an array ``last_slab_d`` of W thicknesses for the stack's
     last slab, gives shape (K, W, 2, 2); a length-1 array broadcasts over
-    the other.  When ``sheet_slots`` is a list, the index of each sheet's
-    matrix is appended to it.
+    the other.
     """
     layout = stack._layout
-    if sheet_slots is not None:
-        sheet_slots.extend(layout.sheet_slots)
     phi_re, phi_im = layout.slab_phases(wavelength_scale, last_slab_d)
     mats = np.zeros((layout.n_elements, phi_re.shape[1], 2, 2), dtype=complex)
     mats[layout.const_at] = layout.const[:, None]
@@ -330,11 +293,6 @@ def element_matrices(
     if np.ndim(wavelength_scale) or np.ndim(last_slab_d):
         return mats
     return mats[:, 0]
-
-
-def stack_matrix(stack: LayerStack, wavelength_scale: float = 1.0) -> np.ndarray:
-    return reduce(np.matmul, element_matrices(stack, wavelength_scale),
-                  np.eye(2, dtype=complex))
 
 
 def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[StackSolution]:
@@ -350,7 +308,7 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[
     """
     layout = stack._layout
     scales = np.asarray(wavelength_scales, dtype=float).reshape(-1)
-    mats = element_matrices(stack, scales, None, last_slab_d)
+    mats = element_matrices(stack, scales, last_slab_d)
     # numpy multiplies 2-D matrices faster than a stack of one, and with the
     # same BLAS call, so a lone row folds as (K, 2, 2).
     factors = mats[:, 0] if mats.shape[1] == 1 else mats
@@ -389,11 +347,11 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[
     A = 1.0 - R - T
     R_emission = _emission_reflectance(r, b, theta)
     return [StackSolution(t=t_w, r=r_w, R=R_w, T=T_w, A=A_w, sheet_fields=fields_w,
-                          R_emission_unclamped=emission_w, emission_b=b_w,
-                          emission_theta=theta_w, signs=layout.signs)
+                          R_emission_unclamped=emission_w,
+                          ledger=EmissionLedger(tuple(b_w), tuple(theta_w), layout.signs))
             for t_w, r_w, R_w, T_w, A_w, fields_w, emission_w, b_w, theta_w in zip(
                 t.tolist(), r.tolist(), R.tolist(), T.tolist(), A.tolist(),
-                fields.T.copy(), R_emission.tolist(), b.T.copy(), theta.T.copy())]
+                fields.T.copy(), R_emission.tolist(), b.T.tolist(), theta.T.tolist())]
 
 
 def solve_stack(stack: LayerStack, wavelength_scale: float = 1.0) -> StackSolution:
@@ -506,11 +464,7 @@ def _emission(layout: _Layout, fields, front_re, front_im, t_plus_r):
     return b, theta
 
 
-def build_emission_ledger(
-    stack: LayerStack,
-    wavelength_scale: float = 1.0,
-    signs: list[int] | None = None,
-) -> EmissionLedger:
+def build_emission_ledger(stack: LayerStack, wavelength_scale: float = 1.0) -> EmissionLedger:
     """Assemble per-sheet emission amplitudes and return-trip phases.
 
     b_j generalizes the single-sheet formula with the local field at sheet j
@@ -519,16 +473,9 @@ def build_emission_ledger(
     phase of sign_j referenced to the stack-level t + r.  When t + r vanishes
     at the stack level the branch phase is taken in quadrature, which makes
     the reflectance independent of the (then degenerate) branch choice.
-    ``signs`` replaces the sheets' own branch signs.
+    Each sheet's own branch sign is used; to use other signs, build the
+    stack with them.
     """
-    if signs is not None:
-        n_sheets = len(stack.sheets())
-        if len(signs) != n_sheets:
-            raise LedgerMismatch(f"{len(signs)} signs supplied for {n_sheets} sheets")
-        given = iter(signs)
-        stack = replace(stack, layers=tuple(
-            replace(layer, sign=next(given)) if isinstance(layer, Sheet) else layer
-            for layer in stack.layers))
     return solve_stack(stack, wavelength_scale).ledger
 
 
@@ -566,14 +513,15 @@ def reflectance_with_emission(
     """
     if ledger is None:
         return solve_stack(stack, wavelength_scale).R_emission
-    if len(ledger.entries) != len(stack.sheets()):
+    n_sheets = len(stack.sheets())
+    if not len(ledger.b) == len(ledger.theta) == n_sheets:
         raise LedgerMismatch(
-            f"ledger has {len(ledger.entries)} entries for "
-            f"{len(stack.sheets())} sheets"
+            f"ledger has {len(ledger.b)} amplitudes and {len(ledger.theta)} "
+            f"phases for {n_sheets} sheets"
         )
     r = np.array([solve_stack(stack, wavelength_scale).r], dtype=complex)
-    b = np.array([e.b for e in ledger.entries], dtype=complex).reshape(-1, 1)
-    theta = np.array([e.theta for e in ledger.entries], dtype=float).reshape(-1, 1)
+    b = np.array(ledger.b, dtype=complex).reshape(-1, 1)
+    theta = np.array(ledger.theta, dtype=float).reshape(-1, 1)
     return _clamp_reflectance(_emission_reflectance(r, b, theta).item())
 
 
@@ -635,6 +583,8 @@ def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
     wavelength_nm = data.get("wavelength_nm")
     if wavelength_nm is not None:
         wavelength_nm = _number(float, wavelength_nm, "wavelength_nm")
+        if wavelength_nm <= 0:
+            raise ValueError(f"wavelength_nm must be positive, got {data['wavelength_nm']!r}")
     return stack, wavelength_nm
 
 

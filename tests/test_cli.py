@@ -308,6 +308,38 @@ class TestStack:
         assert out == ""
         assert "--wavelength-nm needs wavelength_nm in the stack file" in err
 
+    SLAB = {"type": "slab", "n_re": 1.46, "d": 0.3}
+    SHEET = {"type": "sheet", "cond": 0.1}
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        ({"wavelength_nm": 0, "layers": [SLAB]}, ["stack", "--wavelength-nm", "500"],
+         "wavelength_nm must be positive, got 0"),
+        ({"wavelength_nm": 0, "layers": [SHEET]},
+         ["sweep", "--sweep", "wavelength_nm:400:700:3"], "wavelength_nm must be positive"),
+        ({"wavelength_nm": -633.0, "layers": [SLAB]}, ["stack"],
+         "wavelength_nm must be positive, got -633.0"),
+        ({"wavelength_nm": 633.0, "layers": [SLAB]}, ["stack", "--wavelength-nm", "0"],
+         "--wavelength-nm must be positive, got 0.0"),
+        ({"wavelength_nm": 633.0, "layers": [SLAB]}, ["stack", "--wavelength-nm=-500"],
+         "--wavelength-nm must be positive, got -500.0"),
+        ({"wavelength_nm": 633.0, "layers": [SHEET, SLAB]},
+         ["sweep", "--sweep", "thickness:0:0.5:3", "--wavelength-nm", "0"],
+         "--wavelength-nm must be positive"),
+        ({"wavelength_nm": 633.0, "layers": [SHEET, SLAB]},
+         ["sweep", "--sweep", "wavelength_nm:-100:700:3"],
+         "wavelength_nm sweep value must be positive, got -100.0"),
+    ], ids=["zero_reference", "zero_reference_sheet_sweep", "negative_reference",
+            "zero_option", "negative_option", "zero_option_thickness_sweep",
+            "negative_sweep_value"])
+    def test_non_positive_wavelength(self, capsys, tmp_path, doc, argv, message):
+        path = tmp_path / "stack.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, "--stack", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("sheetoptics: config error: ")
+        assert message in err
+
     @pytest.mark.parametrize("doc, field", [
         ({"layers": [1]}, "layers[0]"),
         ({"layers": {"type": "sheet"}}, "layers"),

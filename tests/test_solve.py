@@ -54,7 +54,8 @@ scales = st.sampled_from((1.0, 0.7, 1.3))
 
 def oracle(stack, scale):
     """Explicit product of tagged exit-to-entry factors, then a full
-    back-propagation and the ledger sum, written out independently."""
+    back-propagation, each sheet's b and theta and the ledger sum, written
+    out independently."""
     tagged = []
     current = complex(stack.ambient_in)
     for layer in stack.layers:
@@ -92,21 +93,22 @@ def oracle(stack, scale):
             acc = acc + TWO_PI * complex(layer.n) * layer.d / scale
     s = t + r
     direction = s / abs(s) if abs(s) >= TOL else 1j
-    emitted = []
+    bs, thetas, emitted = [], [], []
     for sheet, field, phi in zip(stack.sheets(), fields, phases):
         p = sheet.params
         amp = np.sqrt((p.branching / 2.0) * (complex(p.cond).real * abs(field) ** 2))
         damping = float(np.exp(-2.0 * phi.imag))
         b = -p.f_sign * amp * field * damping
-        if abs(b) < TOL:
-            emitted.append(np.exp(1j * 0.0) * b)
-            continue
-        target = (sheet.sign * direction * amp * abs(field) * damping
-                  * np.exp(2j * phi.real))
-        theta = float(np.angle(target / b) % TWO_PI)
+        theta = 0.0
+        if abs(b) >= TOL:
+            target = (sheet.sign * direction * amp * abs(field) * damping
+                      * np.exp(2j * phi.real))
+            theta = float(np.angle(target / b) % TWO_PI)
+        bs.append(complex(b))
+        thetas.append(theta)
         emitted.append(np.exp(1j * theta) * b)
     r_emission = float(abs(r + sum(emitted)) ** 2)
-    return t, r, fields, r_emission
+    return t, r, fields, r_emission, tuple(bs), tuple(thetas)
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,11 +119,14 @@ def test_solve_stack_equals_explicit_product(stack, scale):
         with pytest.raises(SingularStack):
             solve_stack(stack, scale)
         return
-    t, r, fields, r_emission = expected
+    t, r, fields, r_emission, b, theta = expected
     solution = solve_stack(stack, scale)
     assert solution.t == t
     assert solution.r == r
     assert np.array_equal(solution.sheet_fields, fields)
+    assert solution.ledger.b == b
+    assert solution.ledger.theta == theta
+    assert solution.ledger.signs == tuple(sheet.sign for sheet in stack.sheets())
     assert solution.R_emission_unclamped == r_emission
     ratio = complex(stack.ambient_out).real / complex(stack.ambient_in).real
     assert solution.R == abs(r) ** 2
@@ -141,8 +146,6 @@ def test_views_read_the_solution(stack, scale):
     assert stack_absorbance(stack, scale) == solution.A
     assert np.array_equal(local_fields(stack, scale), solution.sheet_fields)
     assert build_emission_ledger(stack, scale) == solution.ledger
-    signs = [sheet.sign for sheet in stack.sheets()]
-    assert build_emission_ledger(stack, scale, signs) == solution.ledger
     if solution.R_emission_unclamped <= 1.0:
         assert reflectance_with_emission(stack, None, scale) == solution.R_emission
         assert reflectance_with_emission(stack, solution.ledger, scale) \

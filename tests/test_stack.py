@@ -22,13 +22,11 @@ from sheetoptics import (
     interface_matrix,
     local_fields,
     nlayer_replacement,
-    propagation_matrix,
     reflectance_with_emission,
     sheet_matrix,
     solve_single_sheet,
     stack_absorbance,
     stack_coeffs,
-    stack_matrix,
 )
 from sheetoptics.stack import (
     element_matrices,
@@ -82,15 +80,23 @@ class TestElementMatrices:
         assert c.t == pytest.approx(0.5, abs=1e-15)
         assert c.r == pytest.approx(-0.5, abs=1e-15)
 
+    @staticmethod
+    def slab_element(n, d):
+        """The one element of a slab between ambients of its own index."""
+        (m,) = element_matrices(LayerStack(layers=(Slab(n=n, d=d),),
+                                           ambient_in=n, ambient_out=n))
+        return m
+
     def test_propagation_identity(self):
-        assert np.allclose(propagation_matrix(1.5, 0.0), np.eye(2))
+        assert np.allclose(self.slab_element(1.5, 0.0), np.eye(2))
 
     def test_propagation_half_wave(self):
-        assert np.allclose(propagation_matrix(1.0, 0.5), -np.eye(2), atol=1e-15)
+        assert np.allclose(self.slab_element(1.0, 0.5), -np.eye(2), atol=1e-15)
 
     def test_propagation_quarter_wave(self):
-        m = propagation_matrix(1.46, 0.25 / 1.46)
-        assert np.allclose(m, [[1j, 0.0], [0.0, -1j]], atol=1e-15)
+        # exit to entry: diag(e^{-i phi}, e^{i phi}) at phi = pi/2
+        m = self.slab_element(1.46, 0.25 / 1.46)
+        assert np.allclose(m, [[-1j, 0.0], [0.0, 1j]], atol=1e-15)
 
     def test_interface_identity(self):
         assert np.allclose(interface_matrix(1.3, 1.3), np.eye(2))
@@ -121,9 +127,10 @@ class TestElementMatrices:
         right = np.eye(2, dtype=complex)
         for m in reversed(mats):
             right = m @ right
-        total = stack_matrix(stk)
-        assert np.allclose(left, total, atol=1e-12)
-        assert np.allclose(right, total, atol=1e-12)
+        assert np.allclose(left, right, atol=1e-12)
+        c = stack_coeffs(stk)
+        assert c.t == pytest.approx(1.0 / left[0, 0], abs=1e-12)
+        assert c.r == pytest.approx(left[1, 0] / left[0, 0], abs=1e-12)
 
     def test_sheet_slots(self):
         stk = LayerStack(
@@ -136,12 +143,10 @@ class TestElementMatrices:
             ),
             ambient_out=3.0,
         )
-        slots = []
-        mats = element_matrices(stk, 1.0, slots)
+        mats = element_matrices(stk, 1.0)
         # sheet, interface + slab, sheet, slab (same index), sheet, exit interface
-        assert slots == [0, 3, 5]
         assert len(mats) == 7
-        for slot, sheet in zip(slots, stk.sheets()):
+        for slot, sheet in zip([0, 3, 5], stk.sheets()):
             assert np.array_equal(mats[slot], sheet_matrix(sheet.params))
 
 
@@ -339,22 +344,21 @@ class TestEmissionReflectance:
     def test_ledger_mismatch(self):
         stk = sheet_stack(2)
         with pytest.raises(LedgerMismatch):
-            reflectance_with_emission(stk, EmissionLedger(entries=()))
+            reflectance_with_emission(stk, EmissionLedger())
         with pytest.raises(LedgerMismatch):
-            build_emission_ledger(stk, signs=[-1])
+            reflectance_with_emission(
+                stk, EmissionLedger(b=(0.1, 0.1), theta=(0.0,), signs=(-1, -1)))
 
     def test_ledger_alignment(self):
         stk = sheet_stack(3, cond=0.2, spacing=0.21)
         ledger = build_emission_ledger(stk)
-        assert len(ledger.entries) == 3
-        assert all(e.sign == -1 for e in ledger.entries)
+        assert len(ledger.b) == len(ledger.theta) == 3
+        assert ledger.signs == (-1, -1, -1)
 
     def test_clamp_warns(self):
         # handcrafted ledger pushing |r + sum| past 1 triggers the clamp
-        from sheetoptics.stack import EmissionEntry
-
         stk = sheet_stack(1, cond=0.0)
-        ledger = EmissionLedger(entries=(EmissionEntry(b=1.5, theta=0.0, sign=-1),))
+        ledger = EmissionLedger(b=(1.5,), theta=(0.0,), signs=(-1,))
         with pytest.warns(UserWarning):
             r = reflectance_with_emission(stk, ledger)
         assert r == 1.0

@@ -59,7 +59,7 @@ def test_wavelength_rows_equal_single_solves(stack, scales):
     batch = solve_sweep(stack, scales)
     assert_rows_equal(batch, singles)
     for solution, s in zip(batch, scales):
-        t, r, fields, r_emission = oracle(stack, s)
+        t, r, fields, r_emission, _, _ = oracle(stack, s)
         assert (solution.t, solution.r) == (t, r)
         assert np.array_equal(solution.sheet_fields, fields)
         assert solution.R_emission_unclamped == r_emission
@@ -105,11 +105,12 @@ def test_rejects_negative_thickness_and_scale():
         solve_sweep(LayerStack(), [1.0], last_slab_d=[0.1])
 
 
-def test_ledger_built_on_read():
+def test_ledger_rows_in_sheet_order():
     stack = LayerStack(layers=(Sheet(params=SheetParams(cond=0.1)), Slab(n=1.5, d=0.2),
                                Sheet(params=SheetParams(cond=0.3), sign=1)))
-    solution = solve_stack(stack)
-    assert "ledger" not in vars(solution)
-    assert solution.ledger == build_emission_ledger(stack)
-    assert [e.sign for e in solution.ledger.entries] == [-1, 1]
-    assert "ledger" in vars(solution)
+    scales = [0.8, 1.0, 1.3]
+    for solution, s in zip(solve_sweep(stack, scales), scales):
+        assert solution.ledger == build_emission_ledger(stack, s)
+        assert solution.ledger.signs == (-1, 1)
+        assert [type(b) for b in solution.ledger.b] == [complex, complex]
+        assert [type(theta) for theta in solution.ledger.theta] == [float, float]
