@@ -20,7 +20,9 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -32,6 +34,8 @@ from . import surface, twostate
 from .codec import decode_complex, encode_complex
 
 _FLOAT_SPEC = ".17g"
+#: Rows of CSV text written per chunk.
+_CSV_CHUNK_ROWS = 1024
 
 
 class CliConfigError(Exception):
@@ -154,7 +158,7 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _json_doc(config: RunConfig, results: dict) -> str:
+def _json_doc(config: RunConfig, results: dict) -> Iterator[str]:
     doc = {
         "tool_version": __version__,
         "config_echo": {
@@ -166,7 +170,55 @@ def _json_doc(config: RunConfig, results: dict) -> str:
         },
         **results,
     }
-    return json.dumps(doc, indent=2, default=_json_default) + "\n"
+    return _json_chunks(doc)
+
+
+def _json_chunks(doc: dict) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2, default=_json_default) + "\n"``,
+    in chunks.
+
+    A 1-D float64 or complex128 array value is written here, as the codec and
+    json write its elements; each run of other values goes through one
+    ``json.dumps``.
+    """
+    separator = "{\n  "
+    for vector, items in groupby(doc.items(), key=lambda item: _is_vector(item[1])):
+        if vector:
+            for key, value in items:
+                yield f"{separator}{json.dumps(key)}: {_json_vector(value)}"
+                separator = ",\n  "
+        else:
+            # the items of a non-empty dict, between its "{\n  " and "\n}"
+            yield separator + json.dumps(dict(items), indent=2, default=_json_default)[4:-2]
+            separator = ",\n  "
+    yield "\n}\n"
+
+
+def _is_vector(value) -> bool:
+    return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype in (float, complex)
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """json's text of each float: its repr, or NaN, Infinity, -Infinity."""
+    if np.isfinite(values).all():
+        return list(map(float.__repr__, values.tolist()))
+    return [float.__repr__(v) if math.isfinite(v) else
+            "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+            for v in values.tolist()]
+
+
+def _json_vector(values: np.ndarray) -> str:
+    """JSON text of a 1-D float64 or complex128 array that is a value of the
+    top-level object.  A complex element with zero imaginary part is a
+    plain number, any other an [re, im] pair (the codec's forms)."""
+    if not len(values):
+        return "[]"
+    items = _json_floats(values.real)
+    if values.dtype.kind == "c":
+        imag = values.imag
+        items = [re if zero else f"[\n      {re},\n      {im}\n    ]"
+                 for re, im, zero in zip(items, _json_floats(imag), (imag == 0.0).tolist())]
+    return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
 def _cell(value) -> str:
@@ -177,18 +229,26 @@ def _cell(value) -> str:
     return float.__format__(value, _FLOAT_SPEC) if isinstance(value, float) else str(value)
 
 
-def _csv(columns: dict) -> str:
-    """CSV text of columns: a header of their names, then one row per index.
+def _csv(columns: dict) -> Iterator[str]:
+    """CSV text of columns, in chunks: a header of their names, then one row
+    per index.
 
     The columns are read cell by cell, so numpy columns are never copied
-    into Python lists.
+    into Python lists, and at most ``_CSV_CHUNK_ROWS`` rows of text are held
+    at once.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(zip(*(map(_cell, column) for column in columns.values()),
-                         strict=True))
-    return buf.getvalue()
+    rows = zip(*(map(_cell, column) for column in columns.values()), strict=True)
+    while True:
+        writer.writerows(islice(rows, _CSV_CHUNK_ROWS))
+        text = buf.getvalue()
+        if not text:
+            return
+        yield text
+        buf.seek(0)
+        buf.truncate()
 
 
 def _record_columns(results: dict) -> dict:
@@ -212,12 +272,12 @@ def _record_columns(results: dict) -> dict:
     return columns
 
 
-def _write(config: RunConfig, text: str) -> None:
+def _write(config: RunConfig, chunks: Iterable[str]) -> None:
     if config.output_path:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _sheet_params(opts: dict) -> surface.SheetParams:
@@ -333,7 +393,7 @@ def _stack_sweep(config: RunConfig, values: np.ndarray) -> list[stack_mod.StackS
         scales = [_stack_scale(v, reference_nm, "wavelength_nm sweep value") for v in values]
         return stack_mod.solve_sweep(stk, scales)
     # thickness: vary the last slab
-    if not any(isinstance(layer, stack_mod.Slab) for layer in stk.layers):
+    if not stk._layout.has_slab:
         raise CliConfigError("thickness sweep needs a slab in the stack")
     scale = _stack_scale(opts.get("wavelength_nm"), reference_nm)
     return stack_mod.solve_sweep(stk, [scale], last_slab_d=values)
@@ -343,6 +403,10 @@ def _cmd_sweep(config: RunConfig) -> dict:
     # --jobs is accepted and ignored: a thread pool over these small,
     # GIL-bound numpy solves ran slower than the serial loop.
     spec, opts = config.sweep, config.options
+    if config.input_path and spec.variable in ("cond", "n_layers"):
+        raise CliConfigError(f"--stack does not apply to --sweep {spec.variable}")
+    if opts.get("wavelength_nm") is not None and spec.variable != "thickness":
+        raise CliConfigError(f"--wavelength-nm does not apply to --sweep {spec.variable}")
     values = spec.values()
     if spec.variable == "cond":
         params = [surface.SheetParams(cond=v, branching=opts["branching"],
@@ -424,8 +488,9 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def run(config: RunConfig) -> str:
-    """Execute a run configuration and return the produced text artifact."""
+def run(config: RunConfig) -> Iterator[str]:
+    """Execute a run configuration and return its text as an iterator of
+    chunks.  The command runs in this call, before the first chunk."""
     results = _COMMANDS[config.command](config)
     if config.fmt == "json":
         return _json_doc(config, results)
@@ -453,3 +518,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

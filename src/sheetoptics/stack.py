@@ -35,10 +35,12 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,27 +96,98 @@ Layer = Sheet | Slab
 
 @dataclass(frozen=True)
 class LayerStack:
-    """Ordered layer sequence between two semi-infinite ambient media."""
+    """Ordered layer sequence between two semi-infinite ambient media.
 
-    layers: tuple[Layer, ...] = ()
+    Inside, a stack is columns (see :class:`_Columns`).  A stack built from
+    layer objects turns them into columns when it is first solved; a stack
+    read from a description file holds only the columns and builds
+    ``layers`` on first read.
+    """
+
+    # No class-level default: a stack read from a file has no ``layers``
+    # until __getattr__ builds them.
+    layers: tuple[Layer, ...] = field(default_factory=tuple)
     ambient_in: complex = 1.0
     ambient_out: complex = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        for n in (self.ambient_in, self.ambient_out):
-            if not cmath.isfinite(complex(n)):
-                raise ValueError(f"ambient indices must be finite, got {n!r}")
-            if complex(n).real <= 0:
-                raise ValueError("ambient indices must have Re(n) > 0")
+        _check_ambients(self.ambient_in, self.ambient_out)
+
+    @classmethod
+    def _of_columns(cls, columns: _Columns, ambient_in, ambient_out) -> LayerStack:
+        """A stack of validated columns, without layer objects."""
+        _check_ambients(ambient_in, ambient_out)
+        stack = cls.__new__(cls)
+        object.__setattr__(stack, "ambient_in", ambient_in)
+        object.__setattr__(stack, "ambient_out", ambient_out)
+        object.__setattr__(stack, "_columns", columns)
+        return stack
+
+    def __getattr__(self, name):
+        if name != "layers" or "_columns" not in self.__dict__:
+            raise AttributeError(name)
+        layers = self._columns.layers()
+        object.__setattr__(self, "layers", layers)
+        return layers
 
     def sheets(self) -> list[Sheet]:
         return [layer for layer in self.layers if isinstance(layer, Sheet)]
 
     @cached_property
+    def _columns(self) -> _Columns:
+        return _Columns.of_layers(self.layers)
+
+    @cached_property
     def _layout(self) -> _Layout:
         # element_matrices and solve_sweep both read it: one pass per stack
         return _Layout(self)
+
+
+def _check_ambients(*indices) -> None:
+    for n in indices:
+        if not cmath.isfinite(complex(n)):
+            raise ValueError(f"ambient indices must be finite, got {n!r}")
+        if complex(n).real <= 0:
+            raise ValueError("ambient indices must have Re(n) > 0")
+
+
+class _Columns(NamedTuple):
+    """A stack's layers as columns.
+
+    ``is_sheet`` marks each layer in stack order; ``cond``, ``branching``,
+    ``f_sign`` and ``sign`` hold one entry per sheet and ``n`` and ``d``
+    one per slab, each in stack order.
+    """
+
+    is_sheet: np.ndarray  # bool
+    cond: np.ndarray  # complex
+    branching: np.ndarray  # float
+    f_sign: list[int]
+    sign: tuple[int, ...]
+    n: np.ndarray  # complex
+    d: np.ndarray  # float
+
+    @classmethod
+    def of_layers(cls, layers) -> _Columns:
+        sheets = [layer for layer in layers if isinstance(layer, Sheet)]
+        slabs = [layer for layer in layers if not isinstance(layer, Sheet)]
+        return cls(
+            is_sheet=np.array([isinstance(layer, Sheet) for layer in layers], dtype=bool),
+            cond=np.array([s.params.cond for s in sheets], dtype=complex),
+            branching=np.array([s.params.branching for s in sheets], dtype=float),
+            f_sign=[s.params.f_sign for s in sheets],
+            sign=tuple(s.sign for s in sheets),
+            n=np.array([complex(s.n) for s in slabs], dtype=complex),
+            d=np.array([s.d for s in slabs], dtype=float),
+        )
+
+    def layers(self) -> tuple[Layer, ...]:
+        sheets = map(Sheet, map(SheetParams, self.cond.tolist(), self.branching.tolist(),
+                                self.f_sign), self.sign)
+        slabs = map(Slab, self.n.tolist(), self.d.tolist())
+        return tuple(next(sheets) if is_sheet else next(slabs)
+                     for is_sheet in self.is_sheet.tolist())
 
 
 @dataclass(frozen=True)
@@ -164,7 +237,8 @@ class StackSolution:
 def _sheet_entries(g):
     """Entries (00, 01, 10, 11) of the sheet matrix for conductance g, a
     Python complex or a complex array (both round the same)."""
-    return 1.0 + g / 2.0, g / 2.0, -g / 2.0, 1.0 - g / 2.0
+    half = g / 2.0
+    return 1.0 + half, half, -g / 2.0, 1.0 - half
 
 
 def sheet_matrix(params: SheetParams) -> np.ndarray:
@@ -201,56 +275,43 @@ class _Layout:
     """
 
     def __init__(self, stack: LayerStack):
-        sheets, slabs_before = [], []
-        slab_at, slab_n, slab_d = [], [], []
-        steps = []  # (element index, n1, n2) of each index step
-        self.sheet_slots: list[int] = []
-        current = complex(stack.ambient_in)
-        k = 0
-        for layer in stack.layers:
-            if isinstance(layer, Sheet):
-                self.sheet_slots.append(k)
-                slabs_before.append(len(slab_n))
-                sheets.append(layer)
-            else:
-                n = complex(layer.n)
-                if n != current:
-                    # interface_matrix(a, b) maps a-side to b-side; the slab
-                    # is on the right of this boundary.
-                    steps.append((k, n, current))
-                    k += 1
-                slab_at.append(k)
-                slab_n.append(n)
-                slab_d.append(layer.d)
-                current = n
-            k += 1
-        if complex(stack.ambient_out) != current:
-            steps.append((k, complex(stack.ambient_out), current))
-            k += 1
-
-        self.n_elements = k
-        self.const_at = np.array(self.sheet_slots + [i for i, _, _ in steps], dtype=int)
-        params = [sheet.params for sheet in sheets]
-        cond = np.array([p.cond for p in params], dtype=complex)
-        n1 = np.array([n1 for _, n1, _ in steps], dtype=complex)
-        n2 = np.array([n2 for _, _, n2 in steps], dtype=complex)
-        self.const = np.concatenate([
-            np.stack(_sheet_entries(cond), axis=-1).reshape(-1, 2, 2),
-            np.stack(_interface_entries(n1, n2), axis=-1).reshape(-1, 2, 2),
-        ])
-        self.slab_at = np.array(slab_at, dtype=int)
-        n = np.array(slab_n, dtype=complex)
+        columns = stack._columns
+        ambient_in, ambient_out = complex(stack.ambient_in), complex(stack.ambient_out)
+        is_sheet, cond, n = columns.is_sheet, columns.cond, columns.n
+        # A boundary comes before each slab and at the exit.  Where the media
+        # on its two sides differ, it holds an index step: one interface
+        # element, which maps the right side to the left side.
+        left = np.concatenate(([ambient_in], n))
+        right = np.concatenate((n, [ambient_out]))
+        step = left != right
+        steps_through = np.add.accumulate(step, dtype=int)
+        sheet_at, slab_at = is_sheet.nonzero()[0], (~is_sheet).nonzero()[0]
+        # element index just right of each boundary
+        after = np.concatenate((slab_at, [len(is_sheet)])) + steps_through
+        self.n_elements = int(after[-1])
+        self.slab_at = after[:-1]
+        self.has_slab = bool(len(n))
+        self.slabs_before = sheet_at - np.arange(len(sheet_at))
+        sheet_at += np.concatenate(([0], steps_through))[self.slabs_before]
+        self.sheet_slots: list[int] = sheet_at.tolist()
+        step_at, n1, n2 = after[step] - 1, right[step], left[step]
+        self.const_at = np.concatenate((sheet_at, step_at))
+        self.const = np.empty((len(self.const_at), 2, 2), dtype=complex)
+        sheet_mats, step_mats = self.const[:len(sheet_at)], self.const[len(sheet_at):]
+        (sheet_mats[:, 0, 0], sheet_mats[:, 0, 1],
+         sheet_mats[:, 1, 0], sheet_mats[:, 1, 1]) = _sheet_entries(cond)
+        (step_mats[:, 0, 0], step_mats[:, 0, 1],
+         step_mats[:, 1, 0], step_mats[:, 1, 1]) = _interface_entries(n1, n2)
         self.k_re, self.k_im = TWO_PI * n.real, TWO_PI * n.imag
-        self.slab_d = np.array(slab_d, dtype=float)
-        self.slabs_before = np.array(slabs_before, dtype=int)
+        self.slab_d = columns.d
 
         # ledger inputs as (sheets, 1) columns
         self.cond_re = cond.real.reshape(-1, 1)
-        self.half_branching = _column([p.branching for p in params]) / 2.0
-        self.neg_f_sign = -_column([p.f_sign for p in params])
-        self.signs = tuple(sheet.sign for sheet in sheets)
+        self.half_branching = columns.branching.reshape(-1, 1) / 2.0
+        self.neg_f_sign = -_column(columns.f_sign)
+        self.signs = columns.sign
         self.sign_column = _column(self.signs)
-        self.ratio = complex(stack.ambient_out).real / complex(stack.ambient_in).real
+        self.ratio = ambient_out.real / ambient_in.real
 
     def slab_phases(self, wavelength_scale, last_slab_d=None):
         """Real and imaginary parts of phi = 2*pi*n*d / scale, shape (slabs, W)."""
@@ -260,7 +321,7 @@ class _Layout:
         d = self.slab_d[:, None]
         if last_slab_d is not None:
             last = np.asarray(last_slab_d, dtype=float).reshape(-1)
-            if not len(d):
+            if not self.has_slab:
                 raise ValueError("last_slab_d needs a slab in the stack")
             if np.any(last < 0):
                 raise ValueError("slab thickness must be >= 0")
@@ -365,7 +426,7 @@ def solve_stack(stack: LayerStack, wavelength_scale: float = 1.0) -> StackSoluti
 
 def _join(re, im) -> np.ndarray:
     """Complex array with the given real and imaginary parts, no arithmetic."""
-    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
     z.real, z.imag = re, im
     return z
 
@@ -541,19 +602,73 @@ def _number(convert, value, what: str):
     return number
 
 
+def _clean_columns(entries: list) -> _Columns | None:
+    """Columns of clean layer entries, or None.
+
+    A clean entry is an object of type "sheet" or "slab" whose numbers are
+    finite and in range.  ``array('d')`` converts each number as ``float``
+    does, or raises, and a sign equal to +1 or -1 converts by ``int``, so
+    a clean description gives the stack that the per-layer loop of
+    :func:`stack_from_dict` gives.  That loop reads every description this
+    function returns None for: it converts what it accepts or raises the
+    error naming the first bad field.
+    """
+    if set(map(type, entries)) - {dict}:
+        return None
+    kinds = [entry.get("type") for entry in entries]
+    if kinds.count("sheet") + kinds.count("slab") != len(kinds):
+        return None
+    is_sheet = list(map("sheet".__eq__, kinds))
+    sheets = list(compress(entries, is_sheet))
+    slabs = list(compress(entries, map("slab".__eq__, kinds)))
+    # cond is a float or an [re, im] pair; the pair's parts convert by float
+    cond = [[c, 0.0] if type(c := entry.get("cond", 0.0)) is float else c for entry in sheets]
+    signs = ([entry.get("f_sign", 1) for entry in sheets]
+             + [entry.get("sign", -1) for entry in sheets])
+    if (any(type(c) is not list or len(c) != 2 for c in cond)
+            or signs.count(1) + signs.count(-1) != len(signs)):
+        return None
+    try:
+        values = np.frombuffer(array("d", [c[1] for c in cond] + [c[0] for c in cond]
+                                     + [entry.get("branching", 1.0) for entry in sheets]
+                                     + [entry.get("n_im", 0.0) for entry in slabs]
+                                     + [entry.get("d") for entry in slabs]
+                                     + [entry.get("n_re", 1.0) for entry in slabs]),
+                               dtype=float)
+    except (TypeError, OverflowError):
+        return None
+    cond_im, cond_re, branching = values[:3 * len(sheets)].reshape(3, -1)
+    n_im, d, n_re = values[3 * len(sheets):].reshape(3, -1)
+    # cond_re, branching, n_im and d are the values from len(sheets) to the
+    # start of n_re.
+    if not (np.isfinite(values).all()
+            and np.minimum.reduce(values[len(sheets):len(values) - len(slabs)],
+                                  initial=math.inf) >= 0.0
+            and np.maximum.reduce(branching, initial=-math.inf) <= 1.0
+            and np.minimum.reduce(n_re, initial=math.inf) > 0.0):
+        return None
+    signs = list(map(int, signs))
+    return _Columns(is_sheet=np.array(is_sheet, dtype=bool), cond=_join(cond_re, cond_im),
+                    branching=branching, f_sign=signs[:len(sheets)],
+                    sign=tuple(signs[len(sheets):]), n=_join(n_re, n_im), d=d)
+
+
 def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
     """Build a stack from its JSON-compatible description.
 
     Returns the stack and the optional reference wavelength in nm.  A
     malformed description raises ValueError naming the offending field.
+    The layers are read as columns; only a description that needs
+    conversion or holds a bad field goes through layer objects.
     """
     if not isinstance(data, dict):
         raise ValueError("stack description must be a JSON object")
     entries = data.get("layers", [])
     if not isinstance(entries, list):
         raise ValueError("layers must be a list of layer objects")
+    columns = _clean_columns(entries)
     layers: list[Layer] = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(entries if columns is None else ()):
         where = f"layers[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be an object, got {entry!r}")
@@ -575,11 +690,12 @@ def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
                                d=_number(float, entry["d"], f"{where}.d")))
         else:
             raise ValueError(f"{where}.type must be 'sheet' or 'slab', got {kind!r}")
-    stack = LayerStack(
-        layers=tuple(layers),
-        ambient_in=decode_complex(data.get("ambient_in", 1.0), "ambient_in"),
-        ambient_out=decode_complex(data.get("ambient_out", 1.0), "ambient_out"),
-    )
+    ambient_in = decode_complex(data.get("ambient_in", 1.0), "ambient_in")
+    ambient_out = decode_complex(data.get("ambient_out", 1.0), "ambient_out")
+    if columns is None:
+        stack = LayerStack(layers=tuple(layers), ambient_in=ambient_in, ambient_out=ambient_out)
+    else:
+        stack = LayerStack._of_columns(columns, ambient_in, ambient_out)
     wavelength_nm = data.get("wavelength_nm")
     if wavelength_nm is not None:
         wavelength_nm = _number(float, wavelength_nm, "wavelength_nm")

@@ -4,6 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +15,18 @@ from hypothesis import given, settings, strategies as st
 
 from sheetoptics import stack as stack_mod
 from sheetoptics import surface
-from sheetoptics.cli import main
+from sheetoptics.cli import (
+    _json_chunks,
+    _json_default,
+    _to_config,
+    build_parser,
+    main,
+    run,
+)
 from sheetoptics.fields import decompose, eval_a, eval_b
 
 GRAPHENE = "0.0229253"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *args):
@@ -356,6 +368,34 @@ class TestStack:
         assert out == ""
         assert err.startswith(f"sheetoptics: config error: {field} ")
 
+    DEEP_SHEET = {"type": "sheet", "cond": 0.02, "branching": 0.5, "f_sign": 1, "sign": -1}
+    DEEP_SLAB = {"type": "slab", "n_re": 1.46, "n_im": 0.01, "d": 0.2}
+
+    @pytest.mark.parametrize("bad, message", [
+        ({731: {**DEEP_SLAB, "n_re": "x"}}, "layers[731].n_re must be a number, got 'x'"),
+        ({400: {**DEEP_SHEET, "branching": "x"}, 601: {**DEEP_SLAB, "n_re": None}},
+         "layers[400].branching must be a number, got 'x'"),
+        ({599: {"type": "slab"}}, "layers[599].d is required"),
+        ({512: {"type": "mirror"}}, "layers[512].type must be 'sheet' or 'slab', got 'mirror'"),
+        ({100: 3}, "layers[100] must be an object, got 3"),
+        ({204: {**DEEP_SHEET, "cond": [0.1, float("nan")]}},
+         "layers[204].cond must be finite, got [0.1, nan]"),
+        ({733: {**DEEP_SLAB, "n_re": -1.0}}, "Re(n) must be > 0"),
+        ({202: {**DEEP_SHEET, "sign": 0}}, "sheet emission sign must be +1 or -1"),
+    ], ids=["not_a_number", "first_of_two", "no_d", "unknown_type", "not_an_object",
+            "nan_cond", "index_range", "sign_range"])
+    def test_malformed_deep_layer(self, capsys, tmp_path, bad, message):
+        """A bad entry far into a long list is named by its own index."""
+        layers = [self.DEEP_SHEET, self.DEEP_SLAB] * 400
+        for i, entry in bad.items():
+            layers[i] = entry
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"layers": layers}))
+        code, out, err = run_cli(capsys, "stack", "--stack", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"sheetoptics: config error: {message}\n"
+
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -461,6 +501,28 @@ class TestSweep:
             cond, branching, f_sign, str(path))
         assert out == reference_table(header, rows)
 
+    @pytest.mark.parametrize("argv, option", [
+        (["--sweep", "cond:0:1:2", "--stack", "{file}", "--wavelength-nm", "-5"], "--stack"),
+        (["--sweep", "n_layers:1:3:3", "--stack", "{file}"], "--stack"),
+        (["--sweep", "wavelength_nm:400:700:2", "--stack", "{file}", "--wavelength-nm", "0"],
+         "--wavelength-nm"),
+        (["--sweep", "wavelength_nm:400:700:2", "--stack", "{file}", "--wavelength-nm", "500"],
+         "--wavelength-nm"),
+        (["--sweep", "cond:0:1:2", "--wavelength-nm", "500"], "--wavelength-nm"),
+        (["--sweep", "n_layers:1:3:3", "--wavelength-nm", "500"], "--wavelength-nm"),
+    ], ids=["cond_stack", "n_layers_stack", "wavelength_zero", "wavelength_option",
+            "cond_wavelength", "n_layers_wavelength"])
+    def test_rejects_options_that_do_not_apply(self, capsys, tmp_path, argv, option):
+        path = tmp_path / "stack.json"
+        path.write_text(json.dumps({"wavelength_nm": 633.0, "layers": [
+            {"type": "sheet", "cond": 0.1}, {"type": "slab", "n_re": 1.5, "d": 0.2}]}))
+        argv = [str(path) if a == "{file}" else a for a in argv]
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == 1
+        assert out == ""
+        variable = argv[1].split(":")[0]
+        assert err == f"sheetoptics: config error: {option} does not apply to --sweep {variable}\n"
+
     def test_bad_spec(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--sweep", "cond:1:0:5")
         assert code == 1
@@ -547,6 +609,32 @@ class TestProfile:
 
 
 class TestOutputFile:
+    def test_no_file_on_error(self, capsys, tmp_path):
+        path = tmp_path / "out.csv"
+        stack = tmp_path / "slab.json"
+        stack.write_text(json.dumps({"layers": [{"type": "slab", "n_re": 1.5, "d": 0.2}]}))
+        code, out, err = run_cli(capsys, "sweep", "--stack", str(stack), "--sweep",
+                                 "thickness:-0.1:0.3:5", "--out", str(path))
+        assert code == 1
+        assert not path.exists()
+
+    def test_run_computes_before_returning(self, tmp_path):
+        stack = tmp_path / "slab.json"
+        stack.write_text(json.dumps({"layers": [{"type": "slab", "n_re": 1.5, "d": 0.2}]}))
+        config = _to_config(build_parser().parse_args(
+            ["sweep", "--stack", str(stack), "--sweep", "thickness:-0.1:0.3:5"]))
+        with pytest.raises(ValueError, match="slab thickness must be >= 0"):
+            run(config)
+
+    def test_csv_in_chunks(self):
+        argv = ["profile", "--which", "b", "--points", "3000"]
+        chunks = list(run(_to_config(build_parser().parse_args(argv))))
+        assert len(chunks) > 1
+        params = surface.SheetParams()
+        emission = surface.emission_amplitude(params, surface.solve_single_sheet(params))
+        profile = eval_b(emission.b_r, emission.b_l, np.linspace(-5.0, 5.0, 3001))
+        assert "".join(chunks) == reference_profile_csv(profile)
+
     def test_writes_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out, _ = run_cli(
@@ -556,3 +644,46 @@ class TestOutputFile:
         assert out == ""
         doc = json.loads(path.read_text())
         assert doc["t"] == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("argv", [["coeffs"], ["decouple", "--cond", "-1"]],
+                         ids=["coeffs", "config_error"])
+def test_python_dash_m_runs_main(capsys, argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "sheetoptics.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (done.returncode, done.stdout) == (code, out)
+
+
+json_parts = st.one_of(st.just(0.0), st.just(-0.0), st.floats(),
+                       st.sampled_from([5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                                        -1e300, 1e-300, 1e16, 123456789.0]))
+
+
+@st.composite
+def json_vectors(draw):
+    parts = draw(st.lists(st.tuples(json_parts, json_parts), max_size=8))
+    if draw(st.booleans()):
+        return np.array([re for re, _ in parts], dtype=float)
+    vector = np.empty(len(parts), dtype=complex)
+    vector.real, vector.imag = [re for re, _ in parts], [im for _, im in parts]
+    return vector
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors=st.lists(json_vectors(), min_size=1, max_size=3),
+       slots=st.lists(st.integers(0, 6), min_size=3, max_size=3),
+       t=st.builds(complex, json_parts, json_parts))
+def test_json_emitter_matches_json_dumps(vectors, slots, t):
+    """Arrays anywhere among the items of a document, with signed zeros,
+    subnormals, huge exponents, empty arrays and non-finite values."""
+    items = [("tool_version", "0.1.0"),
+             ("config_echo", {"command": "stack", "input_path": None, "wavelength_nm": 5e-7}),
+             ("t", t), ("R", 0.25), ("degenerate", False), ("n_int", 87)]
+    for i, (vector, slot) in enumerate(zip(vectors, slots)):
+        items.insert(slot, (f"vector_{i}", vector))
+    doc = dict(items)
+    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    assert "".join(_json_chunks(doc)) == text

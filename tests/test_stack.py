@@ -1,9 +1,11 @@
 """Transfer-matrix stack optics, N-layer closed forms, emission reflectance."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheetoptics import (
     EmissionLedger,
@@ -31,10 +33,12 @@ from sheetoptics import (
 from sheetoptics.stack import (
     element_matrices,
     load_stack,
+    solve_stack,
     stack_from_dict,
     stack_to_dict,
     substrate_index,
 )
+from test_solve import stacks
 
 
 def sheet_stack(n, cond=GRAPHENE_COND, spacing=0.0, **sheet_kwargs):
@@ -397,6 +401,57 @@ class TestStackIO:
         assert isinstance(stk.layers[0], Sheet)
         assert isinstance(stk.layers[1], Slab)
         assert stk.ambient_out == 3.882 + 0.019j
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=stacks, wavelength_nm=st.none() | st.floats(100.0, 2000.0))
+    def test_dict_round_trip(self, stack, wavelength_nm):
+        """A stack read from its description equals the stack built from
+        layer objects and solves to the same numbers."""
+        loaded, wavelength = stack_from_dict(stack_to_dict(stack, wavelength_nm))
+        assert wavelength == wavelength_nm
+        solutions = []
+        for s in (stack, loaded):
+            try:
+                solutions.append(solve_stack(s))
+            except SingularStack:
+                solutions.append(None)
+        assert loaded == stack
+        built, read = solutions
+        assert (built is None) == (read is None)
+        if built is not None:
+            assert (built.t, built.r, built.R, built.T, built.A) == (read.t, read.r, read.R,
+                                                                     read.T, read.A)
+            assert np.array_equal(built.sheet_fields, read.sheet_fields)
+            assert built.R_emission_unclamped == read.R_emission_unclamped
+            assert built.ledger == read.ledger
+
+    CLEAN = {"ambient_out": [1.46, 0.0], "layers": [
+        {"type": "sheet", "cond": [0.05, 0.02], "branching": 0.5, "f_sign": -1, "sign": 1},
+        {"type": "slab", "n_re": 2.0, "n_im": 0.0, "d": 1.0},
+        {"type": "sheet", "cond": 1.0, "branching": 1.0, "f_sign": 1, "sign": 1}]}
+
+    @pytest.mark.parametrize("layer, fields", [
+        (1, {"n_re": 2, "n_im": 0, "d": 1}),
+        (1, {"n_re": "2.0", "d": "1"}),
+        (2, {"cond": True, "branching": True, "f_sign": True, "sign": 1.0}),
+        (0, {"cond": ["0.05", 0.02], "f_sign": -1.0, "sign": 1.5}),
+    ], ids=["ints", "strings", "bools", "converted_signs"])
+    def test_converted_fields_read_as_clean_ones(self, layer, fields):
+        data = json.loads(json.dumps(self.CLEAN))
+        data["layers"][layer].update(fields)
+        clean, converted = stack_from_dict(self.CLEAN)[0], stack_from_dict(data)[0]
+        assert converted == clean
+        assert np.array_equal(solve_stack(converted).sheet_fields,
+                              solve_stack(clean).sheet_fields)
+
+    def test_read_stack_api(self):
+        stk, _ = stack_from_dict(self.CLEAN)
+        assert [type(layer) for layer in stk.layers] == [Sheet, Slab, Sheet]
+        assert stk.sheets() == [stk.layers[0], stk.layers[2]]
+        assert stack_to_dict(stk) == stack_to_dict(stack_from_dict(self.CLEAN)[0])
+        shorter = replace(stk, layers=stk.layers[:2])
+        assert shorter == LayerStack(layers=stk.layers[:2], ambient_out=1.46)
+        assert len(solve_stack(shorter).sheet_fields) == 1
 
     def test_rejects_unknown_layer_type(self):
         with pytest.raises(ValueError):
