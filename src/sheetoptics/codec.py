@@ -7,6 +7,7 @@ zero and as an ``[re, im]`` pair otherwise; both forms are read back.
 from __future__ import annotations
 
 import cmath
+import math
 
 
 def encode_complex(z) -> float | list[float]:
@@ -16,13 +17,15 @@ def encode_complex(z) -> float | list[float]:
 
 def decode_complex(value, what: str) -> complex:
     z = None
-    if isinstance(value, (int, float)):
-        z = complex(value)
-    elif isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
+    try:
+        if isinstance(value, (int, float)):
+            z = complex(value)
+        elif isinstance(value, (list, tuple)) and len(value) == 2:
             z = complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
+    except OverflowError:  # an integer too large for a float
+        z = complex(math.inf)
+    except (TypeError, ValueError):
+        pass
     if z is None:
         raise ValueError(f"{what} must be a number or an [re, im] pair")
     if not cmath.isfinite(z):

@@ -9,20 +9,22 @@ side.  The stack matrix is the ordered product of the element matrices in
 stack order, and (1, r) = M (t, 0).
 
 :func:`solve_sweep` solves W evaluations of one stack layout (W wavelength
-scales, or W thicknesses of the last slab) in one batched pass: it builds
-the (K, W, 2, 2) element array once, folds it left to right with one
-batched product per element, extracts t and r, back-propagates (t, 0) to
-the sheets and computes the emission ledger as (sheets, W) arrays.
-:func:`solve_stack` is its W = 1 case, and the coefficient, field and
-ledger functions below are views on its :class:`StackSolution`.
+scales, or W thicknesses of the last slab) in one batched pass.  It builds
+the (K, W, 2, 2) element array once and runs one associative scan over it
+(Blelloch, "Prefix sums and their applications", 1990): an up-sweep of
+pairwise products gives the stack matrix M, and a down-sweep gives column 0
+of every suffix product, from which t, r and the field at every sheet
+follow.  That is O(K) work in O(log K) numpy calls.  The emission ledger is
+then computed as (sheets, W) arrays.  :func:`solve_stack` is its W = 1
+case, and the coefficient, field and ledger functions below are views on
+its :class:`StackSolution`.
 
-Every row of a batch is bit-identical to the same evaluation done alone
-and to the scalar reference in ``tests/test_solve.py``, so CLI output does
-not depend on how rows are batched.  The array code therefore rounds as
-numpy's scalar arithmetic does: complex products are written out in real
-operations (numpy's array complex multiply fuses them), magnitudes use
-``hypot``, squares of magnitudes use libm ``pow``, and sums run
-sequentially.
+Every row of a batch is bit-identical to the same evaluation done alone,
+so CLI output does not depend on how rows are batched: every operation is
+elementwise on operands of equal ndim, and sums over sheets run in order.
+The scan multiplies in another order than a left-to-right fold, so results
+agree with that fold to a normwise bound of a small multiple of
+K eps |t| prod_k ||A_k||_2, not bit for bit.
 
 Slab thicknesses are measured in units of the reference vacuum wavelength;
 ``wavelength_scale`` rescales them for wavelength sweeps (scale = lambda /
@@ -38,7 +40,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from importlib import resources
 from typing import NamedTuple
 
@@ -251,9 +253,8 @@ def sheet_matrix(params: SheetParams) -> np.ndarray:
 
 def _interface_entries(n1: np.ndarray, n2: np.ndarray):
     """Entries (00, 01, 10, 11) of the interface matrix for complex arrays
-    n1 and n2.  The prefactor 1/(2 n2) is a Python complex division; the
-    array products round the same for any array length."""
-    prefactor = np.array([1.0 / (2.0 * b) for b in n2.tolist()], dtype=complex)
+    n1 and n2."""
+    prefactor = 0.5 / n2
     plus, minus = prefactor * (n2 + n1), prefactor * (n2 - n1)
     return plus, minus, minus, plus
 
@@ -293,7 +294,7 @@ class _Layout:
         self.has_slab = bool(len(n))
         self.slabs_before = sheet_at - np.arange(len(sheet_at))
         sheet_at += np.concatenate(([0], steps_through))[self.slabs_before]
-        self.sheet_slots: list[int] = sheet_at.tolist()
+        self.after_sheets = sheet_at + 1
         step_at, n1, n2 = after[step] - 1, right[step], left[step]
         self.const_at = np.concatenate((sheet_at, step_at))
         self.const = np.empty((len(self.const_at), 2, 2), dtype=complex)
@@ -328,7 +329,7 @@ class _Layout:
             width = np.broadcast_shapes(scales.shape, last.shape)[0]
             d = np.repeat(d, width, axis=1)
             d[-1] = last
-        d = d + 0.0  # -0.0 becomes +0.0, the phase Python complex arithmetic gave
+        d = d + 0.0  # -0.0 becomes +0.0: a zero thickness has phase +0
         return (self.k_re[:, None] * d) / scales, (self.k_im[:, None] * d) / scales
 
 
@@ -370,31 +371,23 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[
     layout = stack._layout
     scales = np.asarray(wavelength_scales, dtype=float).reshape(-1)
     mats = element_matrices(stack, scales, last_slab_d)
-    # numpy multiplies 2-D matrices faster than a stack of one, and with the
-    # same BLAS call, so a lone row folds as (K, 2, 2).
-    factors = mats[:, 0] if mats.shape[1] == 1 else mats
-    m = np.broadcast_to(np.eye(2, dtype=complex), factors.shape[1:])
-    for factor in factors:
-        m = m @ factor
-    m = m.reshape(-1, 2, 2)
-    m00 = m[:, 0, 0]
-    if np.any((np.hypot(m00.real, m00.imag) < DEGENERATE_TOL)
-              | ~np.isfinite(m).all(axis=(1, 2))):
+    if not len(mats):
+        mats = np.broadcast_to(np.eye(2, dtype=complex), (1,) + mats.shape[1:])
+    levels = _pair_products([mats[..., 0, 0], mats[..., 0, 1],
+                             mats[..., 1, 0], mats[..., 1, 1]])
+    m00, m01, m10, m11 = (entry[0] for entry in levels[-1])
+    if np.any((np.abs(m00) < DEGENERATE_TOL)
+              | ~np.isfinite([m00, m01, m10, m11]).all(axis=0)):
         raise SingularStack("stack transfer matrix is numerically singular")
     t = 1.0 / m00
-    r = m[:, 1, 0] / m00
+    r = m10 / m00
 
-    # Back-propagate (t, 0) from the exit side.  Just right of a sheet v
-    # holds the amplitudes there, and the field is continuous across it.
-    v = np.zeros(factors.shape[1:-1] + (1,), dtype=complex)
-    v[..., 0, 0] = t.reshape(v.shape[:-2])
-    fields = np.empty((len(layout.sheet_slots), len(t)), dtype=complex)
-    j = len(factors)
-    for i in reversed(range(len(fields))):
-        while j > layout.sheet_slots[i] + 1:
-            j -= 1
-            v = factors[j] @ v
-        fields[i] = v[..., 0, 0] + v[..., 1, 0]
+    # The amplitudes just right of a sheet at slot s are S (t, 0), with S
+    # the product of the elements after it, and the field is continuous
+    # across the sheet.
+    u0, u1 = _suffix_columns(levels)
+    ends = np.concatenate((u0 + u1, np.ones((1, len(t)))))
+    fields = t[None, :] * ends[layout.after_sheets]
 
     # One-way phase from the front surface to each sheet, summed in order.
     phi_re, phi_im = layout.slab_phases(scales, last_slab_d)
@@ -403,8 +396,8 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[
     front_im = np.cumsum(np.concatenate([zero, phi_im]), axis=0)[layout.slabs_before]
     b, theta = _emission(layout, fields, front_re, front_im, t + r)
 
-    R = _square(np.hypot(r.real, r.imag))
-    T = layout.ratio * _square(np.hypot(t.real, t.imag))
+    R = np.abs(r) ** 2
+    T = layout.ratio * np.abs(t) ** 2
     A = 1.0 - R - T
     R_emission = _emission_reflectance(r, b, theta)
     return [StackSolution(t=t_w, r=r_w, R=R_w, T=T_w, A=A_w, sheet_fields=fields_w,
@@ -413,6 +406,50 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[
             for t_w, r_w, R_w, T_w, A_w, fields_w, emission_w, b_w, theta_w in zip(
                 t.tolist(), r.tolist(), R.tolist(), T.tolist(), A.tolist(),
                 fields.T.copy(), R_emission.tolist(), b.T.tolist(), theta.T.tolist())]
+
+
+def _pair_products(entries: list) -> list:
+    """Up-sweep of the scan over 2x2 matrices A_0 ... A_{K-1}, K >= 1.
+
+    ``entries`` holds the entries (00, 01, 10, 11) of the matrices, each a
+    (K, W) array.  Each level multiplies neighbours pairwise, A_0 A_1,
+    A_2 A_3, ..., and carries an odd last matrix over unpaired.  Returns
+    every level; the last has one matrix, the ordered product.
+    """
+    levels = [entries]
+    while len(entries[0]) > 1:
+        a, b, c, d = entries
+        pairs = 2 * (len(a) // 2)
+        a0, b0, c0, d0 = (x[0:pairs:2] for x in entries)
+        a1, b1, c1, d1 = (x[1:pairs:2] for x in entries)
+        entries = [a0 * a1 + b0 * c1, a0 * b1 + b0 * d1, c0 * a1 + d0 * c1, c0 * b1 + d0 * d1]
+        if pairs < len(a):
+            entries = [np.concatenate((x, odd[-1:])) for x, odd in zip(entries, (a, b, c, d))]
+        levels.append(entries)
+    return levels
+
+
+def _suffix_columns(levels: list):
+    """Down-sweep: column 0 of every suffix product A_s ... A_{K-1}.
+
+    Walks the levels of :func:`_pair_products` from the top.  A suffix
+    that starts at an even position of a level is a suffix of the level
+    above; one that starts at an odd position 2i + 1 is A_{2i+1} times the
+    suffix from 2i + 2.  Returns the two components, each (K, W).
+    """
+    u0, u1 = levels[-1][0], levels[-1][2]
+    for a, b, c, d in reversed(levels[:-1]):
+        # odd positions 2i + 1 whose suffix from 2i + 2 is on the level above
+        inner = slice(1, 2 * len(u0) - 2, 2)
+        v0, v1 = np.empty_like(a), np.empty_like(c)
+        v0[0::2], v1[0::2] = u0, u1
+        v0[inner] = a[inner] * u0[1:] + b[inner] * u1[1:]
+        v1[inner] = c[inner] * u0[1:] + d[inner] * u1[1:]
+        if len(a) % 2 == 0:
+            # the last matrix's suffix is itself
+            v0[-1], v1[-1] = a[-1], c[-1]
+        u0, u1 = v0, v1
+    return u0, u1
 
 
 def solve_stack(stack: LayerStack, wavelength_scale: float = 1.0) -> StackSolution:
@@ -429,19 +466,6 @@ def _join(re, im) -> np.ndarray:
     z = np.empty(np.broadcast(re, im).shape, dtype=complex)
     z.real, z.imag = re, im
     return z
-
-
-def _cmul(ar, ai, br, bi):
-    """Real and imaginary parts of (ar + i ai)(br + i bi), rounded as numpy's
-    scalar complex multiply rounds (its array multiply fuses them)."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _square(x: np.ndarray) -> np.ndarray:
-    """x ** 2 by libm pow, as a float64 scalar ``** 2`` rounds (the array
-    ``** 2`` is x * x, which differs in the last bit on a few inputs)."""
-    return np.fromiter(map(math.pow, x.ravel().tolist(), repeat(2.0)),
-                       dtype=float, count=x.size).reshape(x.shape)
 
 
 def stack_coeffs(stack: LayerStack, wavelength_scale: float = 1.0) -> ScatterCoeffs:
@@ -500,27 +524,25 @@ def _emission(layout: _Layout, fields, front_re, front_im, t_plus_r):
     For a sheet with field f and front phase phi, b = -f_sign amp f damping
     and theta is the angle of sign unit amp |f| damping e^{2i Re phi} over
     b, with amp = sqrt(branching/2 Re(cond) |f|^2), damping = e^{-2 Im phi}
-    and unit = (t + r)/|t + r|.  The products run left to right, as written.
+    and unit = (t + r)/|t + r|.
     """
-    field_abs = np.hypot(fields.real, fields.imag)
-    amp = np.sqrt(layout.half_branching * (layout.cond_re * _square(field_abs)))
+    field_abs = np.abs(fields)
+    amp = np.sqrt(layout.half_branching * (layout.cond_re * field_abs ** 2))
     damping = np.exp(-2.0 * front_im)  # return trip through lossy slabs
-    b_re, b_im = _cmul(layout.neg_f_sign * amp, 0.0, fields.real, fields.imag)
-    b_re, b_im = _cmul(b_re, b_im, damping, 0.0)
+    b = (layout.neg_f_sign * amp * damping) * fields
 
-    norm = np.hypot(t_plus_r.real, t_plus_r.imag)
+    norm = np.abs(t_plus_r)
     degenerate = norm < DEGENERATE_TOL
     unit = t_plus_r / np.where(degenerate, 1.0, norm)
     unit[degenerate] = 1j  # branch phase in quadrature when t + r vanishes
-    z_re, z_im = _cmul(layout.sign_column, 0.0, unit.real, unit.imag)
-    for factor in (amp, field_abs, damping):
-        z_re, z_im = _cmul(z_re, z_im, factor, 0.0)
-    turn = np.exp(_join(0.0, 2.0 * front_re))
-    z_re, z_im = _cmul(z_re, z_im, turn.real, turn.imag)
+    # Not z *= ...: numpy multiplies a complex array of one element in place
+    # by another loop than any other shape, which would make a row of a
+    # batch differ from the same row solved alone.
+    z = (layout.sign_column * amp * field_abs * damping) * unit[None, :] \
+        * np.exp(_join(0.0, 2.0 * front_re))
 
-    b = _join(b_re, b_im)
-    silent = np.hypot(b_re, b_im) < DEGENERATE_TOL
-    theta = np.angle(_join(z_re, z_im) / np.where(silent, 1.0, b)) % TWO_PI
+    silent = np.abs(b) < DEGENERATE_TOL
+    theta = np.angle(z / np.where(silent, 1.0, b)) % TWO_PI
     theta[silent] = 0.0
     return b, theta
 
@@ -542,12 +564,10 @@ def build_emission_ledger(stack: LayerStack, wavelength_scale: float = 1.0) -> E
 
 def _emission_reflectance(r, b, theta) -> np.ndarray:
     """|r + sum_j e^{i theta_j} b_j|^2 for each of W columns of b, theta."""
-    turn = np.exp(_join(0.0, theta))
-    x_re, x_im = _cmul(turn.real, turn.imag, b.real, b.imag)
-    zero = np.zeros((1, len(r)))
-    sum_re = np.cumsum(np.concatenate([zero, x_re]), axis=0)[-1]
-    sum_im = np.cumsum(np.concatenate([zero, x_im]), axis=0)[-1]
-    return _square(np.hypot(r.real + sum_re, r.imag + sum_im))
+    emitted = np.exp(_join(0.0, theta)) * b
+    # summed in sheet order, so a row's sum does not depend on W
+    total = np.cumsum(np.concatenate((r[None, :], emitted)), axis=0)[-1]
+    return np.abs(total) ** 2
 
 
 def _clamp_reflectance(reflectance: float) -> float:
@@ -590,16 +610,25 @@ def reflectance_with_emission(
 # Stack description files
 
 
-def _number(convert, value, what: str):
-    """``convert(value)`` (float or int), a ValueError naming ``what`` if it
-    fails or the value is not finite."""
+def _number(value, what: str) -> float:
+    """``float(value)``, a ValueError naming ``what`` if it fails or the
+    value is not finite."""
     try:
-        number = convert(value) if math.isfinite(float(value)) else None
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{what} must be a number, got {value!r}") from None
-    if number is None:
+    if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return number
+
+
+def _sign(value, what: str) -> int:
+    """A branch sign: a number equal to an integer, a ValueError naming
+    ``what`` otherwise.  Whether it is +1 or -1 is checked by the layer."""
+    number = _number(value, what)
+    if number != int(number):
+        raise ValueError(f"{what} must be +1 or -1, got {value!r}")
+    return int(number)
 
 
 def _clean_columns(entries: list) -> _Columns | None:
@@ -676,18 +705,18 @@ def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
         if kind == "sheet":
             params = SheetParams(
                 cond=decode_complex(entry.get("cond", 0.0), f"{where}.cond"),
-                branching=_number(float, entry.get("branching", 1.0), f"{where}.branching"),
-                f_sign=_number(int, entry.get("f_sign", 1), f"{where}.f_sign"),
+                branching=_number(entry.get("branching", 1.0), f"{where}.branching"),
+                f_sign=_sign(entry.get("f_sign", 1), f"{where}.f_sign"),
             )
             layers.append(Sheet(params=params,
-                                sign=_number(int, entry.get("sign", -1), f"{where}.sign")))
+                                sign=_sign(entry.get("sign", -1), f"{where}.sign")))
         elif kind == "slab":
             if "d" not in entry:
                 raise ValueError(f"{where}.d is required")
-            n_re = _number(float, entry.get("n_re", 1.0), f"{where}.n_re")
-            n_im = _number(float, entry.get("n_im", 0.0), f"{where}.n_im")
+            n_re = _number(entry.get("n_re", 1.0), f"{where}.n_re")
+            n_im = _number(entry.get("n_im", 0.0), f"{where}.n_im")
             layers.append(Slab(n=complex(n_re, n_im),
-                               d=_number(float, entry["d"], f"{where}.d")))
+                               d=_number(entry["d"], f"{where}.d")))
         else:
             raise ValueError(f"{where}.type must be 'sheet' or 'slab', got {kind!r}")
     ambient_in = decode_complex(data.get("ambient_in", 1.0), "ambient_in")
@@ -698,7 +727,7 @@ def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
         stack = LayerStack._of_columns(columns, ambient_in, ambient_out)
     wavelength_nm = data.get("wavelength_nm")
     if wavelength_nm is not None:
-        wavelength_nm = _number(float, wavelength_nm, "wavelength_nm")
+        wavelength_nm = _number(wavelength_nm, "wavelength_nm")
         if wavelength_nm <= 0:
             raise ValueError(f"wavelength_nm must be positive, got {data['wavelength_nm']!r}")
     return stack, wavelength_nm

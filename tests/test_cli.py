@@ -358,8 +358,19 @@ class TestStack:
         ({"layers": [{"type": "slab"}]}, "layers[0].d"),
         ({"layers": [{"type": "slab", "d": 0.1, "n_re": None}]}, "layers[0].n_re"),
         ({"layers": [], "wavelength_nm": [1]}, "wavelength_nm"),
+        ({"layers": [{"type": "sheet", "cond": 10 ** 400}]}, "layers[0].cond"),
+        ({"layers": [{"type": "sheet", "cond": [0.1, -10 ** 400]}]}, "layers[0].cond"),
+        ({"layers": [], "ambient_in": 10 ** 400}, "ambient_in"),
+        ({"layers": [], "ambient_out": [10 ** 400, 0]}, "ambient_out"),
+        ({"layers": [{"type": "sheet", "sign": 1.5}]}, "layers[0].sign"),
+        ({"layers": [{"type": "slab", "d": 0.1}, {"type": "sheet", "f_sign": -1.9}]},
+         "layers[1].f_sign"),
+        ({"layers": [{"type": "sheet", "f_sign": 1}, {"type": "sheet", "sign": "-0.5"}]},
+         "layers[1].sign"),
     ], ids=["layer_not_object", "layers_not_list", "slab_without_d",
-            "null_index", "list_wavelength"])
+            "null_index", "list_wavelength", "huge_int_cond", "huge_int_cond_pair",
+            "huge_int_ambient_in", "huge_int_ambient_out", "fractional_sign",
+            "fractional_f_sign", "fractional_sign_string"])
     def test_malformed_file(self, capsys, tmp_path, doc, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

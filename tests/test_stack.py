@@ -434,7 +434,7 @@ class TestStackIO:
         (1, {"n_re": 2, "n_im": 0, "d": 1}),
         (1, {"n_re": "2.0", "d": "1"}),
         (2, {"cond": True, "branching": True, "f_sign": True, "sign": 1.0}),
-        (0, {"cond": ["0.05", 0.02], "f_sign": -1.0, "sign": 1.5}),
+        (0, {"cond": ["0.05", 0.02], "f_sign": -1.0, "sign": "1"}),
     ], ids=["ints", "strings", "bools", "converted_signs"])
     def test_converted_fields_read_as_clean_ones(self, layer, fields):
         data = json.loads(json.dumps(self.CLEAN))

@@ -14,7 +14,7 @@ from sheetoptics.stack import (
     solve_stack,
     solve_sweep,
 )
-from test_solve import oracle, stacks
+from test_solve import assert_matches_oracle, stacks
 
 mixed_scales = st.lists(
     st.one_of(st.sampled_from((1.0, 0.7, 1.3)), st.floats(min_value=0.3, max_value=3.0)),
@@ -59,10 +59,7 @@ def test_wavelength_rows_equal_single_solves(stack, scales):
     batch = solve_sweep(stack, scales)
     assert_rows_equal(batch, singles)
     for solution, s in zip(batch, scales):
-        t, r, fields, r_emission, _, _ = oracle(stack, s)
-        assert (solution.t, solution.r) == (t, r)
-        assert np.array_equal(solution.sheet_fields, fields)
-        assert solution.R_emission_unclamped == r_emission
+        assert_matches_oracle(solution, stack, s)
 
 
 @settings(max_examples=150, deadline=None)
