@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -90,7 +91,15 @@ def _parse_sweep(text: str) -> SweepSpec:
     return spec
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and then reused.
+
+    Every caller gets the same parser, so none may change it.  Parsing does
+    not: each ``parse_args`` fills a new namespace, every default is
+    immutable, and argparse looks up ``sys.stdout`` and ``sys.stderr`` only
+    when it prints.
+    """
     parser = _Parser(prog="sheetoptics", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -429,6 +438,8 @@ def _cmd_sweep(config: RunConfig) -> dict:
 
 def _cmd_profile(config: RunConfig) -> dict:
     opts = config.options
+    if opts["points"] < 1:
+        raise CliConfigError(f"--points must be >= 1, got {opts['points']}")
     params = _sheet_params(opts)
     grid_x = np.linspace(-opts["x_max"], opts["x_max"], opts["points"] + 1)
     if opts["which"] == "a":

@@ -370,11 +370,14 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[
     """
     layout = stack._layout
     scales = np.asarray(wavelength_scales, dtype=float).reshape(-1)
-    mats = element_matrices(stack, scales, last_slab_d)
-    if not len(mats):
-        mats = np.broadcast_to(np.eye(2, dtype=complex), (1,) + mats.shape[1:])
-    levels = _pair_products([mats[..., 0, 0], mats[..., 0, 1],
-                             mats[..., 1, 0], mats[..., 1, 1]])
+    # An overflow here leaves a non-finite entry in M, which the check
+    # below reports as SingularStack; numpy need not warn about it too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = element_matrices(stack, scales, last_slab_d)
+        if not len(mats):
+            mats = np.broadcast_to(np.eye(2, dtype=complex), (1,) + mats.shape[1:])
+        levels = _pair_products([mats[..., 0, 0], mats[..., 0, 1],
+                                 mats[..., 1, 0], mats[..., 1, 1]])
     m00, m01, m10, m11 = (entry[0] for entry in levels[-1])
     if np.any((np.abs(m00) < DEGENERATE_TOL)
               | ~np.isfinite([m00, m01, m10, m11]).all(axis=0)):

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, determinism, exit codes, sweeps, round trips."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -407,6 +408,20 @@ class TestStack:
         assert out == ""
         assert err == f"sheetoptics: config error: {message}\n"
 
+    def test_singular_stack_one_stderr_line(self, capsys, tmp_path):
+        """A graphene sheet on a 1e4 wavelength Si slab overflows the
+        product: the error is the only line on stderr, with no numpy
+        warnings before it."""
+        path = tmp_path / "thick.json"
+        path.write_text(json.dumps({"layers": [
+            {"type": "sheet", "cond": 0.0229253},
+            {"type": "slab", "n_re": 3.882, "n_im": 0.019, "d": 1.0e4}]}))
+        code, out, err = run_cli(capsys, "stack", "--stack", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == ("sheetoptics: numerical error: "
+                       "stack transfer matrix is numerically singular\n")
+
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -584,6 +599,13 @@ class TestProfile:
         assert sides.count("plus") == 1
         assert set(sides) == {"minus", "plus", "bulk"}
 
+    @pytest.mark.parametrize("points", [0, -1, -2])
+    def test_points_below_one(self, capsys, points):
+        code, out, err = run_cli(capsys, "profile", f"--points={points}")
+        assert code == 1
+        assert out == ""
+        assert err == f"sheetoptics: config error: --points must be >= 1, got {points}\n"
+
     def test_deterministic(self, capsys):
         argv = ["profile", "--which", "b", "--b-r", "0.123456789", "--b-l", "-0.5"]
         outs = [run_cli(capsys, *argv)[1] for _ in range(2)]
@@ -657,15 +679,68 @@ class TestOutputFile:
         assert doc["t"] == pytest.approx(0.8)
 
 
-@pytest.mark.parametrize("argv", [["coeffs"], ["decouple", "--cond", "-1"]],
-                         ids=["coeffs", "config_error"])
-def test_python_dash_m_runs_main(capsys, argv):
+def fresh_process(argv):
+    """Exit code, stdout and stderr of ``python -m sheetoptics.cli argv``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "sheetoptics.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
-    code, out, _ = run_cli(capsys, *argv)
-    assert (done.returncode, done.stdout) == (code, out)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("argv", [["coeffs"], ["decouple", "--cond", "-1"]],
+                         ids=["coeffs", "config_error"])
+def test_python_dash_m_runs_main(capsys, argv):
+    code, out, _ = fresh_process(argv)
+    assert (code, out) == run_cli(capsys, *argv)[:2]
+
+
+class TestCachedParser:
+    def test_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        run_cli(capsys, "coeffs")
+        run_cli(capsys, "decouple")
+        assert build_parser.cache_info().misses == 1
+
+    def test_defaults_are_immutable(self):
+        """A mutable default (a list from action="append", say) would carry
+        one call's values into the next call of the cached parser."""
+        parser = build_parser()
+        parsers = [parser] + [p for action in parser._actions
+                              if isinstance(action, argparse._SubParsersAction)
+                              for p in action.choices.values()]
+        assert len(parsers) == 7
+        for p in parsers:
+            defaults = [action.default for action in p._actions] + list(p._defaults.values())
+            for default in defaults:
+                assert default is None or isinstance(default, (bool, int, float, str)), \
+                    (p.prog, default)
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
+        """Each call of a sequence in this process gives the output, errors
+        and exit code of the same command run alone."""
+        path = tmp_path / "stack.json"
+        path.write_text(json.dumps({"wavelength_nm": 633.0, "layers": [
+            {"type": "sheet", "cond": 0.0229253},
+            {"type": "slab", "n_re": 1.46, "n_im": 0.01, "d": 0.3}]}))
+        sweep = ["sweep", "--stack", str(path), "--sweep", "thickness:0:0.5:4"]
+        sequence = [
+            (["coeffs"], 0),
+            (["coeffs", "--cond", "0.5", "--format", "csv"], 0),
+            (["coeffs", "--bogus"], 1),
+            (["nosuch"], 1),
+            (sweep + ["--wavelength-nm", "700"], 0),
+            (sweep, 0),
+            (["twostate"], 0),
+        ]
+        results = []
+        for argv, expected_code in sequence:
+            got = run_cli(capsys, *argv)
+            assert got[0] == expected_code, got
+            assert got == fresh_process(argv), argv
+            results.append(got)
+        assert "invalid choice: 'nosuch'" in results[3][2]
+        assert results[4][1] != results[5][1]  # the second sweep used the default
 
 
 json_parts = st.one_of(st.just(0.0), st.just(-0.0), st.floats(),

@@ -297,6 +297,21 @@ def test_reversal_keeps_transmittance(stack, scale):
     assert abs(forward.T - backward.T) <= tol
 
 
+@settings(max_examples=200, deadline=None)
+@given(stack=real_ambient_stacks, scale=scales)
+def test_reciprocity_of_amplitude(stack, scale):
+    """Reciprocity of the amplitude, phase included: with real ambient
+    indices, n_out t_forward = n_in t_reversed.  Each side moves by at most
+    4 |dt| (indices <= 4), |dt| is within half the bound, and the products
+    by n round to within 2 eps of |n t| <= 4 each."""
+    reverse = reversed_stack(stack)
+    forward, backward = solve_stack(stack, scale), solve_stack(reverse, scale)
+    n_in, n_out = complex(stack.ambient_in).real, complex(stack.ambient_out).real
+    tol = 2 * (fold_bound(stack, scale, forward.t)
+               + fold_bound(reverse, scale, backward.t)) + 16 * EPS
+    assert abs(n_out * forward.t - n_in * backward.t) <= tol
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(min_value=1, max_value=400),
        total=st.builds(complex, st.floats(min_value=0.0, max_value=4.0),
