@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
@@ -91,48 +90,35 @@ def _parse_sweep(text: str) -> SweepSpec:
     return spec
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The command-line parser, built on first use and then reused.
+def _common(p, with_sheet=True):
+    if with_sheet:
+        p.add_argument("--cond", type=float, default=surface.GRAPHENE_COND,
+                       help="dimensionless sheet conductance (default: pi*alpha)")
+        p.add_argument("--branching", type=float, default=1.0)
+        p.add_argument("--f-sign", type=int, choices=(1, -1), default=1)
+    p.add_argument("--out", dest="out", default=None,
+                   help="output file (default: stdout)")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                   default=None, help="output format")
 
-    Every caller gets the same parser, so none may change it.  Parsing does
-    not: each ``parse_args`` fills a new namespace, every default is
-    immutable, and argparse looks up ``sys.stdout`` and ``sys.stderr`` only
-    when it prints.
-    """
-    parser = _Parser(prog="sheetoptics", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_sheet=True):
-        if with_sheet:
-            p.add_argument("--cond", type=float, default=surface.GRAPHENE_COND,
-                           help="dimensionless sheet conductance (default: pi*alpha)")
-            p.add_argument("--branching", type=float, default=1.0)
-            p.add_argument("--f-sign", type=int, choices=(1, -1), default=1)
-        p.add_argument("--out", dest="out", default=None,
-                       help="output file (default: stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                       default=None, help="output format")
-
-    p = sub.add_parser("coeffs", help="single-sheet coefficients and absorbance")
-    common(p)
-
-    p = sub.add_parser("twostate", help="two-state diagnostics for one sheet")
-    common(p)
+def _twostate_options(p):
+    _common(p)
     p.add_argument("--overlap", type=float, default=0.0)
     p.add_argument("--energy-unit", type=float, default=1.0)
     p.add_argument("--coeffs", dest="coeffs_json", default=None,
                    help="JSON output of a 'coeffs' run; overrides --cond results")
 
-    p = sub.add_parser("stack", help="transfer-matrix solution of a stack file")
-    common(p, with_sheet=False)
+
+def _stack_options(p):
+    _common(p, with_sheet=False)
     p.add_argument("--stack", dest="stack_file", required=True)
     p.add_argument("--wavelength-nm", type=float, default=None,
                    help="evaluation wavelength (needs wavelength_nm in the file)")
 
-    p = sub.add_parser("sweep", help="parameter sweep, CSV table")
-    common(p)
+
+def _sweep_options(p):
+    _common(p)
     p.add_argument("--stack", dest="stack_file", default=None)
     p.add_argument("--wavelength-nm", type=float, default=None)
     p.add_argument("--sweep", dest="sweep", required=True,
@@ -142,11 +128,9 @@ def build_parser() -> _Parser:
                    help="accepted for compatibility and ignored; rows are "
                         "computed serially")
 
-    p = sub.add_parser("decouple", help="t + r = 0 layer-number search")
-    common(p)
 
-    p = sub.add_parser("profile", help="field profile and gauge decomposition CSV")
-    common(p)
+def _profile_options(p):
+    _common(p)
     p.add_argument("--which", choices=("a", "b"), default="a")
     p.add_argument("--b-r", type=float, default=None,
                    help="override right-going emission amplitude")
@@ -155,6 +139,34 @@ def build_parser() -> _Parser:
     p.add_argument("--x-max", type=float, default=5.0)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--k", type=float, default=1.0)
+
+
+#: Subcommand name -> its help line and the function that adds its options.
+_SUBCOMMANDS = {
+    "coeffs": ("single-sheet coefficients and absorbance", _common),
+    "twostate": ("two-state diagnostics for one sheet", _twostate_options),
+    "stack": ("transfer-matrix solution of a stack file", _stack_options),
+    "sweep": ("parameter sweep, CSV table", _sweep_options),
+    "decouple": ("t + r = 0 layer-number search", _common),
+    "profile": ("field profile and gauge decomposition CSV", _profile_options),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The command-line parser, with every subcommand or with ``command`` alone.
+
+    ``main`` builds the one-subcommand parser for an argv that starts with a
+    subcommand name, at a fraction of the cost of the whole parser.  It
+    parses that argv as the whole parser does, to the same namespace, help
+    and errors: ``_Parser`` raises argparse's message without the usage
+    line, the one text of such a parse that would list the subcommands.
+    """
+    parser = _Parser(prog="sheetoptics", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _SUBCOMMANDS if command is None else [command]:
+        help_text, add_options = _SUBCOMMANDS[name]
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -511,8 +523,10 @@ def run(config: RunConfig) -> Iterator[str]:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         config = _to_config(args)
         _write(config, run(config))
         return 0

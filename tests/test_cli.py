@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheetoptics import cli
 from sheetoptics import stack as stack_mod
 from sheetoptics import surface
 from sheetoptics.cli import (
@@ -679,68 +680,60 @@ class TestOutputFile:
         assert doc["t"] == pytest.approx(0.8)
 
 
-def fresh_process(argv):
-    """Exit code, stdout and stderr of ``python -m sheetoptics.cli argv``."""
+@pytest.mark.parametrize("argv", [["coeffs"], ["decouple", "--cond", "-1"]],
+                         ids=["coeffs", "config_error"])
+def test_python_dash_m_runs_main(capsys, argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "sheetoptics.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
-    return done.returncode, done.stdout, done.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert (done.returncode, done.stdout) == (code, out)
 
 
-@pytest.mark.parametrize("argv", [["coeffs"], ["decouple", "--cond", "-1"]],
-                         ids=["coeffs", "config_error"])
-def test_python_dash_m_runs_main(capsys, argv):
-    code, out, _ = fresh_process(argv)
-    assert (code, out) == run_cli(capsys, *argv)[:2]
+def subcommands(parser):
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
 
 
-class TestCachedParser:
-    def test_built_once(self, capsys):
-        assert build_parser() is build_parser()
-        run_cli(capsys, "coeffs")
-        run_cli(capsys, "decouple")
-        assert build_parser.cache_info().misses == 1
+class TestParserPerCommand:
+    """``main`` builds only the subcommand that argv starts with; every
+    argv must come out as it does with the whole parser."""
 
-    def test_defaults_are_immutable(self):
-        """A mutable default (a list from action="append", say) would carry
-        one call's values into the next call of the cached parser."""
-        parser = build_parser()
-        parsers = [parser] + [p for action in parser._actions
-                              if isinstance(action, argparse._SubParsersAction)
-                              for p in action.choices.values()]
-        assert len(parsers) == 7
-        for p in parsers:
-            defaults = [action.default for action in p._actions] + list(p._defaults.values())
-            for default in defaults:
-                assert default is None or isinstance(default, (bool, int, float, str)), \
-                    (p.prog, default)
+    def test_subcommands(self):
+        every = ["coeffs", "twostate", "stack", "sweep", "decouple", "profile"]
+        assert subcommands(build_parser()) == every
+        for name in every:
+            assert subcommands(build_parser(name)) == [name]
 
-    def test_calls_in_one_process_match_fresh_processes(self, capsys, tmp_path):
-        """Each call of a sequence in this process gives the output, errors
-        and exit code of the same command run alone."""
-        path = tmp_path / "stack.json"
-        path.write_text(json.dumps({"wavelength_nm": 633.0, "layers": [
-            {"type": "sheet", "cond": 0.0229253},
-            {"type": "slab", "n_re": 1.46, "n_im": 0.01, "d": 0.3}]}))
-        sweep = ["sweep", "--stack", str(path), "--sweep", "thickness:0:0.5:4"]
-        sequence = [
-            (["coeffs"], 0),
-            (["coeffs", "--cond", "0.5", "--format", "csv"], 0),
-            (["coeffs", "--bogus"], 1),
-            (["nosuch"], 1),
-            (sweep + ["--wavelength-nm", "700"], 0),
-            (sweep, 0),
-            (["twostate"], 0),
-        ]
-        results = []
-        for argv, expected_code in sequence:
-            got = run_cli(capsys, *argv)
-            assert got[0] == expected_code, got
-            assert got == fresh_process(argv), argv
-            results.append(got)
-        assert "invalid choice: 'nosuch'" in results[3][2]
-        assert results[4][1] != results[5][1]  # the second sweep used the default
+    @pytest.mark.parametrize("argv", [
+        [], ["nosuch"], ["--version"], ["-h"], ["--", "coeffs"], ["coeffs"],
+        ["coeffs", "--cond", "0.5", "--format", "csv"], ["coeffs", "--con", "0.5"],
+        ["coeffs", "--bogus"], ["coeffs", "--cond"], ["coeffs", "--version"],
+        ["coeffs", "twostate"], ["twostate", "--overlap", "0.1"],
+        ["twostate", "--f-sign", "2"], ["stack"], ["sweep", "--sweep", "cond:0:1:3"],
+        ["sweep", "--sweep", "n_layers:1:4:4", "--jobs", "2"], ["sweep"],
+        ["decouple", "--cond", "-1"], ["profile", "--points", "3", "--which", "b"],
+        ["profile", "--points", "x"], ["profile", "--which", "c"],
+        *([name, "-h"] for name in ("coeffs", "twostate", "stack", "sweep",
+                                    "decouple", "profile"))],
+        ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_as_whole_parser(self, capsys, monkeypatch, argv):
+        def outcome():
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help and --version
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        got = outcome()
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
+        assert got == outcome()
+        assert built == [argv[0] if argv and argv[0] in subcommands(build_parser()) else None]
 
 
 json_parts = st.one_of(st.just(0.0), st.just(-0.0), st.floats(),
