@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 configuration error, 2 file I/O error,
 3 numerical error.  Outputs are deterministic: CSV floats use fixed
 17-significant-digit formatting and JSON carries a provenance header.
 
+Each subcommand is one entry of one table: its help line, the function
+that adds its options and the function that runs it on the parsed
+arguments.
+
 Every command returns data and one renderer writes it.  Record commands
 (coeffs, twostate, stack, decouple) return a result dict, rendered as a
 JSON document or as a one-row CSV; table commands (sweep, profile) return
@@ -21,7 +25,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby, islice
 
 import numpy as np
@@ -58,16 +62,6 @@ class SweepSpec:
         if self.steps == 1:
             return np.array([self.start])
         return np.linspace(self.start, self.stop, self.steps)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "json"
-    sweep: SweepSpec | None = None
-    options: dict = field(default_factory=dict)
 
 
 def _parse_sweep(text: str) -> SweepSpec:
@@ -141,17 +135,6 @@ def _profile_options(p):
     p.add_argument("--k", type=float, default=1.0)
 
 
-#: Subcommand name -> its help line and the function that adds its options.
-_SUBCOMMANDS = {
-    "coeffs": ("single-sheet coefficients and absorbance", _common),
-    "twostate": ("two-state diagnostics for one sheet", _twostate_options),
-    "stack": ("transfer-matrix solution of a stack file", _stack_options),
-    "sweep": ("parameter sweep, CSV table", _sweep_options),
-    "decouple": ("t + r = 0 layer-number search", _common),
-    "profile": ("field profile and gauge decomposition CSV", _profile_options),
-}
-
-
 def build_parser(command: str | None = None) -> _Parser:
     """The command-line parser, with every subcommand or with ``command`` alone.
 
@@ -165,7 +148,7 @@ def build_parser(command: str | None = None) -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS if command is None else [command]:
-        help_text, add_options = _SUBCOMMANDS[name]
+        help_text, add_options, _ = _SUBCOMMANDS[name]
         add_options(sub.add_parser(name, help=help_text))
     return parser
 
@@ -179,15 +162,16 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _json_doc(config: RunConfig, results: dict) -> Iterator[str]:
+def _json_doc(args: argparse.Namespace, results: dict) -> Iterator[str]:
+    options = dict(vars(args))
     doc = {
         "tool_version": __version__,
         "config_echo": {
-            "command": config.command,
-            "input_path": config.input_path,
-            "output_path": config.output_path,
-            "format": config.fmt,
-            **config.options,
+            "command": options.pop("command"),
+            "input_path": options.pop("stack_file", None),
+            "output_path": options.pop("out"),
+            "format": options.pop("fmt"),
+            **options,
         },
         **results,
     }
@@ -293,25 +277,24 @@ def _record_columns(results: dict) -> dict:
     return columns
 
 
-def _write(config: RunConfig, chunks: Iterable[str]) -> None:
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
 
 
-def _sheet_params(opts: dict) -> surface.SheetParams:
-    return surface.SheetParams(
-        cond=opts["cond"], branching=opts["branching"], f_sign=opts["f_sign"]
-    )
+def _sheet_params(args: argparse.Namespace) -> surface.SheetParams:
+    return surface.SheetParams(cond=args.cond, branching=args.branching, f_sign=args.f_sign)
 
 
-def _cmd_coeffs(config: RunConfig) -> dict:
-    params = _sheet_params(config.options)
+def _cmd_coeffs(args: argparse.Namespace) -> dict:
+    params = _sheet_params(args)
     coeffs = surface.solve_single_sheet(params)
     check = surface.solve_boundary_system(params)
-    if abs(check.t - coeffs.t) > 1e-12 or abs(check.r - coeffs.r) > 1e-12:
+    tol = surface.SELF_CHECK_TOL
+    if abs(check.t - coeffs.t) > tol or abs(check.r - coeffs.r) > tol:
         raise SheetOpticsError("closed form and boundary system disagree")
     a = surface.absorbance(coeffs, params)
     emission = surface.emission_amplitude(params, coeffs)
@@ -319,11 +302,10 @@ def _cmd_coeffs(config: RunConfig) -> dict:
             "f_mag": emission.f_mag}
 
 
-def _cmd_twostate(config: RunConfig) -> dict:
-    opts = config.options
-    params = _sheet_params(opts)
-    if opts.get("coeffs_json"):
-        with open(opts["coeffs_json"], "r", encoding="utf-8") as fh:
+def _cmd_twostate(args: argparse.Namespace) -> dict:
+    params = _sheet_params(args)
+    if args.coeffs_json:
+        with open(args.coeffs_json, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("--coeffs file must hold a JSON object")
@@ -337,7 +319,7 @@ def _cmd_twostate(config: RunConfig) -> dict:
         coeffs = surface.solve_single_sheet(params)
         b = surface.emission_amplitude(params, coeffs).b_r
     sys_ = twostate.TwoStateSystem(
-        coeffs=coeffs, b=b, overlap=opts["overlap"], energy_unit=opts["energy_unit"]
+        coeffs=coeffs, b=b, overlap=args.overlap, energy_unit=args.energy_unit
     )
     results: dict = {"offdiagonal": twostate.offdiagonal(sys_)}
     try:
@@ -373,9 +355,9 @@ def _stack_scale(wavelength_nm, reference_nm, name="--wavelength-nm") -> float:
     return wavelength_nm / reference_nm
 
 
-def _cmd_stack(config: RunConfig) -> dict:
-    stk, reference_nm = stack_mod.load_stack(config.input_path)
-    scale = _stack_scale(config.options.get("wavelength_nm"), reference_nm)
+def _cmd_stack(args: argparse.Namespace) -> dict:
+    stk, reference_nm = stack_mod.load_stack(args.stack_file)
+    scale = _stack_scale(args.wavelength_nm, reference_nm)
     solution = stack_mod.solve_stack(stk, scale)
     return {
         "t": solution.t,
@@ -388,8 +370,8 @@ def _cmd_stack(config: RunConfig) -> dict:
     }
 
 
-def _cmd_decouple(config: RunConfig) -> dict:
-    found = stack_mod.decoupling_layer_number(config.options["cond"])
+def _cmd_decouple(args: argparse.Namespace) -> dict:
+    found = stack_mod.decoupling_layer_number(args.cond)
     return {"n_exact": found.n_exact, "n_int": found.n_int, "residual": found.residual}
 
 
@@ -405,67 +387,67 @@ def _coeff_columns(results, imag=lambda z: z.imag) -> dict:
             "r_re": [x.r.real for x in results], "r_im": [imag(x.r) for x in results]}
 
 
-def _stack_sweep(config: RunConfig, values: np.ndarray) -> list[stack_mod.StackSolution]:
-    spec, opts = config.sweep, config.options
-    if not config.input_path:
+def _stack_sweep(args: argparse.Namespace,
+                 values: np.ndarray) -> list[stack_mod.StackSolution]:
+    spec = args.sweep
+    if not args.stack_file:
         raise CliConfigError(f"{spec.variable} sweep requires --stack")
-    stk, reference_nm = stack_mod.load_stack(config.input_path)
+    stk, reference_nm = stack_mod.load_stack(args.stack_file)
     if spec.variable == "wavelength_nm":
         scales = [_stack_scale(v, reference_nm, "wavelength_nm sweep value") for v in values]
         return stack_mod.solve_sweep(stk, scales)
     # thickness: vary the last slab
     if not stk._layout.has_slab:
         raise CliConfigError("thickness sweep needs a slab in the stack")
-    scale = _stack_scale(opts.get("wavelength_nm"), reference_nm)
+    scale = _stack_scale(args.wavelength_nm, reference_nm)
     return stack_mod.solve_sweep(stk, [scale], last_slab_d=values)
 
 
-def _cmd_sweep(config: RunConfig) -> dict:
+def _cmd_sweep(args: argparse.Namespace) -> dict:
     # --jobs is accepted and ignored: a thread pool over these small,
     # GIL-bound numpy solves ran slower than the serial loop.
-    spec, opts = config.sweep, config.options
-    if config.input_path and spec.variable in ("cond", "n_layers"):
+    spec = args.sweep
+    if args.stack_file and spec.variable in ("cond", "n_layers"):
         raise CliConfigError(f"--stack does not apply to --sweep {spec.variable}")
-    if opts.get("wavelength_nm") is not None and spec.variable != "thickness":
+    if args.wavelength_nm is not None and spec.variable != "thickness":
         raise CliConfigError(f"--wavelength-nm does not apply to --sweep {spec.variable}")
     values = spec.values()
     if spec.variable == "cond":
-        params = [surface.SheetParams(cond=v, branching=opts["branching"],
-                                      f_sign=opts["f_sign"]) for v in values]
+        params = [surface.SheetParams(cond=v, branching=args.branching,
+                                      f_sign=args.f_sign) for v in values]
         coeffs = [surface.solve_single_sheet(p) for p in params]
         return {"cond": values, **_coeff_columns(coeffs),
                 "A": [surface.absorbance(c, p) for c, p in zip(coeffs, params)],
                 "abs_t_plus_r": [abs(c.t + c.r) for c in coeffs]}
     if spec.variable == "n_layers":
         n_layers = [int(round(v)) for v in values]
-        coeffs = [stack_mod.nlayer_replacement(n, opts["cond"]) for n in n_layers]
+        coeffs = [stack_mod.nlayer_replacement(n, args.cond) for n in n_layers]
         return {"n_layers": n_layers, **_coeff_columns(coeffs),
                 "abs_t_plus_r": [abs(c.t + c.r) for c in coeffs]}
-    solutions = _stack_sweep(config, values)
+    solutions = _stack_sweep(args, values)
     return {spec.variable: values, **_coeff_columns(solutions, _signless_imag),
             "R": [s.R for s in solutions], "T": [s.T for s in solutions],
             "A": [s.A for s in solutions],
             "R_emission": [s.R_emission for s in solutions]}
 
 
-def _cmd_profile(config: RunConfig) -> dict:
-    opts = config.options
-    if opts["points"] < 1:
-        raise CliConfigError(f"--points must be >= 1, got {opts['points']}")
-    params = _sheet_params(opts)
-    grid_x = np.linspace(-opts["x_max"], opts["x_max"], opts["points"] + 1)
-    if opts["which"] == "a":
+def _cmd_profile(args: argparse.Namespace) -> dict:
+    if args.points < 1:
+        raise CliConfigError(f"--points must be >= 1, got {args.points}")
+    params = _sheet_params(args)
+    grid_x = np.linspace(-args.x_max, args.x_max, args.points + 1)
+    if args.which == "a":
         coeffs = surface.solve_single_sheet(params)
-        profile = fields_mod.eval_a(coeffs.t, coeffs.r, grid_x, k=opts["k"])
+        profile = fields_mod.eval_a(coeffs.t, coeffs.r, grid_x, k=args.k)
     else:
-        if opts.get("b_r") is not None or opts.get("b_l") is not None:
-            b_r = opts.get("b_r") or 0.0
-            b_l = opts.get("b_l") or 0.0
+        if args.b_r is not None or args.b_l is not None:
+            b_r = args.b_r or 0.0
+            b_l = args.b_l or 0.0
         else:
             coeffs = surface.solve_single_sheet(params)
             emission = surface.emission_amplitude(params, coeffs)
             b_r, b_l = emission.b_r, emission.b_l
-        profile = fields_mod.eval_b(b_r, b_l, grid_x, k=opts["k"])
+        profile = fields_mod.eval_b(b_r, b_l, grid_x, k=args.k)
     dec = fields_mod.decompose(profile)
     return {"x": profile.x,
             "re_right": profile.right_env.real, "im_right": profile.right_env.imag,
@@ -475,49 +457,48 @@ def _cmd_profile(config: RunConfig) -> dict:
             "side": profile.side}
 
 
-_COMMANDS = {
-    "coeffs": _cmd_coeffs,
-    "twostate": _cmd_twostate,
-    "stack": _cmd_stack,
-    "decouple": _cmd_decouple,
-    "sweep": _cmd_sweep,
-    "profile": _cmd_profile,
+#: Subcommand name -> its help line, the function that adds its options and
+#: the function that runs it.
+_SUBCOMMANDS = {
+    "coeffs": ("single-sheet coefficients and absorbance", _common, _cmd_coeffs),
+    "twostate": ("two-state diagnostics for one sheet", _twostate_options, _cmd_twostate),
+    "stack": ("transfer-matrix solution of a stack file", _stack_options, _cmd_stack),
+    "sweep": ("parameter sweep, CSV table", _sweep_options, _cmd_sweep),
+    "decouple": ("t + r = 0 layer-number search", _common, _cmd_decouple),
+    "profile": ("field profile and gauge decomposition CSV", _profile_options, _cmd_profile),
 }
 #: Commands that return columns rather than a record; they emit CSV only.
 _TABLE_COMMANDS = frozenset({"sweep", "profile"})
 
 
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    opts = dict(vars(args))
-    command = opts.pop("command")
-    out = opts.pop("out", None)
-    table = command in _TABLE_COMMANDS
-    fmt = opts.pop("fmt", None) or ("csv" if table else "json")
-    if table and fmt != "csv":
-        raise CliConfigError(f"command {command!r} only emits csv")
-    for name, value in opts.items():
+def _checked_args(args: argparse.Namespace) -> argparse.Namespace:
+    """``args`` with the output format resolved and the sweep spec parsed.
+
+    Raises CliConfigError for JSON from a table command and for a float
+    option that is not finite.
+    """
+    table = args.command in _TABLE_COMMANDS
+    args.fmt = args.fmt or ("csv" if table else "json")
+    if table and args.fmt != "csv":
+        raise CliConfigError(f"command {args.command!r} only emits csv")
+    for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise CliConfigError(
                 f"--{name.replace('_', '-')} must be finite, got {value!r}")
-    sweep = _parse_sweep(opts.pop("sweep")) if opts.get("sweep") else None
-    input_path = opts.pop("stack_file", None)
-    return RunConfig(
-        command=command,
-        input_path=input_path,
-        output_path=out,
-        fmt=fmt,
-        sweep=sweep,
-        options=opts,
-    )
+    if args.command == "sweep":
+        args.sweep = _parse_sweep(args.sweep)
+    return args
 
 
-def run(config: RunConfig) -> Iterator[str]:
-    """Execute a run configuration and return its text as an iterator of
-    chunks.  The command runs in this call, before the first chunk."""
-    results = _COMMANDS[config.command](config)
-    if config.fmt == "json":
-        return _json_doc(config, results)
-    if config.command in _TABLE_COMMANDS:
+def run(args: argparse.Namespace) -> Iterator[str]:
+    """Run the command of checked arguments (see ``_checked_args``) and
+    return its text as an iterator of chunks.  The command runs in this
+    call, before the first chunk."""
+    _, _, command = _SUBCOMMANDS[args.command]
+    results = command(args)
+    if args.fmt == "json":
+        return _json_doc(args, results)
+    if args.command in _TABLE_COMMANDS:
         return _csv(results)
     return _csv(_record_columns(results))
 
@@ -526,9 +507,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
-        config = _to_config(args)
-        _write(config, run(config))
+        args = _checked_args(build_parser(command).parse_args(argv))
+        _write(args, run(args))
         return 0
     except (CliConfigError, ValueError, json.JSONDecodeError) as exc:
         print(f"sheetoptics: config error: {exc}", file=sys.stderr)

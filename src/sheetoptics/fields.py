@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricGrid, ContinuityViolation
+from .surface import CONTINUITY_TOL, SELF_CHECK_TOL
 
 SIDE_MINUS = "minus"
 SIDE_PLUS = "plus"
 SIDE_BULK = "bulk"
-
-_CONTINUITY_TOL = 1e-10
 
 
 def make_grid(x_max: float = 5.0, n_bulk: int = 200) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +95,7 @@ class FieldProfile:
         minus, plus = self._at_zero(self.total())
         return plus - minus
 
-    def is_continuous(self, tol: float = 1e-12) -> bool:
+    def is_continuous(self, tol: float = SELF_CHECK_TOL) -> bool:
         return abs(self.continuity_gap()) <= tol
 
 
@@ -106,7 +105,7 @@ def eval_a(t: complex, r: complex, grid=None, k: float = 1.0) -> FieldProfile:
 
     Requires the continuity condition 1 + r = t.
     """
-    if abs(1.0 + r - t) > _CONTINUITY_TOL:
+    if abs(1.0 + r - t) > CONTINUITY_TOL:
         raise ContinuityViolation(f"1 + r - t = {1.0 + r - t!r} exceeds tolerance")
     x, side = _normalize_grid(grid)
     left_region = (x < 0.0) | (side == SIDE_MINUS)

@@ -493,17 +493,15 @@ def decoupling_layer_number(cond: float) -> DecouplingSearch:
     """Layer count with t + r = 0: exact value 2/cond plus the integer minimizer.
 
     |t_N + r_N| = |2 - N g| / |2 + N g| falls until N = 2/g and rises after
-    it, so the integer minimizer over N in [1, max(2, ceil(4/g))] is
-    floor(2/g) or ceil(2/g); ties go to the smaller N.
+    it, so the integer minimizer over N >= 1 is max(1, floor(2/g)) or
+    ceil(2/g); ties go to the smaller N.
     """
     if not cond > 0:
         raise ValueError("cond must be positive")
     n_exact = 2.0 / cond
     if not math.isfinite(n_exact):
         raise ValueError("cond is too small for a finite layer number")
-    n_max = max(2, math.ceil(2.0 * n_exact))
-    candidates = {min(max(1, math.floor(n_exact)), n_max),
-                  min(max(1, math.ceil(n_exact)), n_max)}
+    candidates = {max(1, math.floor(n_exact)), math.ceil(n_exact)}
     best_n, best = 1, np.inf
     for n in sorted(candidates):
         c = nlayer_replacement(n, cond)

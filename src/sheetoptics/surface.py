@@ -23,6 +23,14 @@ GRAPHENE_COND = np.pi * FINE_STRUCTURE
 #: Magnitude below which t + r, b or a transfer-matrix pivot counts as zero.
 DEGENERATE_TOL = 1e-14
 
+#: Largest disagreement a self-check of a computed result accepts: closed
+#: form against boundary system, energy budget against absorbance, the
+#: decoupled cross element (relative), a profile's continuity gap.
+SELF_CHECK_TOL = 1e-12
+
+#: Largest |1 + r - t| that ``fields.eval_a`` accepts as continuous.
+CONTINUITY_TOL = 1e-10
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -103,15 +111,15 @@ def absorbance(coeffs: ScatterCoeffs, params: SheetParams) -> float:
     """Absorbed fraction A = Re(g) |t|^2 of the incident energy.
 
     For real conductance this equals 1 - |r|^2 - |t|^2; the identity is
-    checked to 1e-12 before returning.  Note the distinction between A and
-    the bare single-pass absorption Re(g) (~ pi*alpha for graphene): A is
-    the sheet absorbance of the full scattering solution.
+    checked to ``SELF_CHECK_TOL`` before returning.  Note the distinction
+    between A and the bare single-pass absorption Re(g) (~ pi*alpha for
+    graphene): A is the sheet absorbance of the full scattering solution.
     """
     g = complex(params.cond)
     a = g.real * abs(coeffs.t) ** 2
     if g.imag == 0.0:
         budget = 1.0 - abs(coeffs.r) ** 2 - abs(coeffs.t) ** 2
-        if abs(budget - a) > 1e-12:
+        if abs(budget - a) > SELF_CHECK_TOL:
             raise SheetOpticsError(
                 f"energy conservation violated: 1-|r|^2-|t|^2={budget!r}, A={a!r}"
             )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDecoupling
-from .surface import DEGENERATE_TOL, TWO_PI, ScatterCoeffs
+from .surface import DEGENERATE_TOL, SELF_CHECK_TOL, TWO_PI, ScatterCoeffs
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def decoupling_phase(sys: TwoStateSystem) -> tuple[float, float]:
     theta_plus = float((-np.angle(z)) % TWO_PI)
     theta_minus = float((theta_plus + np.pi) % TWO_PI)
     for theta in (theta_plus, theta_minus):
-        if abs(cross_element(sys, theta)) > 1e-12 * abs(offdiagonal(sys)):
+        if abs(cross_element(sys, theta)) > SELF_CHECK_TOL * abs(offdiagonal(sys)):
             raise DegenerateDecoupling(  # unreachable; numeric safety net
                 f"decoupling failed at theta={theta}"
             )

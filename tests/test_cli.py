@@ -18,9 +18,9 @@ from sheetoptics import cli
 from sheetoptics import stack as stack_mod
 from sheetoptics import surface
 from sheetoptics.cli import (
+    _checked_args,
     _json_chunks,
     _json_default,
-    _to_config,
     build_parser,
     main,
     run,
@@ -194,6 +194,57 @@ class TestDecouple:
     def test_config_error(self, capsys):
         code, _, err = run_cli(capsys, "decouple", "--cond", "0")
         assert code == 1
+
+    def test_subnormal_cond(self, capsys):
+        """2/g overflows no integer conversion: N g = 2 is met exactly."""
+        def reject(constant):
+            raise ValueError(f"non-finite JSON value {constant}")
+
+        code, out, err = run_cli(capsys, "decouple", "--cond", "1.5e-308")
+        assert code == 0, err
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["n_exact"] == 2.0 / 1.5e-308
+        assert doc["residual"] == 0.0
+
+
+class TestConfigEcho:
+    """The provenance block: command, input path, output path and format,
+    then the other options in the order the parser adds them."""
+
+    @staticmethod
+    def assert_echo(doc, expected):
+        # json text tells key order and 1 from 1.0 apart
+        assert json.dumps(doc["config_echo"]) == json.dumps(expected)
+
+    def test_coeffs(self, capsys):
+        self.assert_echo(run_json(capsys, "coeffs", "--cond", "0.5"), {
+            "command": "coeffs", "input_path": None, "output_path": None,
+            "format": "json", "cond": 0.5, "branching": 1.0, "f_sign": 1})
+
+    def test_twostate(self, capsys):
+        doc = run_json(capsys, "twostate", "--overlap", "0.1", "--f-sign", "-1")
+        self.assert_echo(doc, {
+            "command": "twostate", "input_path": None, "output_path": None,
+            "format": "json", "cond": surface.GRAPHENE_COND, "branching": 1.0,
+            "f_sign": -1, "overlap": 0.1, "energy_unit": 1.0, "coeffs_json": None})
+
+    def test_stack_wavelength(self, capsys, tmp_path):
+        path = tmp_path / "stack.json"
+        path.write_text(json.dumps({"wavelength_nm": 633.0, "layers": [
+            {"type": "sheet", "cond": 0.1}]}))
+        doc = run_json(capsys, "stack", "--stack", str(path), "--wavelength-nm", "500",
+                       "--format", "json")
+        self.assert_echo(doc, {
+            "command": "stack", "input_path": str(path), "output_path": None,
+            "format": "json", "wavelength_nm": 500.0})
+
+    def test_decouple_out_file(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, out, err = run_cli(capsys, "decouple", "--cond", "0.25", "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        self.assert_echo(json.loads(path.read_text()), {
+            "command": "decouple", "input_path": None, "output_path": str(path),
+            "format": "json", "cond": 0.25, "branching": 1.0, "f_sign": 1})
 
 
 class TestTwostate:
@@ -557,6 +608,8 @@ class TestSweep:
         assert code == 1
         code, _, _ = run_cli(capsys, "sweep", "--sweep", "volume:0:1:2")
         assert code == 1
+        code, _, err = run_cli(capsys, "sweep", "--sweep", "")
+        assert (code, err) == (1, "sheetoptics: config error: --sweep expects var:start:stop:steps\n")
 
     def test_deterministic(self, capsys):
         outs = [
@@ -655,14 +708,14 @@ class TestOutputFile:
     def test_run_computes_before_returning(self, tmp_path):
         stack = tmp_path / "slab.json"
         stack.write_text(json.dumps({"layers": [{"type": "slab", "n_re": 1.5, "d": 0.2}]}))
-        config = _to_config(build_parser().parse_args(
+        args = _checked_args(build_parser().parse_args(
             ["sweep", "--stack", str(stack), "--sweep", "thickness:-0.1:0.3:5"]))
         with pytest.raises(ValueError, match="slab thickness must be >= 0"):
-            run(config)
+            run(args)
 
     def test_csv_in_chunks(self):
         argv = ["profile", "--which", "b", "--points", "3000"]
-        chunks = list(run(_to_config(build_parser().parse_args(argv))))
+        chunks = list(run(_checked_args(build_parser().parse_args(argv))))
         assert len(chunks) > 1
         params = surface.SheetParams()
         emission = surface.emission_amplitude(params, surface.solve_single_sheet(params))

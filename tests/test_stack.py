@@ -271,6 +271,14 @@ class TestDecouplingSearch:
             assert found.n_int == n_int, g
             assert found.residual == residual, g
 
+    def test_subnormal_cond(self):
+        """2/g still fits a float just below the normal range, and one sheet
+        at N g = 2 meets t + r = 0 exactly."""
+        found = decoupling_layer_number(1.5e-308)
+        assert found.n_exact == 2.0 / 1.5e-308
+        assert found.n_int == int(found.n_exact)
+        assert found.residual == 0.0
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             decoupling_layer_number(0.0)
