@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -37,6 +38,12 @@ from . import stack as stack_mod
 from . import surface, twostate
 from .codec import decode_complex, encode_complex
 
+_DESCRIPTION = ("Scattering, absorption and emission of atomically thin conducting "
+                "sheets and their stacks: single-sheet coefficients, two-state "
+                "diagnostics, transfer-matrix stacks, sweeps, the decoupling layer "
+                "number and field profiles.")
+_EXIT_CODES = ("exit codes: 0 success, 1 configuration error, 2 file I/O error, "
+               "3 numerical error")
 _FLOAT_SPEC = ".17g"
 #: Rows of CSV text written per chunk.
 _CSV_CHUNK_ROWS = 1024
@@ -46,7 +53,18 @@ class CliConfigError(Exception):
     pass
 
 
+#: Negative numbers in every form ``float`` reads, exponent and infinity
+#: included; argparse's own pattern knows only ``-12`` and ``-1.5``, and
+#: takes ``--overlap -1e-3`` for an option flag with its value missing.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?$|^-(?:inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):  # config errors must map to exit code 1
         raise CliConfigError(message)
 
@@ -136,19 +154,23 @@ def _profile_options(p):
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The command-line parser, with every subcommand or with ``command`` alone.
+    """The command-line parser with every subcommand, or the parser of
+    ``command`` alone.
 
-    ``main`` builds the one-subcommand parser for an argv that starts with a
-    subcommand name, at a fraction of the cost of the whole parser.  It
-    parses that argv as the whole parser does, to the same namespace, help
-    and errors: ``_Parser`` raises argparse's message without the usage
-    line, the one text of such a parse that would list the subcommands.
+    ``main`` parses the arguments after a subcommand name with that
+    subcommand's parser, into a namespace that already holds ``command``:
+    the same namespace, help and errors as the whole parser gives, since
+    ``_Parser`` raises argparse's message without the usage line.
     """
-    parser = _Parser(prog="sheetoptics", description=__doc__)
+    if command is not None:
+        _, add_options, _ = _SUBCOMMANDS[command]
+        parser = _Parser(prog=f"sheetoptics {command}")
+        add_options(parser)
+        return parser
+    parser = _Parser(prog="sheetoptics", description=_DESCRIPTION, epilog=_EXIT_CODES)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS if command is None else [command]:
-        help_text, add_options, _ = _SUBCOMMANDS[name]
+    for name, (help_text, add_options, _) in _SUBCOMMANDS.items():
         add_options(sub.add_parser(name, help=help_text))
     return parser
 
@@ -503,11 +525,20 @@ def run(args: argparse.Namespace) -> Iterator[str]:
     return _csv(_record_columns(results))
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of ``argv``.  A subcommand's options go into a
+    namespace that starts with ``command``, the key order of the whole
+    parser's namespace and so of ``config_echo``."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        command = argv[0]
+        return build_parser(command).parse_args(argv[1:], argparse.Namespace(command=command))
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = _checked_args(build_parser(command).parse_args(argv))
+        args = _checked_args(_parse(argv))
         _write(args, run(args))
         return 0
     except (CliConfigError, ValueError, json.JSONDecodeError) as exc:

@@ -337,16 +337,20 @@ def _column(values) -> np.ndarray:
     return np.array(values, dtype=float).reshape(-1, 1)
 
 
-def element_matrices(stack: LayerStack, wavelength_scale=1.0, last_slab_d=None) -> np.ndarray:
+def element_matrices(stack: LayerStack, wavelength_scale=1.0, last_slab_d=None, *,
+                     phases=None) -> np.ndarray:
     """Element matrices in stack order; their ordered product is the stack matrix.
 
     A scalar ``wavelength_scale`` gives shape (K, 2, 2).  An array of W
     scales, or an array ``last_slab_d`` of W thicknesses for the stack's
     last slab, gives shape (K, W, 2, 2); a length-1 array broadcasts over
-    the other.
+    the other.  ``phases``, the layout's ``slab_phases`` of the same
+    arguments, saves computing them again.
     """
     layout = stack._layout
-    phi_re, phi_im = layout.slab_phases(wavelength_scale, last_slab_d)
+    if phases is None:
+        phases = layout.slab_phases(wavelength_scale, last_slab_d)
+    phi_re, phi_im = phases
     mats = np.zeros((layout.n_elements, phi_re.shape[1], 2, 2), dtype=complex)
     mats[layout.const_at] = layout.const[:, None]
     # A slab maps exit to entry: diag(e^{-i phi}, e^{i phi}).
@@ -373,7 +377,8 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[
     # An overflow here leaves a non-finite entry in M, which the check
     # below reports as SingularStack; numpy need not warn about it too.
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = element_matrices(stack, scales, last_slab_d)
+        phi_re, phi_im = phases = layout.slab_phases(scales, last_slab_d)
+        mats = element_matrices(stack, scales, last_slab_d, phases=phases)
         if not len(mats):
             mats = np.broadcast_to(np.eye(2, dtype=complex), (1,) + mats.shape[1:])
         levels = _pair_products([mats[..., 0, 0], mats[..., 0, 1],
@@ -393,7 +398,6 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[
     fields = t[None, :] * ends[layout.after_sheets]
 
     # One-way phase from the front surface to each sheet, summed in order.
-    phi_re, phi_im = layout.slab_phases(scales, last_slab_d)
     zero = np.zeros((1, len(t)))
     front_re = np.cumsum(np.concatenate([zero, phi_re]), axis=0)[layout.slabs_before]
     front_im = np.cumsum(np.concatenate([zero, phi_im]), axis=0)[layout.slabs_before]

@@ -122,6 +122,7 @@ NO_REFERENCE_STACK = {"layers": [{"type": "sheet", "cond": 0.1},
      "--wavelength-nm must be finite"),
     (["sweep", "--sweep", "cond:nan:1:3"], None, "sweep start and stop must be finite"),
     (["sweep", "--sweep", "cond:0:inf:3"], None, "sweep start and stop must be finite"),
+    (["coeffs", "--cond", "-inf"], None, "--cond must be finite"),
     (["coeffs", "--cond", "abc"], None, "invalid float value"),
     (["stack", "--stack", "{file}"],
      '{"layers": [{"type": "slab", "n_re": NaN, "d": 0.1}]}', "layers[0].n_re must be finite"),
@@ -136,7 +137,7 @@ NO_REFERENCE_STACK = {"layers": [{"type": "sheet", "cond": 0.1},
     (["twostate", "--coeffs", "{file}"], '{"t": 1, "r": 0, "b": [0, NaN]}', "b must be finite"),
 ], ids=["coeffs_nan", "coeffs_inf_csv", "decouple_inf", "overlap_nan", "profile_k_nan",
         "profile_b_r_inf", "stack_wavelength_inf", "sweep_start_nan", "sweep_stop_inf",
-        "not_a_number", "file_index_nan", "file_thickness_inf", "file_sign_inf",
+        "cond_minus_inf", "not_a_number", "file_index_nan", "file_thickness_inf", "file_sign_inf",
         "file_cond_nan", "file_ambient_nan", "file_wavelength_nan", "coeffs_file_b_nan"])
 def test_non_finite_input_is_config_error(capsys, tmp_path, argv, file_text, message):
     if file_text is not None:
@@ -344,21 +345,30 @@ class TestStack:
         assert [float(v) for v in row.split(",")[:4]] == doc["t"] + doc["r"]
 
     def test_one_element_build_per_run(self, capsys, stack_file, monkeypatch):
-        calls = []
+        """One build of the element matrices, and one computation of the
+        slab phases they and the emission ledger share, per command."""
+        calls, phase_calls = [], []
         original = stack_mod.element_matrices
+        original_phases = stack_mod._Layout.slab_phases
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
+        def counting_phases(*args, **kwargs):
+            phase_calls.append(args)
+            return original_phases(*args, **kwargs)
+
         monkeypatch.setattr(stack_mod, "element_matrices", counting)
+        monkeypatch.setattr(stack_mod._Layout, "slab_phases", counting_phases)
         run_json(capsys, "stack", "--stack", stack_file)
-        assert len(calls) == 1
+        assert (len(calls), len(phase_calls)) == (1, 1)
         code, out, _ = run_cli(capsys, "sweep", "--stack", stack_file,
                                "--sweep", "wavelength_nm:400:700:4")
         assert code == 0
         assert len(out.splitlines()) == 5
-        assert len(calls) == 1 + 1  # one build per sweep command
+        # one build per sweep command
+        assert (len(calls), len(phase_calls)) == (1 + 1, 1 + 1)
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "stack", "--stack", "/no/such/file.json")
@@ -745,48 +755,103 @@ def test_python_dash_m_runs_main(capsys, argv):
 
 
 def subcommands(parser):
-    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return list(action.choices)
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [name for action in actions for name in action.choices]
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and --version
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestParserPerCommand:
-    """``main`` builds only the subcommand that argv starts with; every
-    argv must come out as it does with the whole parser."""
+    """``main`` parses the arguments after a subcommand name with that
+    subcommand's parser alone; every argv must come out as it does with the
+    whole parser."""
 
     def test_subcommands(self):
         every = ["coeffs", "twostate", "stack", "sweep", "decouple", "profile"]
-        assert subcommands(build_parser()) == every
+        whole = build_parser()
+        assert subcommands(whole) == every
+        action, = (a for a in whole._actions if isinstance(a, argparse._SubParsersAction))
         for name in every:
-            assert subcommands(build_parser(name)) == [name]
+            parser = build_parser(name)
+            assert subcommands(parser) == []
+            assert parser.prog == f"sheetoptics {name}"
+            assert [a.option_strings for a in parser._actions] == \
+                [a.option_strings for a in action.choices[name]._actions]
 
     @pytest.mark.parametrize("argv", [
         [], ["nosuch"], ["--version"], ["-h"], ["--", "coeffs"], ["coeffs"],
         ["coeffs", "--cond", "0.5", "--format", "csv"], ["coeffs", "--con", "0.5"],
         ["coeffs", "--bogus"], ["coeffs", "--cond"], ["coeffs", "--version"],
-        ["coeffs", "twostate"], ["twostate", "--overlap", "0.1"],
-        ["twostate", "--f-sign", "2"], ["stack"], ["sweep", "--sweep", "cond:0:1:3"],
+        ["coeffs", "twostate"], ["coeffs", "--cond", "0.5", "--"],
+        ["coeffs", "--cond", "-inf"], ["twostate", "--overlap", "0.1"],
+        ["twostate", "--overlap", "-1e-3"], ["twostate", "--f-sign", "2"], ["stack"],
+        ["sweep", "--sweep", "cond:0:1:3"],
         ["sweep", "--sweep", "n_layers:1:4:4", "--jobs", "2"], ["sweep"],
         ["decouple", "--cond", "-1"], ["profile", "--points", "3", "--which", "b"],
         ["profile", "--points", "x"], ["profile", "--which", "c"],
+        ["profile", "--points", "3", "--x-max", "-1E3"],
         *([name, "-h"] for name in ("coeffs", "twostate", "stack", "sweep",
                                     "decouple", "profile"))],
         ids=lambda argv: " ".join(argv) or "empty")
     def test_same_as_whole_parser(self, capsys, monkeypatch, argv):
-        def outcome():
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # --help and --version
-                code = ("exit", exc.code)
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
-
         built = []
         monkeypatch.setattr(cli, "build_parser",
                             lambda command=None: built.append(command) or build_parser(command))
-        got = outcome()
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: build_parser())
-        assert got == outcome()
+        got = outcome(capsys, argv)
         assert built == [argv[0] if argv and argv[0] in subcommands(build_parser()) else None]
+        # main again, with the whole parser parsing all of argv:
+        # _checked_args(build_parser().parse_args(argv)), then run
+        monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+        assert got == outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("twostate", "--overlap", "-1e-3"), ("twostate", "--energy-unit", "-2.5E+1"),
+    ("twostate", "--overlap", "-nan"), ("coeffs", "--cond", "-.5e0"),
+    ("coeffs", "--branching", "-1."), ("coeffs", "--cond", "-inf"),
+    ("coeffs", "--cond", "-Infinity"), ("profile", "--x-max", "-1e3")])
+def test_negative_value_after_option(capsys, command, option, value):
+    """A negative value in any form float reads is the option's value, as
+    in the --opt=value form."""
+    spaced = outcome(capsys, [command, option, value])
+    assert spaced == outcome(capsys, [command, f"{option}={value}"])
+    assert "expected one argument" not in spaced[2]
+
+
+def test_top_level_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert outcome(capsys, ["-h"]) == (("exit", 0), """\
+usage: sheetoptics [-h] [--version]
+                   {coeffs,twostate,stack,sweep,decouple,profile} ...
+
+Scattering, absorption and emission of atomically thin conducting sheets and
+their stacks: single-sheet coefficients, two-state diagnostics, transfer-
+matrix stacks, sweeps, the decoupling layer number and field profiles.
+
+positional arguments:
+  {coeffs,twostate,stack,sweep,decouple,profile}
+    coeffs              single-sheet coefficients and absorbance
+    twostate            two-state diagnostics for one sheet
+    stack               transfer-matrix solution of a stack file
+    sweep               parameter sweep, CSV table
+    decouple            t + r = 0 layer-number search
+    profile             field profile and gauge decomposition CSV
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+
+exit codes: 0 success, 1 configuration error, 2 file I/O error, 3 numerical
+error
+""", "")
 
 
 json_parts = st.one_of(st.just(0.0), st.just(-0.0), st.floats(),
