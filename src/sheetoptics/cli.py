@@ -27,7 +27,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import groupby
 
 import numpy as np
 
@@ -44,8 +44,7 @@ _DESCRIPTION = ("Scattering, absorption and emission of atomically thin conducti
                 "number and field profiles.")
 _EXIT_CODES = ("exit codes: 0 success, 1 configuration error, 2 file I/O error, "
                "3 numerical error")
-_FLOAT_SPEC = ".17g"
-#: Rows of CSV text written per chunk.
+#: Rows of a CSV table turned into Python values at a time.
 _CSV_CHUNK_ROWS = 1024
 
 
@@ -248,34 +247,54 @@ def _json_vector(values: np.ndarray) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    # float.__format__ also formats numpy float64 cells, about twice as fast
-    # as their own __format__ and to the same text
-    return float.__format__(value, _FLOAT_SPEC) if isinstance(value, float) else str(value)
+def _csv_code(column) -> str:
+    """The printf code of a column, from the types of its cells: ``%.17g``
+    for floats, ``%d`` for ints, ``%s`` for bools, strings and None (which
+    ``_csv_cells`` turns into an empty cell)."""
+    cells = column[:1].tolist() if isinstance(column, np.ndarray) else column
+    types = set(map(type, cells))
+    if all(issubclass(t, float) for t in types):
+        return "%.17g"
+    if all(issubclass(t, int) and t is not bool for t in types):
+        return "%d"
+    if types <= {bool, str, type(None)}:
+        return "%s"
+    raise TypeError("no CSV format for a column of "
+                    + ", ".join(sorted(t.__name__ for t in types)))
+
+
+def _csv_cells(cells, empty: str) -> list:
+    """The cells of a column slice as a list of Python values, None as
+    ``empty``."""
+    if isinstance(cells, np.ndarray):
+        return cells.tolist()
+    return [empty if v is None else v for v in cells] if None in cells else cells
 
 
 def _csv(columns: dict) -> Iterator[str]:
-    """CSV text of columns, in chunks: a header of their names, then one row
-    per index.
+    """CSV text of columns: a header of their names, then one row per index.
 
-    The columns are read cell by cell, so numpy columns are never copied
-    into Python lists, and at most ``_CSV_CHUNK_ROWS`` rows of text are held
-    at once.
+    Each row is one ``%`` format of a template that holds one printf code
+    per column (``_csv_code``; ``"%.17g" % v`` is ``float.__format__(v,
+    ".17g")``), and is yielded alone.  The columns are turned into Python
+    lists ``_CSV_CHUNK_ROWS`` rows at a time, so a long table is never held
+    whole, as values or as text.  No cell a command writes needs CSV
+    quoting: numbers, True/False, empty cells and the side labels.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    rows = zip(*(map(_cell, column) for column in columns.values()), strict=True)
-    while True:
-        writer.writerows(islice(rows, _CSV_CHUNK_ROWS))
-        text = buf.getvalue()
-        if not text:
-            return
-        yield text
-        buf.seek(0)
-        buf.truncate()
+    values = list(columns.values())
+    lengths = {len(column) for column in values}
+    if len(lengths) > 1:
+        raise ValueError("CSV columns differ in length")
+    template = ",".join(map(_csv_code, values)) + "\n"
+    # csv quotes a lone empty field, so that its row is not a blank line
+    empty = '""' if len(values) == 1 else ""
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(columns)
+    yield header.getvalue()
+    for start in range(0, max(lengths, default=0), _CSV_CHUNK_ROWS):
+        chunk = [_csv_cells(column[start:start + _CSV_CHUNK_ROWS], empty)
+                 for column in values]
+        yield from map(template.__mod__, zip(*chunk))
 
 
 def _record_columns(results: dict) -> dict:
@@ -456,8 +475,15 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
 def _cmd_profile(args: argparse.Namespace) -> dict:
     if args.points < 1:
         raise CliConfigError(f"--points must be >= 1, got {args.points}")
+    if not args.x_max > 0:
+        raise CliConfigError(f"--x-max must be > 0, got {args.x_max!r}")
+    # a tiny --x-max rounds grid points together, a huge one overflows the step
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid_x = np.linspace(-args.x_max, args.x_max, args.points + 1)
+        if not (np.diff(grid_x) > 0).all():
+            raise CliConfigError(f"--x-max {args.x_max!r} with --points {args.points} "
+                                 "gives no strictly increasing grid")
     params = _sheet_params(args)
-    grid_x = np.linspace(-args.x_max, args.x_max, args.points + 1)
     if args.which == "a":
         coeffs = surface.solve_single_sheet(params)
         profile = fields_mod.eval_a(coeffs.t, coeffs.r, grid_x, k=args.k)
@@ -528,10 +554,13 @@ def run(args: argparse.Namespace) -> Iterator[str]:
 def _parse(argv: list) -> argparse.Namespace:
     """The namespace of ``argv``.  A subcommand's options go into a
     namespace that starts with ``command``, the key order of the whole
-    parser's namespace and so of ``config_echo``."""
+    parser's namespace and so of ``config_echo``; a trailing ``--`` after
+    them is dropped."""
     if argv and argv[0] in _SUBCOMMANDS:
-        command = argv[0]
-        return build_parser(command).parse_args(argv[1:], argparse.Namespace(command=command))
+        command, options = argv[0], argv[1:]
+        if options[-1:] == ["--"]:  # ends the options; argparse 3.11 rejects it
+            options = options[:-1]
+        return build_parser(command).parse_args(options, argparse.Namespace(command=command))
     return build_parser().parse_args(argv)
 
 

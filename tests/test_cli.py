@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sheetoptics import stack as stack_mod
 from sheetoptics import surface
 from sheetoptics.cli import (
     _checked_args,
+    _csv,
     _json_chunks,
     _json_default,
     build_parser,
@@ -670,6 +672,24 @@ class TestProfile:
         assert out == ""
         assert err == f"sheetoptics: config error: --points must be >= 1, got {points}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--x-max", "0"], "--x-max must be > 0, got 0.0"),
+        (["--x-max", "-1e3"], "--x-max must be > 0, got -1000.0"),
+        (["--x-max=-0.0"], "--x-max must be > 0, got -0.0"),
+        (["--x-max", "5e-324", "--points", "200"],
+         "--x-max 5e-324 with --points 200 gives no strictly increasing grid"),
+        (["--x-max", "1e308"],
+         "--x-max 1e+308 with --points 200 gives no strictly increasing grid"),
+    ], ids=["zero", "negative", "negative_zero", "collapsed", "overflowed"])
+    def test_bad_x_max(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "profile", *argv)
+        assert (code, out, err) == (1, "", f"sheetoptics: config error: {message}\n")
+
+    def test_smallest_x_max_that_fits(self, capsys):
+        code, out, _ = run_cli(capsys, "profile", "--x-max", "5e-324", "--points", "1")
+        assert code == 0
+        assert len(out.splitlines()) == 5
+
     def test_deterministic(self, capsys):
         argv = ["profile", "--which", "b", "--b-r", "0.123456789", "--b-l", "-0.5"]
         outs = [run_cli(capsys, *argv)[1] for _ in range(2)]
@@ -727,6 +747,10 @@ class TestOutputFile:
         argv = ["profile", "--which", "b", "--points", "3000"]
         chunks = list(run(_checked_args(build_parser().parse_args(argv))))
         assert len(chunks) > 1
+        # the header, then one piece per row
+        assert chunks[0] == ",".join(PROFILE_HEADER) + "\n"
+        assert len(chunks) == 1 + 3002
+        assert all(chunk.count("\n") == 1 and chunk.endswith("\n") for chunk in chunks)
         params = surface.SheetParams()
         emission = surface.emission_amplitude(params, surface.solve_single_sheet(params))
         profile = eval_b(emission.b_r, emission.b_l, np.linspace(-5.0, 5.0, 3001))
@@ -790,8 +814,7 @@ class TestParserPerCommand:
         [], ["nosuch"], ["--version"], ["-h"], ["--", "coeffs"], ["coeffs"],
         ["coeffs", "--cond", "0.5", "--format", "csv"], ["coeffs", "--con", "0.5"],
         ["coeffs", "--bogus"], ["coeffs", "--cond"], ["coeffs", "--version"],
-        ["coeffs", "twostate"], ["coeffs", "--cond", "0.5", "--"],
-        ["coeffs", "--cond", "-inf"], ["twostate", "--overlap", "0.1"],
+        ["coeffs", "twostate"], ["coeffs", "--cond", "-inf"], ["twostate", "--overlap", "0.1"],
         ["twostate", "--overlap", "-1e-3"], ["twostate", "--f-sign", "2"], ["stack"],
         ["sweep", "--sweep", "cond:0:1:3"],
         ["sweep", "--sweep", "n_layers:1:4:4", "--jobs", "2"], ["sweep"],
@@ -811,6 +834,17 @@ class TestParserPerCommand:
         # _checked_args(build_parser().parse_args(argv)), then run
         monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
         assert got == outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--cond", "0.5", "--"], ["coeffs", "--"],
+        ["profile", "--points", "3", "--"], ["coeffs", "--out", "--"]],
+        ids=" ".join)
+    def test_trailing_double_dash(self, capsys, argv):
+        """A trailing ``--`` ends a subcommand's options: the outcome is that
+        of the argv without it (the whole parser rejects it on Python 3.11)."""
+        got = outcome(capsys, argv)
+        assert got == outcome(capsys, argv[:-1])
+        assert "unrecognized arguments" not in got[2]
 
 
 @pytest.mark.parametrize("command, option, value", [
@@ -884,3 +918,62 @@ def test_json_emitter_matches_json_dumps(vectors, slots, t):
     doc = dict(items)
     text = json.dumps(doc, indent=2, default=_json_default) + "\n"
     assert "".join(_json_chunks(doc)) == text
+
+
+#: Bit patterns of +0, -0, +inf, -inf, a quiet nan, a negative nan, the
+#: smallest and the largest subnormal and the largest float.
+SPECIAL_BITS = [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                0xFFF8000000000001, 1, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF]
+csv_floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308])
+csv_names = st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True)
+
+
+@st.composite
+def csv_tables(draw):
+    """Equal-length columns of the kinds the table commands write."""
+    rows = draw(st.integers(0, 30))
+    cells = {
+        "bits": st.integers(0, 2**64 - 1) | st.sampled_from(SPECIAL_BITS),
+        "floats": csv_floats,
+        "ints": st.integers(-2**70, 2**70),
+        "sides": st.sampled_from(["minus", "plus", "bulk"]),
+    }
+    columns = {}
+    for name in draw(csv_names):
+        kind = draw(st.sampled_from(sorted(cells)))
+        column = draw(st.lists(cells[kind], min_size=rows, max_size=rows))
+        if kind == "bits":
+            column = np.array(column, dtype=np.uint64).view(np.float64)
+            if draw(st.booleans()):  # a list of numpy scalars, as sweeps hold
+                column = list(column)
+        elif kind == "sides" and draw(st.booleans()):
+            column = np.array(column)
+        columns[name] = column
+    return columns
+
+
+csv_records = st.dictionaries(
+    st.text(max_size=4),
+    st.one_of(st.none(), st.booleans(), csv_floats, st.integers()).map(lambda v: [v]),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=csv_tables() | csv_records, chunk_rows=st.integers(1, 8))
+def test_csv_writer_matches_reference(columns, chunk_rows):
+    """One %-format per row gives the bytes of the cell-by-cell reference:
+    random float64 bit patterns, signed zeros, infinities, nans, subnormals,
+    ints, side labels, and one-row records with None and bools, across
+    chunk boundaries."""
+    rows = list(zip(*columns.values()))
+    with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+        assert "".join(_csv(columns)) == reference_table(list(columns), rows)
+
+
+@pytest.mark.parametrize("columns", [{"a": [1.0, 2]}, {"a": [True, 1]}, {"a": [None, 0.5]}],
+                         ids=["float_int", "bool_int", "none_float"])
+def test_csv_mixed_column_rejected(columns):
+    """A column whose cells need two formats has no one printf code; the
+    writer fails before its first piece."""
+    with pytest.raises(TypeError, match="no CSV format"):
+        next(_csv(columns))
