@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
@@ -318,12 +319,20 @@ def _record_columns(results: dict) -> dict:
     return columns
 
 
-def _write(args: argparse.Namespace, chunks: Iterable[str]) -> None:
+def _write(args: argparse.Namespace, chunks: Iterable[str]) -> int:
+    """Write the chunks to ``--out`` or stdout and return the exit code: 2,
+    with no message, if the reader closes stdout early (``| head``)."""
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
-    else:
+        return 0
+    try:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the shutdown flush then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return 0
 
 
 def _sheet_params(args: argparse.Namespace) -> surface.SheetParams:
@@ -568,8 +577,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _checked_args(_parse(argv))
-        _write(args, run(args))
-        return 0
+        return _write(args, run(args))
     except (CliConfigError, ValueError, json.JSONDecodeError) as exc:
         print(f"sheetoptics: config error: {exc}", file=sys.stderr)
         return 1

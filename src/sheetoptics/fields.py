@@ -46,8 +46,8 @@ def _normalize_grid(grid) -> tuple[np.ndarray, np.ndarray]:
     if grid is None:
         return make_grid()
     x = np.asarray(grid, dtype=float)
-    if x.ndim != 1 or np.any(np.diff(x) <= 0):
-        raise ValueError("grid must be a strictly increasing 1-D array")
+    if x.ndim != 1 or not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
+        raise ValueError("grid must be a strictly increasing 1-D array of finite values")
     x = x[x != 0.0]
     neg = x[x < 0.0]
     pos = x[x > 0.0]

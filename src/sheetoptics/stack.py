@@ -38,7 +38,7 @@ import json
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from importlib import resources
@@ -96,62 +96,51 @@ class Slab:
 Layer = Sheet | Slab
 
 
+class _LayerColumns:
+    """The ``layers`` field of :class:`LayerStack`, a descriptor-typed
+    dataclass field: setting it stores the layers as :class:`_Columns`,
+    reading it builds the layer objects from them on first read."""
+
+    def __get__(self, stack, owner=None):
+        if stack is None:
+            return ()  # the field's default
+        if "layers" not in vars(stack):
+            vars(stack)["layers"] = stack._columns.layers()
+        return vars(stack)["layers"]
+
+    def __set__(self, stack, layers):
+        vars(stack)["_columns"] = (layers if isinstance(layers, _Columns)
+                                   else _Columns.of_layers(layers))
+
+
 @dataclass(frozen=True)
 class LayerStack:
     """Ordered layer sequence between two semi-infinite ambient media.
 
-    Inside, a stack is columns (see :class:`_Columns`).  A stack built from
-    layer objects turns them into columns when it is first solved; a stack
-    read from a description file holds only the columns and builds
-    ``layers`` on first read.
+    A stack holds its layers as columns (see :class:`_Columns`), whether
+    it was built from ``Sheet`` and ``Slab`` objects or read from a
+    description file.  ``layers`` is a read-only view: a tuple of layer
+    objects built from the columns on first read.
     """
 
-    # No class-level default: a stack read from a file has no ``layers``
-    # until __getattr__ builds them.
-    layers: tuple[Layer, ...] = field(default_factory=tuple)
+    layers: tuple[Layer, ...] = _LayerColumns()
     ambient_in: complex = 1.0
     ambient_out: complex = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        _check_ambients(self.ambient_in, self.ambient_out)
-
-    @classmethod
-    def _of_columns(cls, columns: _Columns, ambient_in, ambient_out) -> LayerStack:
-        """A stack of validated columns, without layer objects."""
-        _check_ambients(ambient_in, ambient_out)
-        stack = cls.__new__(cls)
-        object.__setattr__(stack, "ambient_in", ambient_in)
-        object.__setattr__(stack, "ambient_out", ambient_out)
-        object.__setattr__(stack, "_columns", columns)
-        return stack
-
-    def __getattr__(self, name):
-        if name != "layers" or "_columns" not in self.__dict__:
-            raise AttributeError(name)
-        layers = self._columns.layers()
-        object.__setattr__(self, "layers", layers)
-        return layers
+        for n in (self.ambient_in, self.ambient_out):
+            if not cmath.isfinite(complex(n)):
+                raise ValueError(f"ambient indices must be finite, got {n!r}")
+            if complex(n).real <= 0:
+                raise ValueError("ambient indices must have Re(n) > 0")
 
     def sheets(self) -> list[Sheet]:
         return [layer for layer in self.layers if isinstance(layer, Sheet)]
 
     @cached_property
-    def _columns(self) -> _Columns:
-        return _Columns.of_layers(self.layers)
-
-    @cached_property
     def _layout(self) -> _Layout:
         # element_matrices and solve_sweep both read it: one pass per stack
         return _Layout(self)
-
-
-def _check_ambients(*indices) -> None:
-    for n in indices:
-        if not cmath.isfinite(complex(n)):
-            raise ValueError(f"ambient indices must be finite, got {n!r}")
-        if complex(n).real <= 0:
-            raise ValueError("ambient indices must have Re(n) > 0")
 
 
 class _Columns(NamedTuple):
@@ -172,8 +161,12 @@ class _Columns(NamedTuple):
 
     @classmethod
     def of_layers(cls, layers) -> _Columns:
+        layers = tuple(layers)
+        for i, layer in enumerate(layers):
+            if not isinstance(layer, Layer):
+                raise TypeError(f"layers[{i}] must be a Sheet or a Slab, got {layer!r}")
         sheets = [layer for layer in layers if isinstance(layer, Sheet)]
-        slabs = [layer for layer in layers if not isinstance(layer, Sheet)]
+        slabs = [layer for layer in layers if isinstance(layer, Slab)]
         return cls(
             is_sheet=np.array([isinstance(layer, Sheet) for layer in layers], dtype=bool),
             cond=np.array([s.params.cond for s in sheets], dtype=complex),
@@ -599,7 +592,7 @@ def reflectance_with_emission(
     """
     if ledger is None:
         return solve_stack(stack, wavelength_scale).R_emission
-    n_sheets = len(stack.sheets())
+    n_sheets = len(stack._columns.sign)
     if not len(ledger.b) == len(ledger.theta) == n_sheets:
         raise LedgerMismatch(
             f"ledger has {len(ledger.b)} amplitudes and {len(ledger.theta)} "
@@ -726,10 +719,8 @@ def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
             raise ValueError(f"{where}.type must be 'sheet' or 'slab', got {kind!r}")
     ambient_in = decode_complex(data.get("ambient_in", 1.0), "ambient_in")
     ambient_out = decode_complex(data.get("ambient_out", 1.0), "ambient_out")
-    if columns is None:
-        stack = LayerStack(layers=tuple(layers), ambient_in=ambient_in, ambient_out=ambient_out)
-    else:
-        stack = LayerStack._of_columns(columns, ambient_in, ambient_out)
+    stack = LayerStack(layers=layers if columns is None else columns,
+                       ambient_in=ambient_in, ambient_out=ambient_out)
     wavelength_nm = data.get("wavelength_nm")
     if wavelength_nm is not None:
         wavelength_nm = _number(wavelength_nm, "wavelength_nm")

@@ -756,6 +756,26 @@ class TestOutputFile:
         profile = eval_b(emission.b_r, emission.b_l, np.linspace(-5.0, 5.0, 3001))
         assert "".join(chunks) == reference_profile_csv(profile)
 
+    def test_closed_stdout_is_quiet(self):
+        """A reader that stops after the first line, as ``| head -1`` does,
+        cuts the output short: exit code 2 and nothing on stderr, not even
+        from the interpreter's shutdown flush."""
+        with subprocess.Popen([sys.executable, "-m", "sheetoptics.cli", "profile",
+                               "--points", "30000"], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=cli_env()) as proc:
+            header = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert header == (",".join(PROFILE_HEADER) + "\n").encode()
+        assert (code, err) == (2, b"")
+
+    def test_out_error_keeps_message(self, capsys, tmp_path):
+        path = tmp_path / "no_such_dir" / "out.csv"
+        code, out, err = run_cli(capsys, "profile", "--points", "30", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("sheetoptics: i/o error: ") and str(path) in err
+
     def test_writes_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out, _ = run_cli(
@@ -767,13 +787,18 @@ class TestOutputFile:
         assert doc["t"] == pytest.approx(0.8)
 
 
+def cli_env() -> dict:
+    """The environment in which ``python -m sheetoptics.cli`` imports this
+    checkout's package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("argv", [["coeffs"], ["decouple", "--cond", "-1"]],
                          ids=["coeffs", "config_error"])
 def test_python_dash_m_runs_main(capsys, argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "sheetoptics.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=cli_env(), timeout=120)
     code, out, _ = run_cli(capsys, *argv)
     assert (done.returncode, done.stdout) == (code, out)
 

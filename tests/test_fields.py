@@ -36,6 +36,17 @@ class TestGrid:
         profile = eval_a(1.0, 0.0, np.linspace(-2, 2, 9))
         assert np.sum(profile.x == 0.0) == 2
 
+    @pytest.mark.parametrize("grid", [
+        [-1.0, np.nan, 1.0],
+        [-np.inf, 1.0],
+        [-1.0, np.inf],
+        [1.0, 0.5, 2.0],
+        [[-1.0, 1.0], [-0.5, 0.5]],
+    ], ids=["nan", "-inf", "+inf", "decreasing", "2-D"])
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(ValueError, match="grid must be"):
+            eval_a(0.5, -0.5, np.array(grid))
+
 
 class TestEvalA:
     def test_transparent(self):

@@ -1,7 +1,7 @@
 """Transfer-matrix stack optics, N-layer closed forms, emission reflectance."""
 
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -424,6 +424,7 @@ class TestStackIO:
             except SingularStack:
                 solutions.append(None)
         assert loaded == stack
+        assert hash(loaded) == hash(stack)
         built, read = solutions
         assert (built is None) == (read is None)
         if built is not None:
@@ -460,6 +461,16 @@ class TestStackIO:
         shorter = replace(stk, layers=stk.layers[:2])
         assert shorter == LayerStack(layers=stk.layers[:2], ambient_out=1.46)
         assert len(solve_stack(shorter).sheet_fields) == 1
+
+    def test_construction(self):
+        with pytest.raises(TypeError, match=r"layers\[1\]"):
+            LayerStack(layers=(Slab(n=1.5, d=0.1), 1))
+        stk, _ = stack_from_dict(self.CLEAN)
+        with pytest.raises(FrozenInstanceError):
+            stk.layers = ()
+        moved, built = replace(stk, ambient_out=2.0), LayerStack(stk.layers, ambient_out=2.0)
+        assert moved == built
+        assert solve_stack(moved).T == solve_stack(built).T
 
     def test_rejects_unknown_layer_type(self):
         with pytest.raises(ValueError):
