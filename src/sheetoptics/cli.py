@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 configuration error, 2 file I/O error,
 3 numerical error.  Outputs are deterministic: CSV floats use fixed
 17-significant-digit formatting and JSON carries a provenance header.
 
-Each subcommand is one entry of one table: its help line, the function
-that adds its options and the function that runs it on the parsed
-arguments.
+Each subcommand is one entry of one table: its help line, its options and
+the function that runs it on the parsed arguments.  Each option is one
+record, from which ``build_parser`` adds the argparse argument and
+``_read`` reads a well-formed argv without building a parser.
 
 Every command returns data and one renderer writes it.  Record commands
 (coeffs, twostate, stack, decouple) return a result dict, rendered as a
@@ -102,55 +103,65 @@ def _parse_sweep(text: str) -> SweepSpec:
     return spec
 
 
-def _common(p, with_sheet=True):
-    if with_sheet:
-        p.add_argument("--cond", type=float, default=surface.GRAPHENE_COND,
-                       help="dimensionless sheet conductance (default: pi*alpha)")
-        p.add_argument("--branching", type=float, default=1.0)
-        p.add_argument("--f-sign", type=int, choices=(1, -1), default=1)
-    p.add_argument("--out", dest="out", default=None,
-                   help="output file (default: stdout)")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                   default=None, help="output format")
+@dataclass(frozen=True)
+class _Option:
+    """One option of a subcommand: ``add_argument(flag, dest=dest, ...)``."""
+    flag: str
+    dest: str
+    type: type | None = None
+    default: object = None
+    choices: tuple | None = None
+    required: bool = False
+    help: str | None = None
 
 
-def _twostate_options(p):
-    _common(p)
-    p.add_argument("--overlap", type=float, default=0.0)
-    p.add_argument("--energy-unit", type=float, default=1.0)
-    p.add_argument("--coeffs", dest="coeffs_json", default=None,
-                   help="JSON output of a 'coeffs' run; overrides --cond results")
+_SHEET_OPTIONS = (
+    _Option("--cond", "cond", float, surface.GRAPHENE_COND,
+            help="dimensionless sheet conductance (default: pi*alpha)"),
+    _Option("--branching", "branching", float, 1.0),
+    _Option("--f-sign", "f_sign", int, 1, choices=(1, -1)),
+)
+_OUTPUT_OPTIONS = (
+    _Option("--out", "out", help="output file (default: stdout)"),
+    _Option("--format", "fmt", choices=("csv", "json"), help="output format"),
+)
+_COMMON_OPTIONS = _SHEET_OPTIONS + _OUTPUT_OPTIONS
+_TWOSTATE_OPTIONS = _COMMON_OPTIONS + (
+    _Option("--overlap", "overlap", float, 0.0),
+    _Option("--energy-unit", "energy_unit", float, 1.0),
+    _Option("--coeffs", "coeffs_json",
+            help="JSON output of a 'coeffs' run; overrides --cond results"),
+)
+_STACK_OPTIONS = _OUTPUT_OPTIONS + (
+    _Option("--stack", "stack_file", required=True),
+    _Option("--wavelength-nm", "wavelength_nm", float,
+            help="evaluation wavelength (needs wavelength_nm in the file)"),
+)
+_SWEEP_OPTIONS = _COMMON_OPTIONS + (
+    _Option("--stack", "stack_file"),
+    _Option("--wavelength-nm", "wavelength_nm", float),
+    _Option("--sweep", "sweep", required=True,
+            help="var:start:stop:steps with var in "
+                 "{cond,n_layers,wavelength_nm,thickness}"),
+    _Option("--jobs", "jobs", int, 1,
+            help="accepted for compatibility and ignored; rows are "
+                 "computed serially"),
+)
+_PROFILE_OPTIONS = _COMMON_OPTIONS + (
+    _Option("--which", "which", default="a", choices=("a", "b")),
+    _Option("--b-r", "b_r", float, help="override right-going emission amplitude"),
+    _Option("--b-l", "b_l", float, help="override left-going emission amplitude"),
+    _Option("--x-max", "x_max", float, 5.0),
+    _Option("--points", "points", int, 200),
+    _Option("--k", "k", float, 1.0),
+)
 
 
-def _stack_options(p):
-    _common(p, with_sheet=False)
-    p.add_argument("--stack", dest="stack_file", required=True)
-    p.add_argument("--wavelength-nm", type=float, default=None,
-                   help="evaluation wavelength (needs wavelength_nm in the file)")
-
-
-def _sweep_options(p):
-    _common(p)
-    p.add_argument("--stack", dest="stack_file", default=None)
-    p.add_argument("--wavelength-nm", type=float, default=None)
-    p.add_argument("--sweep", dest="sweep", required=True,
-                   help="var:start:stop:steps with var in "
-                        "{cond,n_layers,wavelength_nm,thickness}")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility and ignored; rows are "
-                        "computed serially")
-
-
-def _profile_options(p):
-    _common(p)
-    p.add_argument("--which", choices=("a", "b"), default="a")
-    p.add_argument("--b-r", type=float, default=None,
-                   help="override right-going emission amplitude")
-    p.add_argument("--b-l", type=float, default=None,
-                   help="override left-going emission amplitude")
-    p.add_argument("--x-max", type=float, default=5.0)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--k", type=float, default=1.0)
+def _add_options(parser: argparse.ArgumentParser, options: tuple) -> None:
+    for option in options:
+        parser.add_argument(option.flag, dest=option.dest, type=option.type,
+                            default=option.default, choices=option.choices,
+                            required=option.required, help=option.help)
 
 
 def build_parser(command: str | None = None) -> _Parser:
@@ -163,15 +174,14 @@ def build_parser(command: str | None = None) -> _Parser:
     ``_Parser`` raises argparse's message without the usage line.
     """
     if command is not None:
-        _, add_options, _ = _SUBCOMMANDS[command]
         parser = _Parser(prog=f"sheetoptics {command}")
-        add_options(parser)
+        _add_options(parser, _SUBCOMMANDS[command][1])
         return parser
     parser = _Parser(prog="sheetoptics", description=_DESCRIPTION, epilog=_EXIT_CODES)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, _) in _SUBCOMMANDS.items():
-        add_options(sub.add_parser(name, help=help_text))
+    for name, (help_text, options, _) in _SUBCOMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), options)
     return parser
 
 
@@ -356,7 +366,10 @@ def _cmd_twostate(args: argparse.Namespace) -> dict:
     params = _sheet_params(args)
     if args.coeffs_json:
         with open(args.coeffs_json, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("--coeffs file nests too deeply") from None
         if not isinstance(data, dict):
             raise ValueError("--coeffs file must hold a JSON object")
         for key in ("t", "r", "b"):
@@ -492,6 +505,9 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
         if not (np.diff(grid_x) > 0).all():
             raise CliConfigError(f"--x-max {args.x_max!r} with --points {args.points} "
                                  "gives no strictly increasing grid")
+    if not math.isfinite(args.k * args.x_max):
+        raise CliConfigError(f"--k {args.k!r} with --x-max {args.x_max!r} "
+                             "overflows the phase k*x")
     params = _sheet_params(args)
     if args.which == "a":
         coeffs = surface.solve_single_sheet(params)
@@ -514,15 +530,15 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
             "side": profile.side}
 
 
-#: Subcommand name -> its help line, the function that adds its options and
-#: the function that runs it.
+#: Subcommand name -> its help line, its options in order and the function
+#: that runs it.
 _SUBCOMMANDS = {
-    "coeffs": ("single-sheet coefficients and absorbance", _common, _cmd_coeffs),
-    "twostate": ("two-state diagnostics for one sheet", _twostate_options, _cmd_twostate),
-    "stack": ("transfer-matrix solution of a stack file", _stack_options, _cmd_stack),
-    "sweep": ("parameter sweep, CSV table", _sweep_options, _cmd_sweep),
-    "decouple": ("t + r = 0 layer-number search", _common, _cmd_decouple),
-    "profile": ("field profile and gauge decomposition CSV", _profile_options, _cmd_profile),
+    "coeffs": ("single-sheet coefficients and absorbance", _COMMON_OPTIONS, _cmd_coeffs),
+    "twostate": ("two-state diagnostics for one sheet", _TWOSTATE_OPTIONS, _cmd_twostate),
+    "stack": ("transfer-matrix solution of a stack file", _STACK_OPTIONS, _cmd_stack),
+    "sweep": ("parameter sweep, CSV table", _SWEEP_OPTIONS, _cmd_sweep),
+    "decouple": ("t + r = 0 layer-number search", _COMMON_OPTIONS, _cmd_decouple),
+    "profile": ("field profile and gauge decomposition CSV", _PROFILE_OPTIONS, _cmd_profile),
 }
 #: Commands that return columns rather than a record; they emit CSV only.
 _TABLE_COMMANDS = frozenset({"sweep", "profile"})
@@ -560,16 +576,55 @@ def run(args: argparse.Namespace) -> Iterator[str]:
     return _csv(_record_columns(results))
 
 
+def _read(command: str, options: list) -> argparse.Namespace | None:
+    """The namespace argparse gives ``options`` of ``command``, read straight
+    from its option table, or None unless ``options`` are exact flags of the
+    command, each followed by one value that argparse takes as a value, the
+    required ones among them, with every value of the option's type and
+    choices.  Help, abbreviations, ``--flag=value`` and every error are
+    left to argparse.
+    """
+    table = _SUBCOMMANDS[command][1]
+    by_flag = {option.flag: option for option in table}
+    values = {option.dest: option.default for option in table}
+    if len(options) % 2:
+        return None
+    given = set()
+    for flag, text in zip(options[::2], options[1::2]):
+        option = by_flag.get(flag)
+        # argparse takes a token that starts with "-" for a flag, unless
+        # _NEGATIVE_NUMBER matches it
+        if option is None or text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+            return None
+        value = text
+        if option.type is not None:
+            try:
+                value = option.type(text)
+            except ValueError:
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+        given.add(flag)
+    if any(option.required and option.flag not in given for option in table):
+        return None
+    return argparse.Namespace(command=command, **values)
+
+
 def _parse(argv: list) -> argparse.Namespace:
     """The namespace of ``argv``.  A subcommand's options go into a
     namespace that starts with ``command``, the key order of the whole
     parser's namespace and so of ``config_echo``; a trailing ``--`` after
-    them is dropped."""
+    them is dropped.  The subcommand's parser is built only for options
+    that ``_read`` declines."""
     if argv and argv[0] in _SUBCOMMANDS:
         command, options = argv[0], argv[1:]
         if options[-1:] == ["--"]:  # ends the options; argparse 3.11 rejects it
             options = options[:-1]
-        return build_parser(command).parse_args(options, argparse.Namespace(command=command))
+        args = _read(command, options)
+        if args is None:
+            args = build_parser(command).parse_args(options, argparse.Namespace(command=command))
+        return args
     return build_parser().parse_args(argv)
 
 

@@ -757,7 +757,11 @@ def stack_to_dict(stack: LayerStack, wavelength_nm: float | None = None) -> dict
 
 def load_stack(path) -> tuple[LayerStack, float | None]:
     with open(path, "r", encoding="utf-8") as fh:
-        return stack_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("stack file nests too deeply") from None
+    return stack_from_dict(doc)
 
 
 def substrate_presets() -> dict[str, dict]:

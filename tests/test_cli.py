@@ -299,6 +299,13 @@ class TestTwostate:
         assert code == 1
         assert "JSON object" in err
 
+    @pytest.mark.parametrize("depth", [1500, 5000])
+    def test_coeffs_file_nests_too_deeply(self, capsys, tmp_path, depth):
+        path = tmp_path / "coeffs.json"
+        path.write_text("[" * depth)
+        assert run_cli(capsys, "twostate", "--coeffs", str(path)) == \
+            (1, "", "sheetoptics: config error: --coeffs file nests too deeply\n")
+
 
 class TestStack:
     @pytest.fixture
@@ -492,6 +499,13 @@ class TestStack:
         code, _, _ = run_cli(capsys, "stack", "--stack", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize("depth", [1500, 5000])
+    def test_nests_too_deeply(self, capsys, tmp_path, depth):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth)
+        assert run_cli(capsys, "stack", "--stack", str(path)) == \
+            (1, "", "sheetoptics: config error: stack file nests too deeply\n")
+
 
 class TestSweep:
     def test_layer_sweep_minimum_at_87(self, capsys):
@@ -680,7 +694,11 @@ class TestProfile:
          "--x-max 5e-324 with --points 200 gives no strictly increasing grid"),
         (["--x-max", "1e308"],
          "--x-max 1e+308 with --points 200 gives no strictly increasing grid"),
-    ], ids=["zero", "negative", "negative_zero", "collapsed", "overflowed"])
+        (["--k", "1e308"], "--k 1e+308 with --x-max 5.0 overflows the phase k*x"),
+        (["--k", "-1e308", "--x-max", "2"],
+         "--k -1e+308 with --x-max 2.0 overflows the phase k*x"),
+    ], ids=["zero", "negative", "negative_zero", "collapsed", "overflowed",
+            "phase_overflowed", "negative_phase_overflowed"])
     def test_bad_x_max(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "profile", *argv)
         assert (code, out, err) == (1, "", f"sheetoptics: config error: {message}\n")
@@ -689,6 +707,11 @@ class TestProfile:
         code, out, _ = run_cli(capsys, "profile", "--x-max", "5e-324", "--points", "1")
         assert code == 0
         assert len(out.splitlines()) == 5
+
+    def test_largest_k_that_fits(self, capsys):
+        code, out, _ = run_cli(capsys, "profile", "--k", "3e307", "--points", "3")
+        assert code == 0
+        assert "nan" not in out
 
     def test_deterministic(self, capsys):
         argv = ["profile", "--which", "b", "--b-r", "0.123456789", "--b-l", "-0.5"]
@@ -818,6 +841,24 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+#: Argv of a subcommand that its option table reads, and argv that it
+#: declines to argparse: no subcommand, help, abbreviations, errors.
+READ = [
+    ["coeffs"], ["coeffs", "--cond", "0.5", "--format", "csv"], ["coeffs", "--cond", "-inf"],
+    ["twostate", "--overlap", "0.1"], ["twostate", "--overlap", "-1e-3"],
+    ["sweep", "--sweep", "cond:0:1:3"], ["sweep", "--sweep", "n_layers:1:4:4", "--jobs", "2"],
+    ["decouple", "--cond", "-1"], ["profile", "--points", "3", "--which", "b"],
+    ["profile", "--points", "3", "--x-max", "-1E3"],
+]
+PARSED = [
+    [], ["nosuch"], ["--version"], ["-h"], ["--", "coeffs"], ["coeffs", "--con", "0.5"],
+    ["coeffs", "--bogus"], ["coeffs", "--cond"], ["coeffs", "--version"],
+    ["coeffs", "twostate"], ["twostate", "--f-sign", "2"], ["stack"], ["sweep"],
+    ["profile", "--points", "x"], ["profile", "--which", "c"],
+    *([name, "-h"] for name in ("coeffs", "twostate", "stack", "sweep", "decouple", "profile")),
+]
+
+
 class TestParserPerCommand:
     """``main`` parses the arguments after a subcommand name with that
     subcommand's parser alone; every argv must come out as it does with the
@@ -835,26 +876,16 @@ class TestParserPerCommand:
             assert [a.option_strings for a in parser._actions] == \
                 [a.option_strings for a in action.choices[name]._actions]
 
-    @pytest.mark.parametrize("argv", [
-        [], ["nosuch"], ["--version"], ["-h"], ["--", "coeffs"], ["coeffs"],
-        ["coeffs", "--cond", "0.5", "--format", "csv"], ["coeffs", "--con", "0.5"],
-        ["coeffs", "--bogus"], ["coeffs", "--cond"], ["coeffs", "--version"],
-        ["coeffs", "twostate"], ["coeffs", "--cond", "-inf"], ["twostate", "--overlap", "0.1"],
-        ["twostate", "--overlap", "-1e-3"], ["twostate", "--f-sign", "2"], ["stack"],
-        ["sweep", "--sweep", "cond:0:1:3"],
-        ["sweep", "--sweep", "n_layers:1:4:4", "--jobs", "2"], ["sweep"],
-        ["decouple", "--cond", "-1"], ["profile", "--points", "3", "--which", "b"],
-        ["profile", "--points", "x"], ["profile", "--which", "c"],
-        ["profile", "--points", "3", "--x-max", "-1E3"],
-        *([name, "-h"] for name in ("coeffs", "twostate", "stack", "sweep",
-                                    "decouple", "profile"))],
-        ids=lambda argv: " ".join(argv) or "empty")
+    @pytest.mark.parametrize("argv", READ + PARSED,
+                             ids=lambda argv: " ".join(argv) or "empty")
     def test_same_as_whole_parser(self, capsys, monkeypatch, argv):
         built = []
         monkeypatch.setattr(cli, "build_parser",
                             lambda command=None: built.append(command) or build_parser(command))
         got = outcome(capsys, argv)
-        assert built == [argv[0] if argv and argv[0] in subcommands(build_parser()) else None]
+        # the option table reads READ; any other argv builds one parser
+        assert built == ([] if argv in READ else
+                         [argv[0] if argv and argv[0] in subcommands(build_parser()) else None])
         # main again, with the whole parser parsing all of argv:
         # _checked_args(build_parser().parse_args(argv)), then run
         monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
@@ -870,6 +901,80 @@ class TestParserPerCommand:
         got = outcome(capsys, argv)
         assert got == outcome(capsys, argv[:-1])
         assert "unrecognized arguments" not in got[2]
+
+
+def option_argv(command):
+    """Strategy: up to 8 argv tokens after ``command``: flag-value pairs of
+    its options, with values in many spellings, and at times one odd item
+    among them: ``--flag=value``, a prefix of a flag, an unknown flag or a
+    lone token."""
+    flags = [option.flag for option in cli._SUBCOMMANDS[command][1]]
+    values = st.sampled_from([
+        "0.5", "3", "-1", "1", "2", "1.0", "-0.0", "-1e-3", "-2.5E+1", "1e308", "-.5e0",
+        "-1.", "inf", "-inf", "-Infinity", "nan", "-nan", "a", "b", "c", "csv", "json",
+        "", "-", "-x", "--", "-1 2", "-1\n", "1_000", "cond:0:1:3",
+        *flags]) | st.floats().map(repr) | st.integers(-5, 5).map(str)
+    flag = st.sampled_from(flags)
+    odd = st.one_of(
+        st.tuples(flag),
+        st.tuples(st.builds("{}={}".format, flag, values)),
+        st.tuples(flag.map(lambda f: f[:-1]), values),
+        st.tuples(st.sampled_from(["--bogus", "-h", "--help", "--version"]), values))
+    pairs = st.lists(st.tuples(flag, values), max_size=4)
+    return st.builds(lambda pairs, odd, at: [t for i in pairs[:at] + odd + pairs[at:]
+                                             for t in i][:8],
+                     pairs, st.lists(odd, max_size=1), st.integers(0, 4))
+
+
+def items(namespace) -> str:
+    """The items of a namespace in order, nan and -0.0 told apart."""
+    return repr(list(vars(namespace).items()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_read_agrees_with_argparse(data):
+    """The option table reads an argv as the subcommand's parser does, or
+    declines it; it declines every argv the parser rejects."""
+    command = data.draw(st.sampled_from(list(cli._SUBCOMMANDS)))
+    options = data.draw(option_argv(command))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            expected = build_parser(command).parse_args(
+                options, argparse.Namespace(command=command))
+    except (cli.CliConfigError, SystemExit):
+        expected = None
+    got = cli._read(command, options)
+    if got is not None:
+        assert expected is not None
+        assert items(got) == items(expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--cond", "0.5", "--branching", "0.8", "--f-sign", "-1", "--format", "csv"],
+    ["twostate", "--cond", "0.1", "--overlap", "-0.42", "--energy-unit", "2.5"],
+    ["twostate", "--coeffs", "{coeffs}"],
+    ["decouple", "--cond", "0.01"],
+    ["sweep", "--sweep", "cond:0:2:5", "--format", "csv"],
+    ["sweep", "--sweep", "n_layers:1:5:5", "--cond", "0.1"],
+    ["profile", "--which", "b", "--points", "50", "--x-max", "2.5", "--k", "-1.5",
+     "--b-r", "-0.2", "--b-l", "0.3"],
+    ["stack", "--stack", "{stack}", "--wavelength-nm", "700.0", "--format", "csv"],
+    ["sweep", "--stack", "{stack}", "--sweep", "wavelength_nm:500:700:5", "--jobs", "2"],
+    ["sweep", "--stack", "{stack}", "--sweep", "thickness:0:0.5:7"],
+], ids=" ".join)
+def test_workload_argv_builds_no_parser(capsys, tmp_path, monkeypatch, argv):
+    """The argv shapes of the benchmark's commands are read from the option
+    table alone."""
+    files = {"{coeffs}": tmp_path / "coeffs.json", "{stack}": tmp_path / "stack.json"}
+    files["{coeffs}"].write_text(json.dumps({"t": 0.9, "r": -0.1, "b": 0.2}))
+    files["{stack}"].write_text(json.dumps({"wavelength_nm": 633.0, "layers": [
+        {"type": "sheet", "cond": 0.02}, {"type": "slab", "n_re": 1.5, "d": 0.2}]}))
+    argv = [str(files.get(token, token)) for token in argv]
+    monkeypatch.setattr(cli, "build_parser", mock.Mock(side_effect=AssertionError))
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("command, option, value", [
