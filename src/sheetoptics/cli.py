@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 configuration error, 2 file I/O error,
 
 Each subcommand is one entry of one table: its help line, its options and
 the function that runs it on the parsed arguments.  Each option is one
-record, from which ``build_parser`` adds the argparse argument and
-``_read`` reads a well-formed argv without building a parser.
+record.  Argv takes one of two routes: ``_read`` reads a well-formed
+subcommand argv straight from the records, with no parser built, and
+``build_parser``, whose arguments come from the same records, parses
+everything else.
 
 Every command returns data and one renderer writes it.  Record commands
 (coeffs, twostate, stack, decouple) return a result dict, rendered as a
@@ -157,31 +159,21 @@ _PROFILE_OPTIONS = _COMMON_OPTIONS + (
 )
 
 
-def _add_options(parser: argparse.ArgumentParser, options: tuple) -> None:
-    for option in options:
-        parser.add_argument(option.flag, dest=option.dest, type=option.type,
-                            default=option.default, choices=option.choices,
-                            required=option.required, help=option.help)
+def build_parser() -> _Parser:
+    """The command-line parser with every subcommand, built from the tables.
 
-
-def build_parser(command: str | None = None) -> _Parser:
-    """The command-line parser with every subcommand, or the parser of
-    ``command`` alone.
-
-    ``main`` parses the arguments after a subcommand name with that
-    subcommand's parser, into a namespace that already holds ``command``:
-    the same namespace, help and errors as the whole parser gives, since
-    ``_Parser`` raises argparse's message without the usage line.
+    ``main`` parses with it every argv that ``_read`` declines: help,
+    abbreviations, ``--flag=value`` and every error.
     """
-    if command is not None:
-        parser = _Parser(prog=f"sheetoptics {command}")
-        _add_options(parser, _SUBCOMMANDS[command][1])
-        return parser
     parser = _Parser(prog="sheetoptics", description=_DESCRIPTION, epilog=_EXIT_CODES)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, options, _) in _SUBCOMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), options)
+        subparser = sub.add_parser(name, help=help_text)
+        for option in options:
+            subparser.add_argument(option.flag, dest=option.dest, type=option.type,
+                                   default=option.default, choices=option.choices,
+                                   required=option.required, help=option.help)
     return parser
 
 
@@ -569,6 +561,10 @@ def run(args: argparse.Namespace) -> Iterator[str]:
     call, before the first chunk."""
     _, _, command = _SUBCOMMANDS[args.command]
     results = command(args)
+    # decouple and the n_layers and stack sweeps leave --branching unused and
+    # unchecked; checked after the command, so that its own errors come first
+    if not 0.0 <= getattr(args, "branching", 1.0) <= 1.0:
+        raise CliConfigError("branching ratio must lie in [0, 1]")
     if args.fmt == "json":
         return _json_doc(args, results)
     if args.command in _TABLE_COMMANDS:
@@ -612,19 +608,15 @@ def _read(command: str, options: list) -> argparse.Namespace | None:
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """The namespace of ``argv``.  A subcommand's options go into a
-    namespace that starts with ``command``, the key order of the whole
-    parser's namespace and so of ``config_echo``; a trailing ``--`` after
-    them is dropped.  The subcommand's parser is built only for options
-    that ``_read`` declines."""
+    """The namespace of ``argv``: read from the subcommand's option table
+    (``_read``), or else parsed by the whole parser.  A trailing ``--``
+    after a subcommand's options is dropped."""
     if argv and argv[0] in _SUBCOMMANDS:
-        command, options = argv[0], argv[1:]
-        if options[-1:] == ["--"]:  # ends the options; argparse 3.11 rejects it
-            options = options[:-1]
-        args = _read(command, options)
-        if args is None:
-            args = build_parser(command).parse_args(options, argparse.Namespace(command=command))
-        return args
+        if argv[-1:] == ["--"]:  # ends the options; argparse 3.11 rejects it
+            argv = argv[:-1]
+        args = _read(argv[0], argv[1:])
+        if args is not None:
+            return args
     return build_parser().parse_args(argv)
 
 
@@ -633,7 +625,7 @@ def main(argv=None) -> int:
     try:
         args = _checked_args(_parse(argv))
         return _write(args, run(args))
-    except (CliConfigError, ValueError, json.JSONDecodeError) as exc:
+    except (CliConfigError, ValueError, json.JSONDecodeError, MemoryError) as exc:
         print(f"sheetoptics: config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

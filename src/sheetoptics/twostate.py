@@ -96,9 +96,10 @@ def cross_element(sys: TwoStateSystem, theta: float) -> complex:
 
 def level_energies(sys: TwoStateSystem, theta: float) -> tuple[float, float]:
     """Energies (+e, -e) of the decoupled pair, e = 2u Re[e^{i theta}(t+r)* b]."""
-    e = 2.0 * sys.energy_unit * float(
+    # doubled last: u times the real part is finite wherever |h| is
+    e = 2.0 * (sys.energy_unit * float(
         np.real(np.exp(1j * theta) * np.conj(sys.t_plus_r) * sys.b)
-    )
+    ))
     return e, -e
 
 

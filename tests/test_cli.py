@@ -284,6 +284,16 @@ class TestTwostate:
         for key in ("offdiagonal", "theta_plus", "e_plus", "r_plus", "r_minus"):
             assert via_file[key] == direct[key]
 
+    def test_huge_energy_unit_stays_finite(self, capsys):
+        """e = 2|h| is finite whenever it fits, however large u is."""
+        def reject(constant):
+            raise ValueError(f"non-finite JSON value {constant}")
+
+        code, out, err = run_cli(capsys, "twostate", "--energy-unit", "1e308", "--cond", "3")
+        assert (code, err) == (0, "")
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["e_plus"] == pytest.approx(2 * abs(doc["offdiagonal"]), rel=4e-16)
+        assert doc["e_minus"] == -doc["e_plus"]
 
     def test_coeffs_file_missing_key(self, capsys, tmp_path):
         path = tmp_path / "coeffs.json"
@@ -305,6 +315,45 @@ class TestTwostate:
         path.write_text("[" * depth)
         assert run_cli(capsys, "twostate", "--coeffs", str(path)) == \
             (1, "", "sheetoptics: config error: --coeffs file nests too deeply\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decouple", "--branching", "5"], ["decouple", "--branching", "-3"],
+    ["sweep", "--sweep", "n_layers:1:2:2", "--branching", "7"],
+    ["sweep", "--stack", "{stack}", "--sweep", "thickness:0:0.5:3", "--branching", "1.5"],
+    ["sweep", "--stack", "{stack}", "--sweep", "wavelength_nm:500:700:3", "--branching", "-0.1"],
+    ["sweep", "--sweep", "cond:0:1:3", "--branching", "2"],
+    ["coeffs", "--branching", "1.01"], ["twostate", "--branching", "-1e-3"],
+    ["profile", "--branching", "3"],
+], ids=" ".join)
+def test_branching_out_of_range(capsys, tmp_path, argv):
+    """Every command with --branching rejects a value outside [0, 1] in the
+    same words, whether or not it uses the value."""
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps({"wavelength_nm": 633.0, "layers": [
+        {"type": "sheet", "cond": 0.02}, {"type": "slab", "n_re": 1.5, "d": 0.2}]}))
+    argv = [str(path) if token == "{stack}" else token for token in argv]
+    assert run_cli(capsys, *argv) == \
+        (1, "", "sheetoptics: config error: branching ratio must lie in [0, 1]\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decouple", "--cond", "-1", "--branching", "0.5"], "cond must be positive"),
+    (["decouple", "--cond", "1e-320"], "cond is too small for a finite layer number"),
+], ids=["negative", "too_small"])
+def test_decouple_keeps_cond_messages(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"sheetoptics: config error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--points", str(10**15)], ["sweep", "--sweep", f"cond:0:1:{10**15}"]],
+    ids=["profile", "sweep"])
+def test_size_too_large_to_allocate(capsys, argv):
+    """A request numpy refuses at once (petabytes) is one config-error line,
+    not a traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("sheetoptics: config error: ") and err.count("\n") == 1
 
 
 class TestStack:
@@ -860,32 +909,22 @@ PARSED = [
 
 
 class TestParserPerCommand:
-    """``main`` parses the arguments after a subcommand name with that
-    subcommand's parser alone; every argv must come out as it does with the
-    whole parser."""
+    """``main`` reads a subcommand's argv from its option table or parses
+    it with the whole parser; every argv must come out as it does with the
+    whole parser alone."""
 
     def test_subcommands(self):
-        every = ["coeffs", "twostate", "stack", "sweep", "decouple", "profile"]
-        whole = build_parser()
-        assert subcommands(whole) == every
-        action, = (a for a in whole._actions if isinstance(a, argparse._SubParsersAction))
-        for name in every:
-            parser = build_parser(name)
-            assert subcommands(parser) == []
-            assert parser.prog == f"sheetoptics {name}"
-            assert [a.option_strings for a in parser._actions] == \
-                [a.option_strings for a in action.choices[name]._actions]
+        assert subcommands(build_parser()) == [
+            "coeffs", "twostate", "stack", "sweep", "decouple", "profile"]
 
     @pytest.mark.parametrize("argv", READ + PARSED,
                              ids=lambda argv: " ".join(argv) or "empty")
     def test_same_as_whole_parser(self, capsys, monkeypatch, argv):
         built = []
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda command=None: built.append(command) or build_parser(command))
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build_parser())
         got = outcome(capsys, argv)
-        # the option table reads READ; any other argv builds one parser
-        assert built == ([] if argv in READ else
-                         [argv[0] if argv and argv[0] in subcommands(build_parser()) else None])
+        # the option table reads READ; any other argv builds the whole parser
+        assert built == ([] if argv in READ else [None])
         # main again, with the whole parser parsing all of argv:
         # _checked_args(build_parser().parse_args(argv)), then run
         monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
@@ -934,15 +973,14 @@ def items(namespace) -> str:
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_read_agrees_with_argparse(data):
-    """The option table reads an argv as the subcommand's parser does, or
-    declines it; it declines every argv the parser rejects."""
+    """The option table reads an argv as the whole parser does, or declines
+    it; it declines every argv the parser rejects."""
     command = data.draw(st.sampled_from(list(cli._SUBCOMMANDS)))
     options = data.draw(option_argv(command))
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            expected = build_parser(command).parse_args(
-                options, argparse.Namespace(command=command))
+            expected = build_parser().parse_args([command, *options])
     except (cli.CliConfigError, SystemExit):
         expected = None
     got = cli._read(command, options)
