@@ -16,7 +16,9 @@ Every command returns data and one renderer writes it.  Record commands
 (coeffs, twostate, stack, decouple) return a result dict, rendered as a
 JSON document or as a one-row CSV; table commands (sweep, profile) return
 columns, an ordered dict of column name to equal-length values, rendered
-as CSV only.
+as CSV only.  The float cells of a long table are written by
+``floattext.g17``, a vectorized kernel with the bytes of ``%.17g``; the
+rest by one ``%`` format per row (see ``_csv``).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 from . import __version__
 from .errors import DegenerateDecoupling, SheetOpticsError, SingularStack
 from . import fields as fields_mod
+from . import floattext
 from . import stack as stack_mod
 from . import surface, twostate
 from .codec import decode_complex, encode_complex
@@ -50,6 +53,11 @@ _EXIT_CODES = ("exit codes: 0 success, 1 configuration error, 2 file I/O error, 
                "3 numerical error")
 #: Rows of a CSV table turned into Python values at a time.
 _CSV_CHUNK_ROWS = 1024
+#: Float cells in a chunk from which ``floattext.g17`` writes them.  Measured
+#: on 2 cores with numpy 2.4, the kernel costs about 90 us a call however
+#: small the chunk, and broke even with one ``%`` per row at 250-350 float
+#: cells; from 500 it was 1.2-1.5x faster, on 1024-row profile chunks 1.7x.
+_CSV_KERNEL_CELLS = 500
 
 
 class CliConfigError(Exception):
@@ -274,30 +282,63 @@ def _csv_cells(cells, empty: str) -> list:
     return [empty if v is None else v for v in cells] if None in cells else cells
 
 
+def _csv_texts(chunk: list, codes: list, empty: str) -> list:
+    """The cells of a chunk of columns as ``_csv`` fills its bytes template
+    with them: the float columns' texts, all from one ``floattext.g17``
+    call, as lists of bytes; ints as they are; other cells ``%s``-formatted
+    and encoded."""
+    floats = [column for column, code in zip(chunk, codes) if code == "%.17g"]
+    values = np.array(floats, dtype=np.float64).reshape(-1)
+    texts = iter(floattext.g17(values).reshape(len(floats), len(chunk[0])).tolist())
+    return [next(texts) if code == "%.17g"
+            else _csv_cells(column, empty) if code == "%d"
+            else _csv_encoded(_csv_cells(column, empty))
+            for column, code in zip(chunk, codes)]
+
+
+def _csv_encoded(cells: list) -> list:
+    """``("%s" % v).encode()`` of each cell, formatted once per distinct
+    value: a ``%s`` column holds a few labels, or bools."""
+    encoded = {v: ("%s" % v).encode() for v in set(cells)}
+    return list(map(encoded.__getitem__, cells))
+
+
 def _csv(columns: dict) -> Iterator[str]:
     """CSV text of columns: a header of their names, then one row per index.
 
     Each row is one ``%`` format of a template that holds one printf code
     per column (``_csv_code``; ``"%.17g" % v`` is ``float.__format__(v,
-    ".17g")``), and is yielded alone.  The columns are turned into Python
-    lists ``_CSV_CHUNK_ROWS`` rows at a time, so a long table is never held
-    whole, as values or as text.  No cell a command writes needs CSV
-    quoting: numbers, True/False, empty cells and the side labels.
+    ".17g")``), and is yielded alone.  The columns are taken
+    ``_CSV_CHUNK_ROWS`` rows at a time, so a long table is never held whole,
+    as values or as text.  A chunk of at least ``_CSV_KERNEL_CELLS`` float
+    cells (profiles, and sweeps of a few hundred rows) takes a second route
+    to the same bytes: ``floattext.g17`` writes all its float cells in one
+    call, and each row is one ``%`` of a bytes template that takes them as
+    ``%s``, decoded.  No cell a command writes needs CSV quoting: numbers,
+    True/False, empty cells and the side labels.
     """
     values = list(columns.values())
     lengths = {len(column) for column in values}
     if len(lengths) > 1:
         raise ValueError("CSV columns differ in length")
-    template = ",".join(map(_csv_code, values)) + "\n"
+    codes = list(map(_csv_code, values))
+    template = ",".join(codes) + "\n"
+    kernel_template = b",".join(b"%d" if code == "%d" else b"%s" for code in codes) + b"\n"
+    floats = codes.count("%.17g")
     # csv quotes a lone empty field, so that its row is not a blank line
     empty = '""' if len(values) == 1 else ""
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(columns)
     yield header.getvalue()
-    for start in range(0, max(lengths, default=0), _CSV_CHUNK_ROWS):
-        chunk = [_csv_cells(column[start:start + _CSV_CHUNK_ROWS], empty)
-                 for column in values]
-        yield from map(template.__mod__, zip(*chunk))
+    rows = max(lengths, default=0)
+    for start in range(0, rows, _CSV_CHUNK_ROWS):
+        chunk = [column[start:start + _CSV_CHUNK_ROWS] for column in values]
+        if len(chunk[0]) * floats < _CSV_KERNEL_CELLS:
+            yield from map(template.__mod__,
+                           zip(*(_csv_cells(column, empty) for column in chunk)))
+        else:
+            texts = _csv_texts(chunk, codes, empty)
+            yield from map(bytes.decode, map(kernel_template.__mod__, zip(*texts)))
 
 
 def _record_columns(results: dict) -> dict:
@@ -562,9 +603,10 @@ def run(args: argparse.Namespace) -> Iterator[str]:
     _, _, command = _SUBCOMMANDS[args.command]
     results = command(args)
     # decouple and the n_layers and stack sweeps leave --branching unused and
-    # unchecked; checked after the command, so that its own errors come first
-    if not 0.0 <= getattr(args, "branching", 1.0) <= 1.0:
-        raise CliConfigError("branching ratio must lie in [0, 1]")
+    # unchecked, and the cond and stack sweeps --cond; the sheet options are
+    # checked after the command, so that its own errors come first
+    if hasattr(args, "cond"):
+        _sheet_params(args)
     if args.fmt == "json":
         return _json_doc(args, results)
     if args.command in _TABLE_COMMANDS:

@@ -337,6 +337,25 @@ def test_branching_out_of_range(capsys, tmp_path, argv):
         (1, "", "sheetoptics: config error: branching ratio must lie in [0, 1]\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--stack", "{stack}", "--sweep", "thickness:0:0.5:2", "--cond", "-5"],
+    ["sweep", "--stack", "{stack}", "--sweep", "wavelength_nm:500:700:3", "--cond", "-1e-3"],
+    ["sweep", "--sweep", "cond:0:1:3", "--cond", "-2"],
+    ["sweep", "--sweep", "n_layers:1:2:2", "--cond", "-5"],
+    ["coeffs", "--cond", "-5"], ["twostate", "--cond", "-0.5"], ["profile", "--cond", "-3"],
+], ids=" ".join)
+def test_cond_out_of_range(capsys, tmp_path, argv):
+    """Every command with --cond but decouple (which says "cond must be
+    positive") rejects a negative value in the same words, whether or not
+    it uses the value."""
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps({"wavelength_nm": 633.0, "layers": [
+        {"type": "sheet", "cond": 0.02}, {"type": "slab", "n_re": 1.5, "d": 0.2}]}))
+    argv = [str(path) if token == "{stack}" else token for token in argv]
+    assert run_cli(capsys, *argv) == (1, "", "sheetoptics: config error: Re(cond) must be "
+                                            ">= 0 (gain sheets are out of scope)\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["decouple", "--cond", "-1", "--branching", "0.5"], "cond must be positive"),
     (["decouple", "--cond", "1e-320"], "cond is too small for a finite layer number"),
@@ -637,7 +656,11 @@ class TestSweep:
         ("wavelength_nm", "wavelength_nm:400:700:5", [], ABSORBING),
         ("thickness", "thickness:0:0.5:6", [], ABSORBING),
         ("thickness", "thickness:0:0.5:6", [], SIGNED_ZERO),
-    ], ids=["cond", "n_layers", "wavelength_nm", "thickness", "thickness_signed_zero"])
+        # long enough for floattext to write the floats
+        ("cond", "cond:0:2:2000", ["--branching", "0.4", "--f-sign", "-1"], None),
+        ("n_layers", "n_layers:1:2000:2000", ["--cond", "0.3"], None),
+    ], ids=["cond", "n_layers", "wavelength_nm", "thickness", "thickness_signed_zero",
+            "cond_2000", "n_layers_2000"])
     def test_matches_row_reference(self, capsys, tmp_path, variable, spec, extra, doc):
         path = tmp_path / "stack.json"
         path.write_text(json.dumps(doc))
@@ -702,6 +725,23 @@ class TestProfile:
         )
         assert code == 0
         assert out.splitlines()[0].startswith("x,re_right")
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_long_profile_matches_row_reference(self, capsys, which):
+        """Chunks of 1024 rows and a short last one, each with the float
+        cells from floattext."""
+        code, out, err = run_cli(capsys, "profile", "--which", which, "--points", "30000",
+                                 "--cond", "0.3", "--branching", "0.4", "--k", "1.3")
+        assert code == 0, err
+        params = surface.SheetParams(cond=0.3, branching=0.4)
+        coeffs = surface.solve_single_sheet(params)
+        grid = np.linspace(-5.0, 5.0, 30001)
+        if which == "a":
+            profile = eval_a(coeffs.t, coeffs.r, grid, k=1.3)
+        else:
+            emission = surface.emission_amplitude(params, coeffs)
+            profile = eval_b(emission.b_r, emission.b_l, grid, k=1.3)
+        assert out == reference_profile_csv(profile)
 
     def test_antisymmetric_override(self, capsys):
         code, out, _ = run_cli(
@@ -1127,14 +1167,18 @@ csv_records = st.dictionaries(
 
 
 @settings(max_examples=300, deadline=None)
-@given(columns=csv_tables() | csv_records, chunk_rows=st.integers(1, 8))
-def test_csv_writer_matches_reference(columns, chunk_rows):
-    """One %-format per row gives the bytes of the cell-by-cell reference:
-    random float64 bit patterns, signed zeros, infinities, nans, subnormals,
-    ints, side labels, and one-row records with None and bools, across
-    chunk boundaries."""
+@given(columns=csv_tables() | csv_records, chunk_rows=st.integers(1, 8),
+       kernel_cells=st.integers(0, 24) | st.just(cli._CSV_KERNEL_CELLS))
+def test_csv_writer_matches_reference(columns, chunk_rows, kernel_cells):
+    """Both row routes, one %-format per row and floattext's float cells in
+    a bytes template, give the bytes of the cell-by-cell reference: random
+    float64 bit patterns, signed zeros, infinities, nans, subnormals, ints,
+    side labels, and one-row records with None and bools, across chunk
+    boundaries, with the routes mixed in one table where a short last chunk
+    falls below the crossover."""
     rows = list(zip(*columns.values()))
-    with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(cli, "_CSV_KERNEL_CELLS", kernel_cells):
         assert "".join(_csv(columns)) == reference_table(list(columns), rows)
 
 

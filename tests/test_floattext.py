@@ -1,0 +1,81 @@
+"""floattext.g17: the exact text of '%.17g' for every float64."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sheetoptics.floattext import E_MAX, E_MIN, g17
+
+
+def reference(values) -> list:
+    return [b"%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def powers_of_ten_and_neighbours(exponents) -> list:
+    values = []
+    for k in exponents:
+        power = float(f"1e{k}")
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+    return values
+
+
+EDGES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308,
+    # the switch between fixed and exponent form
+    1e-5, 1e-4, 9.9999999999999991e-5, 1e16, 1e17, 99999999999999984.0,
+    # exact ties at the 18th digit, and values that round up to 10**17
+    1234567890123456.75, 1234567890123457.25, 0.12345678901234565, 99999999999999999.0,
+    1e23, 9007199254740993.0, 123456789.0, 0.5, 1200.0, 2.5e-300,
+    # both edges of the table of powers: the last cells placed and the first not
+    *powers_of_ten_and_neighbours([E_MIN, E_MIN + 1, E_MIN + 2, E_MAX - 1, E_MAX, E_MAX + 1]),
+    # every power of ten of a float64, with both neighbours
+    *powers_of_ten_and_neighbours(range(-323, 309)),
+]
+
+
+def test_edge_table():
+    values = np.array(EDGES + [-v for v in EDGES])
+    assert g17(values).tolist() == reference(values)
+
+
+def test_result_type():
+    out = g17(np.array([1.5, -2.0]))
+    assert out.dtype == np.dtype("S24")
+    assert out.tolist() == [b"1.5", b"-2"]
+    assert g17(np.array([])).tolist() == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=300))
+def test_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert g17(values).tolist() == reference(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), max_size=300))
+def test_floats(values):
+    assert g17(np.array(values, dtype=np.float64)).tolist() == reference(values)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_bit_patterns_and_scaled_normals(seed):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False)
+    scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-20, 20, 20_000)
+    for values in (bits.view(np.float64), scaled):
+        assert g17(values).tolist() == reference(values)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_misjudged_exponent(shift):
+    """A log10 one off puts the scaled value outside [10**16, 10**17): the
+    cell then goes through '%.17g' itself, so no output rests on log10."""
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal(2000) * 10.0 ** rng.integers(-200, 200, 2000)
+    log10 = np.log10
+    with mock.patch.object(np, "log10", lambda a: log10(a) + shift):
+        assert g17(values).tolist() == reference(values)
