@@ -43,6 +43,7 @@ from .stack import (
     Sheet,
     Slab,
     StackSolution,
+    StackSweep,
     build_emission_ledger,
     decoupling_layer_number,
     interface_matrix,

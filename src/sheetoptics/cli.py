@@ -439,15 +439,14 @@ def _cmd_twostate(args: argparse.Namespace) -> dict:
     return results
 
 
-def _stack_scale(wavelength_nm, reference_nm, name="--wavelength-nm") -> float:
-    """Wavelength scale of ``wavelength_nm`` (None: the reference); ``name``
-    is where the value came from, for the error message."""
+def _stack_scale(wavelength_nm, reference_nm) -> float:
+    """Wavelength scale of ``--wavelength-nm`` (None: the reference)."""
     if wavelength_nm is None:
         return 1.0
     if reference_nm is None:
         raise CliConfigError("--wavelength-nm needs wavelength_nm in the stack file")
     if wavelength_nm <= 0:
-        raise CliConfigError(f"{name} must be positive, got {float(wavelength_nm)!r}")
+        raise CliConfigError(f"--wavelength-nm must be positive, got {float(wavelength_nm)!r}")
     return wavelength_nm / reference_nm
 
 
@@ -471,27 +470,25 @@ def _cmd_decouple(args: argparse.Namespace) -> dict:
     return {"n_exact": found.n_exact, "n_int": found.n_int, "residual": found.residual}
 
 
-def _signless_imag(z) -> float:
-    """Imaginary part, a zero written as +0 (the form the JSON codec gives a
-    complex number with zero imaginary part)."""
-    return 0.0 if z.imag == 0.0 else z.imag
-
-
-def _coeff_columns(results, imag=lambda z: z.imag) -> dict:
+def _coeff_columns(results) -> dict:
     """t_re, t_im, r_re, r_im columns of results that carry t and r."""
-    return {"t_re": [x.t.real for x in results], "t_im": [imag(x.t) for x in results],
-            "r_re": [x.r.real for x in results], "r_im": [imag(x.r) for x in results]}
+    return {"t_re": [x.t.real for x in results], "t_im": [x.t.imag for x in results],
+            "r_re": [x.r.real for x in results], "r_im": [x.r.imag for x in results]}
 
 
-def _stack_sweep(args: argparse.Namespace,
-                 values: np.ndarray) -> list[stack_mod.StackSolution]:
+def _stack_sweep(args: argparse.Namespace, values: np.ndarray) -> stack_mod.StackSweep:
     spec = args.sweep
     if not args.stack_file:
         raise CliConfigError(f"{spec.variable} sweep requires --stack")
     stk, reference_nm = stack_mod.load_stack(args.stack_file)
     if spec.variable == "wavelength_nm":
-        scales = [_stack_scale(v, reference_nm, "wavelength_nm sweep value") for v in values]
-        return stack_mod.solve_sweep(stk, scales)
+        if reference_nm is None:
+            raise CliConfigError("wavelength_nm sweep needs wavelength_nm in the stack file")
+        not_positive = values[values <= 0]
+        if len(not_positive):
+            raise CliConfigError("wavelength_nm sweep value must be positive, "
+                                 f"got {float(not_positive[0])!r}")
+        return stack_mod.solve_sweep(stk, values / reference_nm)
     # thickness: vary the last slab
     if not stk._layout.has_slab:
         raise CliConfigError("thickness sweep needs a slab in the stack")
@@ -520,11 +517,13 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
         coeffs = [stack_mod.nlayer_replacement(n, args.cond) for n in n_layers]
         return {"n_layers": n_layers, **_coeff_columns(coeffs),
                 "abs_t_plus_r": [abs(c.t + c.r) for c in coeffs]}
-    solutions = _stack_sweep(args, values)
-    return {spec.variable: values, **_coeff_columns(solutions, _signless_imag),
-            "R": [s.R for s in solutions], "T": [s.T for s in solutions],
-            "A": [s.A for s in solutions],
-            "R_emission": [s.R_emission for s in solutions]}
+    sweep = _stack_sweep(args, values)
+    # a zero imaginary part is written as +0, the form the JSON codec gives
+    # a complex number with zero imaginary part
+    return {spec.variable: values,
+            "t_re": sweep.t.real, "t_im": np.where(sweep.t.imag == 0.0, 0.0, sweep.t.imag),
+            "r_re": sweep.r.real, "r_im": np.where(sweep.r.imag == 0.0, 0.0, sweep.r.imag),
+            "R": sweep.R, "T": sweep.T, "A": sweep.A, "R_emission": sweep.R_emission}
 
 
 def _cmd_profile(args: argparse.Namespace) -> dict:

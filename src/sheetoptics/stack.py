@@ -15,9 +15,11 @@ the (K, W, 2, 2) element array once and runs one associative scan over it
 pairwise products gives the stack matrix M, and a down-sweep gives column 0
 of every suffix product, from which t, r and the field at every sheet
 follow.  That is O(K) work in O(log K) numpy calls.  The emission ledger is
-then computed as (sheets, W) arrays.  :func:`solve_stack` is its W = 1
-case, and the coefficient, field and ledger functions below are views on
-its :class:`StackSolution`.
+then computed as (sheets, W) arrays.  It returns a :class:`StackSweep`,
+which keeps every result as a (W,) or (sheets, W) array; indexing it
+builds one row's :class:`StackSolution`.  :func:`solve_stack` is its
+row 0 for W = 1, and the coefficient, field and ledger functions below are
+views on that :class:`StackSolution`.
 
 Every row of a batch is bit-identical to the same evaluation done alone,
 so CLI output does not depend on how rows are batched: every operation is
@@ -36,8 +38,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 import warnings
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
@@ -229,6 +233,58 @@ class StackSolution:
         return _clamp_reflectance(self.R_emission_unclamped)
 
 
+@dataclass(frozen=True, eq=False)
+class StackSweep:
+    """W solves of one stack layout, as columns.
+
+    ``t``, ``r``, ``R``, ``T``, ``A`` and ``R_emission_unclamped`` are (W,)
+    arrays; ``sheet_fields``, ``b`` and ``theta`` are (sheets, W) arrays,
+    and ``signs`` holds each sheet's branch sign.  ``sweep[w]`` is row w as
+    a :class:`StackSolution` with Python scalars; ``len`` and iteration
+    give the rows.
+    """
+
+    t: np.ndarray
+    r: np.ndarray
+    R: np.ndarray
+    T: np.ndarray
+    A: np.ndarray
+    sheet_fields: np.ndarray
+    R_emission_unclamped: np.ndarray
+    b: np.ndarray
+    theta: np.ndarray
+    signs: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, w: int) -> StackSolution:
+        w = operator.index(w)
+        if not -len(self) <= w < len(self):
+            raise IndexError(f"sweep row {w} out of range for {len(self)} rows")
+        return StackSolution(
+            t=self.t[w].item(), r=self.r[w].item(),
+            R=self.R[w].item(), T=self.T[w].item(), A=self.A[w].item(),
+            sheet_fields=self.sheet_fields[:, w].copy(),
+            R_emission_unclamped=self.R_emission_unclamped[w].item(),
+            ledger=EmissionLedger(tuple(self.b[:, w].tolist()),
+                                  tuple(self.theta[:, w].tolist()), self.signs))
+
+    def __iter__(self) -> Iterator[StackSolution]:
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def R_emission(self) -> np.ndarray:
+        """Emission-corrected reflectance, clamped to 1 as
+        :attr:`StackSolution.R_emission` is: one warning per clamped row,
+        in row order."""
+        unclamped = self.R_emission_unclamped
+        over = unclamped > 1.0
+        for reflectance in unclamped[over].tolist():
+            _clamp_reflectance(reflectance)
+        return np.where(over, 1.0, unclamped)
+
+
 def _sheet_entries(g):
     """Entries (00, 01, 10, 11) of the sheet matrix for conductance g, a
     Python complex or a complex array (both round the same)."""
@@ -354,13 +410,14 @@ def element_matrices(stack: LayerStack, wavelength_scale=1.0, last_slab_d=None, 
     return mats[:, 0]
 
 
-def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[StackSolution]:
+def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> StackSweep:
     """Solve W evaluations of one stack layout in one batched pass.
 
     Row w evaluates the stack at ``wavelength_scales[w]`` and, when
     ``last_slab_d`` is given, with ``last_slab_d[w]`` as the thickness of
     its last slab; a length-1 argument broadcasts over the other.  Each
-    row equals the same evaluation solved alone, bit for bit.
+    row equals the same evaluation solved alone, bit for bit.  The result
+    holds the rows as columns (see :class:`StackSweep`).
 
     Raises :class:`SingularStack` when the pivot M00 of any row's stack
     matrix vanishes or the product overflows.
@@ -399,13 +456,9 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> list[
     R = np.abs(r) ** 2
     T = layout.ratio * np.abs(t) ** 2
     A = 1.0 - R - T
-    R_emission = _emission_reflectance(r, b, theta)
-    return [StackSolution(t=t_w, r=r_w, R=R_w, T=T_w, A=A_w, sheet_fields=fields_w,
-                          R_emission_unclamped=emission_w,
-                          ledger=EmissionLedger(tuple(b_w), tuple(theta_w), layout.signs))
-            for t_w, r_w, R_w, T_w, A_w, fields_w, emission_w, b_w, theta_w in zip(
-                t.tolist(), r.tolist(), R.tolist(), T.tolist(), A.tolist(),
-                fields.T.copy(), R_emission.tolist(), b.T.tolist(), theta.T.tolist())]
+    return StackSweep(t=t, r=r, R=R, T=T, A=A, sheet_fields=fields,
+                      R_emission_unclamped=_emission_reflectance(r, b, theta),
+                      b=b, theta=theta, signs=layout.signs)
 
 
 def _pair_products(entries: list) -> list:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -640,7 +641,42 @@ class TestSweep:
                                  "--sweep", "wavelength_nm:400:700:3")
         assert code == 1
         assert out == ""
-        assert "needs wavelength_nm in the stack file" in err
+        # the message names the sweep, not an option that was not passed
+        assert err == ("sheetoptics: config error: wavelength_nm sweep needs "
+                       "wavelength_nm in the stack file\n")
+        assert "--wavelength-nm" not in err
+
+    # R_emission_unclamped exceeds 1 on 3 of the 21 rows of 250-750 nm
+    CLAMPING = {"wavelength_nm": 500.0, "layers": [
+        {"type": "sheet", "cond": 0.418}, {"type": "slab", "n_re": 1.14, "d": 0.26},
+        {"type": "sheet", "cond": 1.901}, {"type": "slab", "n_re": 2.88, "d": 0.1}]}
+
+    def test_clamped_emission_rows(self, capsys, tmp_path):
+        """A row whose R_emission exceeds 1 reads exactly 1, with one warning
+        per such row, in row order; every other row reads its lone solve."""
+        path = tmp_path / "clamping.json"
+        path.write_text(json.dumps(self.CLAMPING))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "sweep", "--stack", str(path),
+                                     "--sweep", "wavelength_nm:250:750:21")
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        stk, reference_nm = stack_mod.load_stack(path)
+        lone = [stack_mod.solve_stack(stk, float(row["wavelength_nm"]) / reference_nm)
+                for row in rows]
+        over = [s.R_emission_unclamped for s in lone if s.R_emission_unclamped > 1.0]
+        assert len(rows) == 21 and len(over) == 3
+        for row, s in zip(rows, lone):
+            if s.R_emission_unclamped > 1.0:
+                assert row["R_emission"] == "1"
+            else:
+                assert float(row["R_emission"]) == s.R_emission
+        clamped = [w for w in caught
+                   if issubclass(w.category, UserWarning) and "clamped" in str(w.message)]
+        assert len(clamped) == len(caught) == len(over)
+        for w, value in zip(clamped, over):
+            assert f"reflectance {value!r} > 1 clamped" in str(w.message)
 
     ABSORBING = {"wavelength_nm": 633.0, "ambient_out": [1.46, 0.0], "layers": [
         {"type": "sheet", "cond": [0.05, 0.02], "sign": 1},

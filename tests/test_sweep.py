@@ -1,5 +1,5 @@
-"""solve_sweep: W evaluations of one layout in one batched pass, each row
-equal to the same evaluation solved alone."""
+"""solve_sweep: W evaluations of one layout in one batched pass, returned
+as columns, each row equal to the same evaluation solved alone."""
 
 import warnings
 from dataclasses import replace
@@ -41,6 +41,30 @@ def assert_rows_equal(batch, singles):
         assert got.ledger == want.ledger
 
 
+def assert_columns(sweep, stack):
+    """The sweep's columns have their shapes and dtypes and equal its rows'
+    values; its row view takes negative indices and stops at its length."""
+    width, sheets = len(sweep), len(stack.sheets())
+    for name, dtype in (("t", complex), ("r", complex), ("R", float), ("T", float),
+                        ("A", float), ("R_emission_unclamped", float)):
+        assert (getattr(sweep, name).shape, getattr(sweep, name).dtype) == ((width,), dtype)
+    for name, dtype in (("sheet_fields", complex), ("b", complex), ("theta", float)):
+        assert (getattr(sweep, name).shape, getattr(sweep, name).dtype) \
+            == ((sheets, width), dtype)
+    assert sweep.signs == tuple(sheet.sign for sheet in stack.sheets())
+    for w, row in enumerate(sweep):
+        assert (sweep.t[w], sweep.r[w]) == (row.t, row.r)
+        assert (sweep.R[w], sweep.T[w], sweep.A[w]) == (row.R, row.T, row.A)
+        assert sweep.R_emission_unclamped[w] == row.R_emission_unclamped
+        assert np.array_equal(sweep.sheet_fields[:, w], row.sheet_fields)
+        assert (tuple(sweep.b[:, w]), tuple(sweep.theta[:, w]), sweep.signs) \
+            == (row.ledger.b, row.ledger.theta, row.ledger.signs)
+    assert_rows_equal([sweep[-1], sweep[-width]], [sweep[width - 1], sweep[0]])
+    for w in (width, -width - 1):
+        with pytest.raises(IndexError):
+            sweep[w]
+
+
 def solve_each(pairs):
     """solve_stack on each (stack, scale), or None if any of them is singular."""
     try:
@@ -59,6 +83,7 @@ def test_wavelength_rows_equal_single_solves(stack, scales):
         return
     batch = solve_sweep(stack, scales)
     assert_rows_equal(batch, singles)
+    assert_columns(batch, stack)
     for solution, s in zip(batch, scales):
         assert_matches_oracle(solution, stack, s)
 
@@ -72,7 +97,9 @@ def test_thickness_rows_equal_single_solves(stack, scale, ds):
         with pytest.raises(SingularStack):
             solve_sweep(stack, [scale], last_slab_d=ds)
         return
-    assert_rows_equal(solve_sweep(stack, [scale], last_slab_d=ds), singles)
+    batch = solve_sweep(stack, [scale], last_slab_d=ds)
+    assert_rows_equal(batch, singles)
+    assert_columns(batch, stack)
 
 
 def test_element_array_shapes():
