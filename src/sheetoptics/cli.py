@@ -80,20 +80,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliConfigError(message)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: str
-    start: float
-    stop: float
-    steps: int
-
-    def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.steps)
-
-
-def _parse_sweep(text: str) -> SweepSpec:
+def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
+    """(variable, values) of a ``var:start:stop:steps`` sweep spec."""
     parts = text.split(":")
     if len(parts) != 4:
         raise CliConfigError("--sweep expects var:start:stop:steps")
@@ -101,16 +89,20 @@ def _parse_sweep(text: str) -> SweepSpec:
     if variable not in ("cond", "n_layers", "wavelength_nm", "thickness"):
         raise CliConfigError(f"unknown sweep variable {variable!r}")
     try:
-        spec = SweepSpec(variable, float(start), float(stop), int(steps))
+        start, stop, steps = float(start), float(stop), int(steps)
     except ValueError as exc:
         raise CliConfigError(f"bad sweep spec {text!r}: {exc}") from exc
-    if spec.steps < 1:
+    if steps < 1:
         raise CliConfigError("sweep steps must be >= 1")
-    if not (math.isfinite(spec.start) and math.isfinite(spec.stop)):
+    if not (math.isfinite(start) and math.isfinite(stop)):
         raise CliConfigError("sweep start and stop must be finite")
-    if spec.start > spec.stop:
+    if start > stop:
         raise CliConfigError("sweep start must be <= stop")
-    return spec
+    if steps == 1:
+        return variable, np.array([start])
+    if not math.isfinite(stop - start):
+        raise CliConfigError(f"sweep range {text!r} is too wide: stop - start overflows")
+    return variable, np.linspace(start, stop, steps)
 
 
 @dataclass(frozen=True)
@@ -476,12 +468,12 @@ def _coeff_columns(results) -> dict:
             "r_re": [x.r.real for x in results], "r_im": [x.r.imag for x in results]}
 
 
-def _stack_sweep(args: argparse.Namespace, values: np.ndarray) -> stack_mod.StackSweep:
-    spec = args.sweep
+def _stack_sweep(args: argparse.Namespace) -> stack_mod.StackSweep:
+    variable, values = args.sweep
     if not args.stack_file:
-        raise CliConfigError(f"{spec.variable} sweep requires --stack")
+        raise CliConfigError(f"{variable} sweep requires --stack")
     stk, reference_nm = stack_mod.load_stack(args.stack_file)
-    if spec.variable == "wavelength_nm":
+    if variable == "wavelength_nm":
         if reference_nm is None:
             raise CliConfigError("wavelength_nm sweep needs wavelength_nm in the stack file")
         not_positive = values[values <= 0]
@@ -499,28 +491,27 @@ def _stack_sweep(args: argparse.Namespace, values: np.ndarray) -> stack_mod.Stac
 def _cmd_sweep(args: argparse.Namespace) -> dict:
     # --jobs is accepted and ignored: a thread pool over these small,
     # GIL-bound numpy solves ran slower than the serial loop.
-    spec = args.sweep
-    if args.stack_file and spec.variable in ("cond", "n_layers"):
-        raise CliConfigError(f"--stack does not apply to --sweep {spec.variable}")
-    if args.wavelength_nm is not None and spec.variable != "thickness":
-        raise CliConfigError(f"--wavelength-nm does not apply to --sweep {spec.variable}")
-    values = spec.values()
-    if spec.variable == "cond":
+    variable, values = args.sweep
+    if args.stack_file and variable in ("cond", "n_layers"):
+        raise CliConfigError(f"--stack does not apply to --sweep {variable}")
+    if args.wavelength_nm is not None and variable != "thickness":
+        raise CliConfigError(f"--wavelength-nm does not apply to --sweep {variable}")
+    if variable == "cond":
         params = [surface.SheetParams(cond=v, branching=args.branching,
                                       f_sign=args.f_sign) for v in values]
         coeffs = [surface.solve_single_sheet(p) for p in params]
         return {"cond": values, **_coeff_columns(coeffs),
                 "A": [surface.absorbance(c, p) for c, p in zip(coeffs, params)],
                 "abs_t_plus_r": [abs(c.t + c.r) for c in coeffs]}
-    if spec.variable == "n_layers":
+    if variable == "n_layers":
         n_layers = [int(round(v)) for v in values]
         coeffs = [stack_mod.nlayer_replacement(n, args.cond) for n in n_layers]
         return {"n_layers": n_layers, **_coeff_columns(coeffs),
                 "abs_t_plus_r": [abs(c.t + c.r) for c in coeffs]}
-    sweep = _stack_sweep(args, values)
+    sweep = _stack_sweep(args)
     # a zero imaginary part is written as +0, the form the JSON codec gives
     # a complex number with zero imaginary part
-    return {spec.variable: values,
+    return {variable: values,
             "t_re": sweep.t.real, "t_im": np.where(sweep.t.imag == 0.0, 0.0, sweep.t.imag),
             "r_re": sweep.r.real, "r_im": np.where(sweep.r.imag == 0.0, 0.0, sweep.r.imag),
             "R": sweep.R, "T": sweep.T, "A": sweep.A, "R_emission": sweep.R_emission}

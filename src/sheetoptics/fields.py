@@ -26,18 +26,13 @@ SIDE_BULK = "bulk"
 def make_grid(x_max: float = 5.0, n_bulk: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Mirror-symmetric grid on [-x_max, x_max] with the 0-/0+ pair included.
 
-    Returns (x, side) arrays; n_bulk points are split evenly between the two
-    half lines, excluding x = 0 itself.
+    Returns (x, side) arrays with max(1, n_bulk // 2) points on each half
+    line, excluding x = 0 itself.
     """
-    if x_max <= 0:
-        raise ValueError("x_max must be positive")
-    half = max(1, n_bulk // 2)
-    right = np.linspace(0.0, x_max, half + 1)[1:]
-    x = np.concatenate([-right[::-1], [0.0, 0.0], right])
-    side = np.array(
-        [SIDE_BULK] * half + [SIDE_MINUS, SIDE_PLUS] + [SIDE_BULK] * half
-    )
-    return x, side
+    if not 0.0 < x_max < np.inf:
+        raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
+    right = np.linspace(0.0, x_max, max(1, n_bulk // 2) + 1)[1:]
+    return _normalize_grid(np.concatenate([-right[::-1], right]))
 
 
 def _normalize_grid(grid) -> tuple[np.ndarray, np.ndarray]:
@@ -48,14 +43,22 @@ def _normalize_grid(grid) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
         raise ValueError("grid must be a strictly increasing 1-D array of finite values")
-    x = x[x != 0.0]
-    neg = x[x < 0.0]
-    pos = x[x > 0.0]
-    full = np.concatenate([neg, [0.0, 0.0], pos])
-    side = np.array(
-        [SIDE_BULK] * neg.size + [SIDE_MINUS, SIDE_PLUS] + [SIDE_BULK] * pos.size
-    )
+    # x is sorted: the pair replaces a sample at 0 (or -0) if there is one
+    minus = np.searchsorted(x, 0.0, side="left")
+    full = np.concatenate([x[:minus], [0.0, 0.0], x[np.searchsorted(x, 0.0, side="right"):]])
+    side = np.full(full.size, SIDE_BULK, dtype="<U5")
+    side[minus:minus + 2] = SIDE_MINUS, SIDE_PLUS
     return full, side
+
+
+def _surface_pair(x: np.ndarray, side: np.ndarray) -> tuple[int, int]:
+    """Indices of the first 0- and the first 0+ sample."""
+    at_zero = np.flatnonzero(x == 0.0)
+    minus = at_zero[side[at_zero] == SIDE_MINUS]
+    plus = at_zero[side[at_zero] == SIDE_PLUS]
+    if not (minus.size and plus.size):
+        raise ValueError("profile must contain both 0- and 0+ samples")
+    return int(minus[0]), int(plus[0])
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,7 @@ class FieldProfile:
         if not (self.x.shape == self.side.shape == self.right_env.shape
                 == self.left_env.shape):
             raise ValueError("profile arrays must share one shape")
-        if not (np.any((self.x == 0.0) & (self.side == SIDE_MINUS)) and
-                np.any((self.x == 0.0) & (self.side == SIDE_PLUS))):
-            raise ValueError("profile must contain both 0- and 0+ samples")
+        _surface_pair(self.x, self.side)
 
     def total(self) -> np.ndarray:
         """Total coefficient right_env e^{ikx} + left_env e^{-ikx}."""
@@ -86,9 +87,8 @@ class FieldProfile:
         return self.right_env * phase + self.left_env / phase
 
     def _at_zero(self, values: np.ndarray) -> tuple[complex, complex]:
-        minus = values[(self.x == 0.0) & (self.side == SIDE_MINUS)][0]
-        plus = values[(self.x == 0.0) & (self.side == SIDE_PLUS)][0]
-        return minus, plus
+        minus, plus = _surface_pair(self.x, self.side)
+        return values[minus], values[plus]
 
     def continuity_gap(self) -> complex:
         """Total-coefficient jump across the surface, value(0+) - value(0-)."""
@@ -108,7 +108,7 @@ def eval_a(t: complex, r: complex, grid=None, k: float = 1.0) -> FieldProfile:
     if abs(1.0 + r - t) > CONTINUITY_TOL:
         raise ContinuityViolation(f"1 + r - t = {1.0 + r - t!r} exceeds tolerance")
     x, side = _normalize_grid(grid)
-    left_region = (x < 0.0) | (side == SIDE_MINUS)
+    left_region = np.arange(x.size) <= _surface_pair(x, side)[0]
     right_env = np.where(left_region, 1.0 + 0.0j, complex(t))
     left_env = np.where(left_region, complex(r), 0.0 + 0.0j)
     return FieldProfile(x=x, side=side, right_env=right_env, left_env=left_env, k=k)
@@ -121,7 +121,7 @@ def eval_b(b_r: complex, b_l: complex, grid=None, k: float = 1.0) -> FieldProfil
     surface iff b_r = b_l (reported, not enforced).
     """
     x, side = _normalize_grid(grid)
-    left_region = (x < 0.0) | (side == SIDE_MINUS)
+    left_region = np.arange(x.size) <= _surface_pair(x, side)[0]
     right_env = np.where(left_region, 0.0 + 0.0j, complex(b_r))
     left_env = np.where(left_region, complex(b_l), 0.0 + 0.0j)
     return FieldProfile(x=x, side=side, right_env=right_env, left_env=left_env, k=k)
@@ -159,16 +159,15 @@ def decompose(profile: FieldProfile) -> GaugeDecomposition:
     phase = np.exp(1j * profile.k * profile.x)
     right = profile.right_env * phase
     left = profile.left_env / phase
-    inc_r, _ = profile._at_zero(profile.right_env)
-    _, inc_l = profile._at_zero(profile.left_env)
+    minus, plus = _surface_pair(profile.x, profile.side)
     return GaugeDecomposition(
         x=profile.x,
         side=profile.side,
         polar_env=(right + left) / 2.0,
         axial_env=(right - left) / 2.0,
         k=profile.k,
-        incident_right=inc_r,
-        incident_left=inc_l,
+        incident_right=profile.right_env[minus],
+        incident_left=profile.left_env[plus],
     )
 
 
@@ -182,9 +181,7 @@ def axial_at_surface(dec: GaugeDecomposition) -> SurfaceAxial:
     scattering profile this vanishes; an emission profile carries a nonzero
     value exactly when b_r != b_l.
     """
-    at_zero = (dec.x == 0.0)
-    minus = dec.axial_env[at_zero & (dec.side == SIDE_MINUS)][0]
-    plus = dec.axial_env[at_zero & (dec.side == SIDE_PLUS)][0]
+    minus, plus = dec.axial_env[list(_surface_pair(dec.x, dec.side))]
     uniform = (dec.incident_right - dec.incident_left) / 2.0
     return SurfaceAxial(value=(plus + minus) / 2.0 - uniform, jump=plus - minus)
 
@@ -198,8 +195,8 @@ def parity_transform(profile: FieldProfile) -> FieldProfile:
     x, side = profile.x, profile.side
     if not np.allclose(x, -x[::-1], atol=0.0):
         raise AsymmetricGrid("grid is not mirror symmetric about x = 0")
-    swap = {SIDE_MINUS: SIDE_PLUS, SIDE_PLUS: SIDE_MINUS, SIDE_BULK: SIDE_BULK}
-    if not all(swap[s] == m for s, m in zip(side[::-1], side)):
+    minus, plus = side == SIDE_MINUS, side == SIDE_PLUS
+    if not (np.array_equal(minus, plus[::-1]) and (minus | plus | (side == SIDE_BULK)).all()):
         raise AsymmetricGrid("side tags are not mirror symmetric about x = 0")
     # f(x) = R(x) e^{ikx} + L(x) e^{-ikx}  =>
     # -f(-x) = [-L(-x)] e^{ikx} + [-R(-x)] e^{-ikx}

@@ -112,6 +112,9 @@ def reference_sweep_rows(variable, values, cond, branching, f_sign, stack_path):
 
 NO_REFERENCE_STACK = {"layers": [{"type": "sheet", "cond": 0.1},
                                  {"type": "slab", "n_re": 1.5, "d": 0.2}]}
+#: A stack that a wavelength and a thickness sweep both accept.
+OVERFLOW_SWEEP_STACK = ('{"wavelength_nm": 633.0, "layers": [{"type": "sheet", "cond": 0.1}, '
+                        '{"type": "slab", "n_re": 1.5, "d": 0.2}]}')
 
 
 @pytest.mark.parametrize("argv, file_text, message", [
@@ -138,10 +141,19 @@ NO_REFERENCE_STACK = {"layers": [{"type": "sheet", "cond": 0.1},
     (["stack", "--stack", "{file}"], '{"ambient_out": NaN}', "ambient_out must be finite"),
     (["stack", "--stack", "{file}"], '{"wavelength_nm": NaN}', "wavelength_nm must be finite"),
     (["twostate", "--coeffs", "{file}"], '{"t": 1, "r": 0, "b": [0, NaN]}', "b must be finite"),
+    (["sweep", "--sweep", "cond:-1e308:1e308:3"], None, "stop - start overflows"),
+    (["sweep", "--sweep", "wavelength_nm:-1e308:1e308:3", "--stack", "{file}"],
+     OVERFLOW_SWEEP_STACK, "stop - start overflows"),
+    (["sweep", "--sweep", "thickness:-1e308:1e308:3", "--stack", "{file}"],
+     OVERFLOW_SWEEP_STACK, "stop - start overflows"),
+    (["sweep", "--sweep", "n_layers:-1e308:1e308:3", "--cond", "0.1"], None,
+     "stop - start overflows"),
 ], ids=["coeffs_nan", "coeffs_inf_csv", "decouple_inf", "overlap_nan", "profile_k_nan",
         "profile_b_r_inf", "stack_wavelength_inf", "sweep_start_nan", "sweep_stop_inf",
         "cond_minus_inf", "not_a_number", "file_index_nan", "file_thickness_inf", "file_sign_inf",
-        "file_cond_nan", "file_ambient_nan", "file_wavelength_nan", "coeffs_file_b_nan"])
+        "file_cond_nan", "file_ambient_nan", "file_wavelength_nan", "coeffs_file_b_nan",
+        "sweep_cond_range_overflow", "sweep_wavelength_range_overflow",
+        "sweep_thickness_range_overflow", "sweep_n_layers_range_overflow"])
 def test_non_finite_input_is_config_error(capsys, tmp_path, argv, file_text, message):
     if file_text is not None:
         path = tmp_path / "input.json"
