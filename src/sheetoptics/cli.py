@@ -54,9 +54,11 @@ _EXIT_CODES = ("exit codes: 0 success, 1 configuration error, 2 file I/O error, 
 #: Rows of a CSV table turned into Python values at a time.
 _CSV_CHUNK_ROWS = 1024
 #: Float cells in a chunk from which ``floattext.g17`` writes them.  Measured
-#: on 2 cores with numpy 2.4, the kernel costs about 90 us a call however
-#: small the chunk, and broke even with one ``%`` per row at 250-350 float
-#: cells; from 500 it was 1.2-1.5x faster, on 1024-row profile chunks 1.7x.
+#: on a shared 2-core x86_64 machine with numpy 2.4.6, the kernel costs
+#: 60-110 us a call however small the chunk (best and median timing), and
+#: broke even with one ``%`` per row at 300-400 float cells of distinct
+#: values; at 600 it was 1.3-1.6x faster, and a whole 8192-row profile
+#: command 1.9-2.2x.
 _CSV_KERNEL_CELLS = 500
 
 

@@ -41,7 +41,9 @@ def _normalize_grid(grid) -> tuple[np.ndarray, np.ndarray]:
     if grid is None:
         return make_grid()
     x = np.asarray(grid, dtype=float)
-    if x.ndim != 1 or not (np.isfinite(x).all() and np.all(np.diff(x) > 0)):
+    # neighbours are compared, not subtracted: a finite grid's differences
+    # can overflow
+    if x.ndim != 1 or not (np.isfinite(x).all() and np.all(x[1:] > x[:-1])):
         raise ValueError("grid must be a strictly increasing 1-D array of finite values")
     # x is sorted: the pair replaces a sample at 0 (or -0) if there is one
     minus = np.searchsorted(x, 0.0, side="left")

@@ -1,18 +1,25 @@
 """The text of ``'%.17g' % v`` for every float64 of an array, vectorized.
 
-``g17(values)`` scales each |v| by 10**(16 - E), E = floor(log10 |v|), in
-double-double arithmetic: Dekker's split and exact two-product (Numer.
-Math. 18, 1971) against a table of 10**k as hi + lo pairs built from exact
-integers.  The result, accurate to about 1e-13, rounds to the 17-digit
-integer D.  D is spelled through a 4-digit lookup table, and the sign, the
-decimal point and the exponent are placed by one byte template per class
-(fixed or exponent form, digits left after stripping trailing zeros,
-sign).  This is the fast path with an exact bail-out of Loitsch's Grisu3
-(PLDI 2010): a cell whose text is not certain goes through ``'%.17g' %``
-itself, so the bytes are always those of CPython's correctly rounded dtoa.
-Those cells are the non-finite ones, those with |E| beyond the table
-(subnormals among them), scaled values outside [10**16, 10**17) (``log10``
-misjudged E) and scaled values within 1e-6 of a rounding tie or of 10**16.
+``g17(values)`` formats each run of bit-equal neighbours once and copies its
+text along the run, as the envelope columns of a profile, with one value on
+each side of the sheet, have long runs; an array with no equal neighbours
+pays for one comparison.  The kernel scales each |v| by 10**(16 - E), E =
+floor(log10 |v|), in double-double arithmetic: Dekker's split and exact
+two-product (Numer. Math. 18, 1971) against a table of 10**k as hi + lo
+pairs built from exact integers.  The result, accurate to about 1e-13,
+rounds to the 17-digit integer D.  D is spelled through a 4-digit lookup
+table, and the sign, the decimal point and the exponent are placed by one
+byte template per class (fixed or exponent form, digits left after stripping
+trailing zeros, sign).  This is the fast path with an exact bail-out of
+Loitsch's Grisu3 (PLDI 2010): a cell whose text is not certain goes through
+``'%.17g' %`` itself, so the bytes are always those of CPython's correctly
+rounded dtoa.  Those cells are the non-finite ones, those with |E| beyond
+the table (subnormals among them), scaled values outside [10**16, 10**17)
+(``log10`` misjudged E) and scaled values within 1e-6 of a rounding tie or
+of 10**16.  A scaled value of exactly 10**16 (hi 1e16, lo 0), as for 1.0 and
+every other power of ten a float64 holds exactly, is placed: the true
+product lies within 1e-13 of 10**16, and on either side of it the text is
+that of D = 10**16.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ WIDTH = 24
 #: ``g17`` is a finite, normal float, and ``log10`` stays in the table.
 E_MIN, E_MAX = -281, 281
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
-#: A scaled value within this distance of a rounding tie, or of 10**16, is
-#: not placed with certainty.
+#: A scaled value within this distance of a rounding tie, or of 10**16 but
+#: not equal to it, is not placed with certainty.
 _MARGIN = 1e-6
 #: Stands in for the cells placed otherwise; its 17th digit is not 0.
 _STAND_IN = 1.0000000000000002
@@ -92,9 +99,9 @@ def _tables():
     4-digit groups as little-endian words, and the position of D's last
     non-zero digit when the group ends D (16 less the group's trailing
     zeros, 12 for 0000); per E, the class of a positive cell with one digit
-    and the words "e", the exponent's sign and two NULs, then the
-    exponent's 4 digits; the class templates; and 10**(16 - E) as hi + lo
-    with hi split in two halves."""
+    and one 8-byte word of "e", the exponent's sign, two NULs and the
+    exponent's 4 digits; the class templates; and 10**(16 - E) as hi + lo,
+    one table each for hi's two halves and for lo."""
     chars = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
     for place in range(4):
         chars[..., place] = np.arange(48, 58).reshape([10 if i == place else 1
@@ -108,8 +115,8 @@ def _tables():
     exponents = np.arange(E_MIN, E_MAX + 1)
     forms = np.where((exponents >= -4) & (exponents <= 16), exponents + 4,
                      np.where(np.abs(exponents) < 100, _EXP2_FORM, _EXP3_FORM))
-    signs = np.where(exponents < 0, ord("-"), ord("+")).astype("<u4")
-    exponent_words = np.stack([ord("e") + (signs << 8), words[np.abs(exponents)]], axis=1)
+    signs = np.where(exponents < 0, ord("-"), ord("+")).astype("<u8")
+    exponent_words = ord("e") + (signs << 8) + (words[np.abs(exponents)].astype("<u8") << 32)
     positive = np.frombuffer(b"".join(bytes(_template(form, digits)).ljust(WIDTH, bytes([_NUL]))
                                       for form in range(_FORMS) for digits in range(1, 18)),
                              dtype=np.uint8).reshape(-1, WIDTH)
@@ -119,8 +126,8 @@ def _tables():
     hi, lo = np.array(_powers()).T
     c = _SPLIT * hi
     head = c - (c - hi)
-    powers = np.stack([head, hi - head, lo], axis=1)
-    tables = (words, last_digit, forms * 17, exponent_words, templates, powers)
+    tables = (words, last_digit, forms * 17, exponent_words, templates,
+              head, hi - head, np.ascontiguousarray(lo))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -129,8 +136,20 @@ def _tables():
 def g17(values: np.ndarray) -> np.ndarray:
     """``'%.17g' % v`` of each element of a 1-D float64 array, as bytes of
     dtype ``S24`` (NUL-padded)."""
-    words, last_digit, classes, exponent_words, templates, powers = _tables()
     values = np.asarray(values, dtype=np.float64)
+    bits = values.view(np.uint64)
+    new = bits[1:] != bits[:-1]
+    if new.all():
+        return _g17(values)
+    # each run of bit-equal neighbours is formatted once
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    return np.repeat(_g17(values[starts]), np.diff(starts, append=values.size))
+
+
+def _g17(values: np.ndarray) -> np.ndarray:
+    """``g17`` of an array, each cell through the kernel."""
+    (words, last_digit, classes, exponent_words, templates,
+     power_head, power_tail, power_lo) = _tables()
     n = values.size
     a = np.abs(values)
     zero = a == 0.0
@@ -138,7 +157,7 @@ def g17(values: np.ndarray) -> np.ndarray:
     a[~placed] = _STAND_IN
     # E; log10 may misjudge it by one, which the range check below catches
     index = np.floor(np.log10(a)).astype(np.intp) - E_MIN
-    p_head, p_tail, p_lo = np.take(powers, index, axis=0).T
+    p_head, p_tail, p_lo = power_head[index], power_tail[index], power_lo[index]
     # x_hi + x_lo = a * (hi + lo) in double-double; p + err = a * hi exactly.
     # Work arrays are updated in place and dropped once used, which halves
     # the call's peak memory.
@@ -159,24 +178,30 @@ def g17(values: np.ndarray) -> np.ndarray:
     # x_hi >= 2**53 is an integer, so x_lo holds the fraction
     rounded = np.rint(x_lo)
     d = x_hi.astype(np.int64) + rounded.astype(np.int64)
+    # exactly 10**16 spells D = 10**16 on either side of the true product:
+    # below it, the 17 digits of 10 * product round up to 10**17
     placed &= ((np.abs(x_lo - rounded) <= 0.5 - _MARGIN) & (x_hi < 1e17)
-               & ((x_hi - 1e16) + x_lo >= _MARGIN))
+               & (((x_hi - 1e16) + x_lo >= _MARGIN) | ((x_hi == 1e16) & (x_lo == 0.0))))
     del x_hi, x_lo, rounded
 
     # Source rows: "-.0" and the first digit, four 4-digit groups, a NUL
     # word, "e" and the exponent's sign, the exponent's 4 digits.
     rows = np.empty((n, _ROW // 4), dtype="<u4")
-    head, tail = np.divmod(d, 10**8)
-    first, head = np.divmod(head, 10**8)
+    head = d // 10**8
+    tail = d - head * 10**8
+    first = head // 10**8
+    head -= first * 10**8
     rows[:, 0] = words[first] - 0x0203  # "000d" less "\0\2\3" is "-.0d"
-    g1, g2 = np.divmod(head, 10**4)
-    g3, g4 = np.divmod(tail, 10**4)
+    g1 = head // 10**4
+    g2 = head - g1 * 10**4
+    g3 = tail // 10**4
+    g4 = tail - g3 * 10**4
     rows[:, 1] = words[g1]
     rows[:, 2] = words[g2]
     rows[:, 3] = words[g3]
     rows[:, 4] = words[g4]
     rows[:, 5] = 0
-    rows[:, 6:] = np.take(exponent_words, index, axis=0)
+    rows.view("<u8")[:, 3] = exponent_words[index]
     text = rows.view(np.uint8)
     del d, head, tail, first, g1, g2, g3
 

@@ -536,7 +536,10 @@ def nlayer_replacement(n_layers: int, cond: complex) -> ScatterCoeffs:
     """Closed form for N zero-spacing sheets: the single sheet at N * cond."""
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
-    return solve_single_sheet(SheetParams(cond=n_layers * cond))
+    merged = n_layers * cond
+    if cmath.isfinite(complex(cond)) and not cmath.isfinite(complex(merged)):
+        raise ValueError(f"n_layers * cond overflows: n_layers {n_layers}, cond {cond!r}")
+    return solve_single_sheet(SheetParams(cond=merged))
 
 
 def decoupling_layer_number(cond: float) -> DecouplingSearch:

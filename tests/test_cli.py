@@ -148,12 +148,15 @@ OVERFLOW_SWEEP_STACK = ('{"wavelength_nm": 633.0, "layers": [{"type": "sheet", "
      OVERFLOW_SWEEP_STACK, "stop - start overflows"),
     (["sweep", "--sweep", "n_layers:-1e308:1e308:3", "--cond", "0.1"], None,
      "stop - start overflows"),
+    (["sweep", "--sweep", "n_layers:1:2:2", "--cond", "1e308"], None,
+     "n_layers * cond overflows: n_layers 2, cond 1e+308"),
 ], ids=["coeffs_nan", "coeffs_inf_csv", "decouple_inf", "overlap_nan", "profile_k_nan",
         "profile_b_r_inf", "stack_wavelength_inf", "sweep_start_nan", "sweep_stop_inf",
         "cond_minus_inf", "not_a_number", "file_index_nan", "file_thickness_inf", "file_sign_inf",
         "file_cond_nan", "file_ambient_nan", "file_wavelength_nan", "coeffs_file_b_nan",
         "sweep_cond_range_overflow", "sweep_wavelength_range_overflow",
-        "sweep_thickness_range_overflow", "sweep_n_layers_range_overflow"])
+        "sweep_thickness_range_overflow", "sweep_n_layers_range_overflow",
+        "sweep_n_layers_cond_overflow"])
 def test_non_finite_input_is_config_error(capsys, tmp_path, argv, file_text, message):
     if file_text is not None:
         path = tmp_path / "input.json"
@@ -789,6 +792,23 @@ class TestProfile:
         else:
             emission = surface.emission_amplitude(params, coeffs)
             profile = eval_b(emission.b_r, emission.b_l, grid, k=1.3)
+        assert out == reference_profile_csv(profile)
+
+    @pytest.mark.parametrize("argv", [["--which", "a"],
+                                      ["--which", "b", "--b-r", "0.25", "--b-l", "-0.75"]],
+                             ids=["a", "b_override"])
+    def test_runs_across_chunks(self, capsys, argv):
+        """Chunks of 1024, 1024 and 954 rows, each with the float cells from
+        floattext: the runs of 1.0, of t and of the override amplitudes in
+        the envelope columns cross the chunk boundaries."""
+        code, out, err = run_cli(capsys, "profile", *argv, "--points", "3000")
+        assert code == 0, err
+        grid = np.linspace(-5.0, 5.0, 3001)
+        if argv[1] == "a":
+            coeffs = surface.solve_single_sheet(surface.SheetParams())
+            profile = eval_a(coeffs.t, coeffs.r, grid)
+        else:
+            profile = eval_b(0.25, -0.75, grid)
         assert out == reference_profile_csv(profile)
 
     def test_antisymmetric_override(self, capsys):

@@ -296,6 +296,12 @@ class TestAgainstReference:
         with pytest.raises(ValueError, match="x_max must be positive and finite"):
             make_grid(x_max)
 
+    def test_grid_whose_differences_overflow(self):
+        # strictly increasing and finite, though x[1] - x[0] overflows
+        grid = np.array([-1e300, 1.7976931348623157e308])
+        for got, want in zip(_normalize_grid(grid), reference_grid(grid)):
+            assert_same(got, want)
+
     def test_make_grid_rejects_collapsed_points(self):
         # a subnormal x_max rounds the half-line points together at 0
         with pytest.raises(ValueError, match="strictly increasing"):

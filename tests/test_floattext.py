@@ -79,3 +79,52 @@ def test_misjudged_exponent(shift):
     log10 = np.log10
     with mock.patch.object(np, "log10", lambda a: log10(a) + shift):
         assert g17(values).tolist() == reference(values)
+
+
+def bits_of(value: float) -> int:
+    return int(np.array(value, dtype=np.float64).view(np.uint64))
+
+
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+            0xFFF0000000000001, 0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF]
+
+
+@pytest.mark.parametrize("bits", [
+    [bits_of(0.0), bits_of(-0.0), bits_of(0.0), bits_of(0.0), bits_of(-0.0), bits_of(-0.0)],
+    NAN_BITS + NAN_BITS[::-1] + [bits_of(1.0)] * 3 + NAN_BITS,
+    [bits_of(1.0)], [bits_of(np.nan)], [bits_of(-0.0)],
+    [bits_of(1.0)] * 1000, [bits_of(-0.0)] * 1000, [bits_of(0.1)] * 1000, [NAN_BITS[3]] * 700,
+], ids=["signed_zeros", "nans", "one_element", "one_nan", "one_negative_zero",
+        "all_one", "all_negative_zero", "all_tenth", "all_nan"])
+def test_runs_of_equal_looking_cells(bits):
+    """Cells with equal text but other bits (+0 and -0, NaNs of either
+    sign and any payload) next to each other, one-element arrays and
+    arrays of one repeated value."""
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert g17(values).tolist() == reference(values)
+
+
+cells = st.integers(0, 2**64 - 1) | st.floats().map(bits_of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(cells, st.integers(1, 8)), max_size=100))
+def test_runs(runs):
+    """Arrays of runs: each drawn cell repeated 1 to 8 times, so equal
+    neighbours are formatted once and copied along their run."""
+    bits = np.array([cell for cell, _ in runs], dtype=np.uint64)
+    values = np.repeat(bits, [count for _, count in runs]).view(np.float64)
+    assert g17(values).tolist() == reference(values)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_misjudged_exponent_in_runs(shift):
+    """As test_misjudged_exponent, on runs of repeated cells, exact powers
+    of ten among them."""
+    rng = np.random.default_rng(3)
+    distinct = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-200, 200, 500),
+                               [1.0, -10.0, 1e-5, 1e16, 1e22, 1e-200]])
+    values = np.repeat(distinct, rng.integers(1, 9, distinct.size))
+    log10 = np.log10
+    with mock.patch.object(np, "log10", lambda a: log10(a) + shift):
+        assert g17(values).tolist() == reference(values)

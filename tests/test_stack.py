@@ -233,6 +233,15 @@ class TestNLayer:
         with pytest.raises(ValueError):
             nlayer_replacement(0, 0.5)
 
+    @pytest.mark.parametrize("cond", [1e308, 1e308 + 1j, 1j * 1e308])
+    def test_overflowing_product_names_both(self, cond):
+        with pytest.raises(ValueError, match=r"^n_layers \* cond overflows: n_layers 2, cond "):
+            nlayer_replacement(2, cond)
+
+    def test_non_finite_cond_is_named(self):
+        with pytest.raises(ValueError, match="cond must be finite, got inf"):
+            nlayer_replacement(2, np.inf)
+
 
 class TestDecouplingSearch:
     def test_exact_single_layer(self):
