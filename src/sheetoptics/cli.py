@@ -520,6 +520,10 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
 
 
 def _cmd_profile(args: argparse.Namespace) -> dict:
+    if args.which == "a":
+        for option, value in (("--b-r", args.b_r), ("--b-l", args.b_l)):
+            if value is not None:
+                raise CliConfigError(f"{option} does not apply to --which a")
     if args.points < 1:
         raise CliConfigError(f"--points must be >= 1, got {args.points}")
     if not args.x_max > 0:

@@ -10,11 +10,13 @@ stack order, and (1, r) = M (t, 0).
 
 :func:`solve_sweep` solves W evaluations of one stack layout (W wavelength
 scales, or W thicknesses of the last slab) in one batched pass.  It builds
-the (K, W, 2, 2) element array once and runs one associative scan over it
-(Blelloch, "Prefix sums and their applications", 1990): an up-sweep of
-pairwise products gives the stack matrix M, and a down-sweep gives column 0
-of every suffix product, from which t, r and the field at every sheet
-follow.  That is O(K) work in O(log K) numpy calls.  The emission ledger is
+the (K, W, 2, 2) element array once and runs one recursive associative
+scan over it (Ladner & Fischer, J. ACM 27, 831, 1980; Blelloch, "Prefix
+sums and their applications", 1990): it multiplies neighbours pairwise,
+recurses on the half-length sequence, and expands the suffixes it gets
+back to its own length.  That gives the stack matrix M and column 0 of
+every suffix product, from which t, r and the field at every sheet
+follow, in O(K) work and O(log K) numpy calls.  The emission ledger is
 then computed as (sheets, W) arrays.  It returns a :class:`StackSweep`,
 which keeps every result as a (W,) or (sheets, W) array; indexing it
 builds one row's :class:`StackSolution`.  :func:`solve_stack` is its
@@ -132,11 +134,12 @@ class LayerStack:
     ambient_out: complex = 1.0
 
     def __post_init__(self):
-        for n in (self.ambient_in, self.ambient_out):
+        for name in ("ambient_in", "ambient_out"):
+            n = getattr(self, name)
             if not cmath.isfinite(complex(n)):
-                raise ValueError(f"ambient indices must be finite, got {n!r}")
+                raise ValueError(f"{name} must be finite, got {n!r}")
             if complex(n).real <= 0:
-                raise ValueError("ambient indices must have Re(n) > 0")
+                raise ValueError(f"{name}: Re(n) must be > 0")
 
     def sheets(self) -> list[Sheet]:
         return [layer for layer in self.layers if isinstance(layer, Sheet)]
@@ -309,7 +312,12 @@ def _interface_entries(n1: np.ndarray, n2: np.ndarray):
 
 
 def interface_matrix(n1: complex, n2: complex) -> np.ndarray:
-    """Fresnel index step at normal incidence, medium n1 side to medium n2 side."""
+    """Fresnel index step at normal incidence, medium n1 side to medium n2 side.
+
+    A stack's element maps its exit (right) side to its entry (left) side,
+    so a stack's step is ``interface_matrix(n_right, n_left)``: the
+    exit-side index comes first.
+    """
     n1, n2 = complex(n1), complex(n2)
     if n1.real <= 0 or n2.real <= 0:
         raise ValueError("interface indices must have Re(n) > 0")
@@ -366,6 +374,7 @@ class _Layout:
     def slab_phases(self, wavelength_scale, last_slab_d=None):
         """Real and imaginary parts of phi = 2*pi*n*d / scale, shape (slabs, W)."""
         scales = np.asarray(wavelength_scale, dtype=float).reshape(-1)
+        _check_finite("wavelength_scale", scales)
         if not np.all(scales > 0):
             raise ValueError("wavelength_scale must be positive")
         d = self.slab_d[:, None]
@@ -373,6 +382,7 @@ class _Layout:
             last = np.asarray(last_slab_d, dtype=float).reshape(-1)
             if not self.has_slab:
                 raise ValueError("last_slab_d needs a slab in the stack")
+            _check_finite("last_slab_d", last)
             if np.any(last < 0):
                 raise ValueError("slab thickness must be >= 0")
             width = np.broadcast_shapes(scales.shape, last.shape)[0]
@@ -380,6 +390,12 @@ class _Layout:
             d[-1] = last
         d = d + 0.0  # -0.0 becomes +0.0: a zero thickness has phase +0
         return (self.k_re[:, None] * d) / scales, (self.k_im[:, None] * d) / scales
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {values[~finite][0].item()!r}")
 
 
 def _column(values) -> np.ndarray:
@@ -425,15 +441,15 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> Stack
     layout = stack._layout
     scales = np.asarray(wavelength_scales, dtype=float).reshape(-1)
     # An overflow here leaves a non-finite entry in M, which the check
-    # below reports as SingularStack; numpy need not warn about it too.
+    # below reports as SingularStack; numpy need not warn about it, nor
+    # about the suffix columns of such a stack, which are never used.
     with np.errstate(over="ignore", invalid="ignore"):
         phi_re, phi_im = phases = layout.slab_phases(scales, last_slab_d)
         mats = element_matrices(stack, scales, last_slab_d, phases=phases)
         if not len(mats):
             mats = np.broadcast_to(np.eye(2, dtype=complex), (1,) + mats.shape[1:])
-        levels = _pair_products([mats[..., 0, 0], mats[..., 0, 1],
-                                 mats[..., 1, 0], mats[..., 1, 1]])
-    m00, m01, m10, m11 = (entry[0] for entry in levels[-1])
+        (m00, m01, m10, m11), u0, u1 = _scan(mats[..., 0, 0], mats[..., 0, 1],
+                                             mats[..., 1, 0], mats[..., 1, 1])
     if np.any((np.abs(m00) < DEGENERATE_TOL)
               | ~np.isfinite([m00, m01, m10, m11]).all(axis=0)):
         raise SingularStack("stack transfer matrix is numerically singular")
@@ -443,7 +459,6 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> Stack
     # The amplitudes just right of a sheet at slot s are S (t, 0), with S
     # the product of the elements after it, and the field is continuous
     # across the sheet.
-    u0, u1 = _suffix_columns(levels)
     ends = np.concatenate((u0 + u1, np.ones((1, len(t)))))
     fields = t[None, :] * ends[layout.after_sheets]
 
@@ -461,48 +476,40 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> Stack
                       b=b, theta=theta, signs=layout.signs)
 
 
-def _pair_products(entries: list) -> list:
-    """Up-sweep of the scan over 2x2 matrices A_0 ... A_{K-1}, K >= 1.
+def _scan(a, b, c, d):
+    """Associative scan over 2x2 matrices A_0 ... A_{K-1}, K >= 1.
 
-    ``entries`` holds the entries (00, 01, 10, 11) of the matrices, each a
-    (K, W) array.  Each level multiplies neighbours pairwise, A_0 A_1,
-    A_2 A_3, ..., and carries an odd last matrix over unpaired.  Returns
-    every level; the last has one matrix, the ordered product.
+    ``a``, ``b``, ``c`` and ``d`` hold the entries (00, 01, 10, 11) of the
+    matrices, each a (K, W) array.  Returns the entries of the stack
+    matrix M = A_0 ... A_{K-1}, each (W,), and the two components of
+    column 0 of every suffix product A_s ... A_{K-1}, each (K, W).
+
+    It multiplies neighbours pairwise, A_0 A_1, A_2 A_3, ..., carrying an
+    odd last matrix over unpaired, and recurses on that half-length
+    sequence.  Then it expands the suffixes it gets back: the suffix from
+    an even position 2i is the half-length sequence's suffix from i, the
+    suffix from an odd position 2i + 1 is A_{2i+1} times the suffix from
+    2i + 2, and when K is even the last matrix's own column 0 is its
+    suffix.
     """
-    levels = [entries]
-    while len(entries[0]) > 1:
-        a, b, c, d = entries
-        pairs = 2 * (len(a) // 2)
-        a0, b0, c0, d0 = (x[0:pairs:2] for x in entries)
-        a1, b1, c1, d1 = (x[1:pairs:2] for x in entries)
-        entries = [a0 * a1 + b0 * c1, a0 * b1 + b0 * d1, c0 * a1 + d0 * c1, c0 * b1 + d0 * d1]
-        if pairs < len(a):
-            entries = [np.concatenate((x, odd[-1:])) for x, odd in zip(entries, (a, b, c, d))]
-        levels.append(entries)
-    return levels
-
-
-def _suffix_columns(levels: list):
-    """Down-sweep: column 0 of every suffix product A_s ... A_{K-1}.
-
-    Walks the levels of :func:`_pair_products` from the top.  A suffix
-    that starts at an even position of a level is a suffix of the level
-    above; one that starts at an odd position 2i + 1 is A_{2i+1} times the
-    suffix from 2i + 2.  Returns the two components, each (K, W).
-    """
-    u0, u1 = levels[-1][0], levels[-1][2]
-    for a, b, c, d in reversed(levels[:-1]):
-        # odd positions 2i + 1 whose suffix from 2i + 2 is on the level above
-        inner = slice(1, 2 * len(u0) - 2, 2)
-        v0, v1 = np.empty_like(a), np.empty_like(c)
-        v0[0::2], v1[0::2] = u0, u1
-        v0[inner] = a[inner] * u0[1:] + b[inner] * u1[1:]
-        v1[inner] = c[inner] * u0[1:] + d[inner] * u1[1:]
-        if len(a) % 2 == 0:
-            # the last matrix's suffix is itself
-            v0[-1], v1[-1] = a[-1], c[-1]
-        u0, u1 = v0, v1
-    return u0, u1
+    if len(a) == 1:
+        return (a[0], b[0], c[0], d[0]), a, c
+    pairs = 2 * (len(a) // 2)
+    a0, b0, c0, d0 = (x[0:pairs:2] for x in (a, b, c, d))
+    a1, b1, c1, d1 = (x[1:pairs:2] for x in (a, b, c, d))
+    half = [a0 * a1 + b0 * c1, a0 * b1 + b0 * d1, c0 * a1 + d0 * c1, c0 * b1 + d0 * d1]
+    if pairs < len(a):
+        half = [np.concatenate((x, odd[-1:])) for x, odd in zip(half, (a, b, c, d))]
+    m, u0, u1 = _scan(*half)
+    # odd positions 2i + 1 whose suffix from 2i + 2 is one of u0[1:], u1[1:]
+    inner = slice(1, 2 * len(u0) - 2, 2)
+    v0, v1 = np.empty_like(a), np.empty_like(c)
+    v0[0::2], v1[0::2] = u0, u1
+    v0[inner] = a[inner] * u0[1:] + b[inner] * u1[1:]
+    v1[inner] = c[inner] * u0[1:] + d[inner] * u1[1:]
+    if pairs == len(a):
+        v0[-1], v1[-1] = a[-1], c[-1]
+    return m, v0, v1
 
 
 def solve_stack(stack: LayerStack, wavelength_scale: float = 1.0) -> StackSolution:
@@ -685,6 +692,15 @@ def _sign(value, what: str) -> int:
     return int(number)
 
 
+def _in_range(where: str, make, *args):
+    """``make(*args)``, its ValueError for a value out of range prefixed
+    with ``where``, the layer that holds the value."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _clean_columns(entries: list) -> _Columns | None:
     """Columns of clean layer entries, or None.
 
@@ -757,20 +773,19 @@ def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
             raise ValueError(f"{where} must be an object, got {entry!r}")
         kind = entry.get("type")
         if kind == "sheet":
-            params = SheetParams(
-                cond=decode_complex(entry.get("cond", 0.0), f"{where}.cond"),
-                branching=_number(entry.get("branching", 1.0), f"{where}.branching"),
-                f_sign=_sign(entry.get("f_sign", 1), f"{where}.f_sign"),
-            )
-            layers.append(Sheet(params=params,
-                                sign=_sign(entry.get("sign", -1), f"{where}.sign")))
+            params = _in_range(where, SheetParams,
+                               decode_complex(entry.get("cond", 0.0), f"{where}.cond"),
+                               _number(entry.get("branching", 1.0), f"{where}.branching"),
+                               _sign(entry.get("f_sign", 1), f"{where}.f_sign"))
+            layers.append(_in_range(where, Sheet, params,
+                                    _sign(entry.get("sign", -1), f"{where}.sign")))
         elif kind == "slab":
             if "d" not in entry:
                 raise ValueError(f"{where}.d is required")
             n_re = _number(entry.get("n_re", 1.0), f"{where}.n_re")
             n_im = _number(entry.get("n_im", 0.0), f"{where}.n_im")
-            layers.append(Slab(n=complex(n_re, n_im),
-                               d=_number(entry["d"], f"{where}.d")))
+            layers.append(_in_range(where, Slab, complex(n_re, n_im),
+                                    _number(entry["d"], f"{where}.d")))
         else:
             raise ValueError(f"{where}.type must be 'sheet' or 'slab', got {kind!r}")
     ambient_in = decode_complex(data.get("ambient_in", 1.0), "ambient_in")

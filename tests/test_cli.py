@@ -547,10 +547,22 @@ class TestStack:
         ({100: 3}, "layers[100] must be an object, got 3"),
         ({204: {**DEEP_SHEET, "cond": [0.1, float("nan")]}},
          "layers[204].cond must be finite, got [0.1, nan]"),
-        ({733: {**DEEP_SLAB, "n_re": -1.0}}, "Re(n) must be > 0"),
-        ({202: {**DEEP_SHEET, "sign": 0}}, "sheet emission sign must be +1 or -1"),
+        ({733: {**DEEP_SLAB, "n_re": -1.0}}, "layers[733]: Re(n) must be > 0"),
+        ({202: {**DEEP_SHEET, "sign": 0}}, "layers[202]: sheet emission sign must be +1 or -1"),
+        ({305: {**DEEP_SLAB, "n_im": -0.5}, 700: {**DEEP_SLAB, "n_re": -1.0}},
+         "layers[305]: Im(n) must be >= 0 (absorbing or lossless only)"),
+        ({411: {**DEEP_SLAB, "d": -0.1}}, "layers[411]: slab thickness must be >= 0"),
+        ({88: {**DEEP_SHEET, "branching": 1.5}}, "layers[88]: branching ratio must lie in [0, 1]"),
+        ({90: {**DEEP_SHEET, "branching": -0.5}},
+         "layers[90]: branching ratio must lie in [0, 1]"),
+        ({652: {**DEEP_SHEET, "cond": [-0.1, 0.2]}},
+         "layers[652]: Re(cond) must be >= 0 (gain sheets are out of scope)"),
+        ({798: {**DEEP_SHEET, "f_sign": 3}}, "layers[798]: f_sign must be +1 or -1"),
+        ({4: {**DEEP_SHEET, "sign": 3}}, "layers[4]: sheet emission sign must be +1 or -1"),
     ], ids=["not_a_number", "first_of_two", "no_d", "unknown_type", "not_an_object",
-            "nan_cond", "index_range", "sign_range"])
+            "nan_cond", "index_range", "sign_range", "n_im_range", "d_range",
+            "branching_above", "branching_below", "cond_range", "f_sign_range",
+            "sign_3"])
     def test_malformed_deep_layer(self, capsys, tmp_path, bad, message):
         """A bad entry far into a long list is named by its own index."""
         layers = [self.DEEP_SHEET, self.DEEP_SLAB] * 400
@@ -562,6 +574,15 @@ class TestStack:
         assert code == 1
         assert out == ""
         assert err == f"sheetoptics: config error: {message}\n"
+
+    @pytest.mark.parametrize("ambient", ["ambient_in", "ambient_out"])
+    def test_ambient_range_names_its_field(self, capsys, tmp_path, ambient):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"layers": [self.DEEP_SHEET, self.DEEP_SLAB] * 400,
+                                    ambient: [-1.0, 0.0]}))
+        code, out, err = run_cli(capsys, "stack", "--stack", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"sheetoptics: config error: {ambient}: Re(n) must be > 0\n"
 
     def test_singular_stack_one_stderr_line(self, capsys, tmp_path):
         """A graphene sheet on a 1e4 wavelength Si slab overflows the
@@ -777,6 +798,12 @@ class TestProfile:
         assert code == 0
         assert out.splitlines()[0].startswith("x,re_right")
 
+    @pytest.mark.parametrize("option", ["--b-r", "--b-l"])
+    def test_a_profile_rejects_emission_amplitudes(self, capsys, option):
+        code, out, err = run_cli(capsys, "profile", "--which", "a", option, "0.1")
+        assert (code, out) == (1, "")
+        assert err == f"sheetoptics: config error: {option} does not apply to --which a\n"
+
     @pytest.mark.parametrize("which", ["a", "b"])
     def test_long_profile_matches_row_reference(self, capsys, which):
         """Chunks of 1024 rows and a short last one, each with the float
@@ -889,6 +916,11 @@ class TestProfile:
         argv += [] if b_r is None else [f"--b-r={b_r!r}"]
         argv += [] if b_l is None else [f"--b-l={b_l!r}"]
         out = io.StringIO()
+        if which == "a" and (b_r is not None or b_l is not None):
+            # an emission amplitude does not apply to the (a) profile
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 1
+            return
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
 

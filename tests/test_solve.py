@@ -22,7 +22,7 @@ from sheetoptics import (
     stack_absorbance,
     stack_coeffs,
 )
-from sheetoptics.stack import interface_matrix, sheet_matrix, solve_stack
+from sheetoptics.stack import interface_matrix, sheet_matrix, solve_stack, stack_from_dict
 
 TWO_PI = 2.0 * np.pi
 TOL = 1e-14
@@ -189,6 +189,14 @@ def sheets_of(*conds):
     return tuple(Sheet(params=SheetParams(cond=g)) for g in conds)
 
 
+def vacuum_row(k):
+    """k layers in vacuum, sheets and slabs in turn: k elements."""
+    return LayerStack(layers=tuple(
+        Slab(n=1.0, d=0.037 * i) if i % 2 else
+        Sheet(params=SheetParams(cond=complex(0.1 * (i % 7), 0.05 * (i % 3 - 1))))
+        for i in range(k)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(stack=stacks, scale=scales)
 @example(stack=LayerStack(), scale=1.0)  # K = 0
@@ -198,6 +206,20 @@ def sheets_of(*conds):
 @example(stack=LayerStack(layers=(Slab(n=1.5, d=0.3),)), scale=0.7)  # K = 3
 @example(stack=LayerStack(layers=sheets_of(0.3) + (Slab(n=2 + 0.1j, d=0.4),),
                           ambient_out=1.46), scale=1.3)  # K = 4
+# The scan carries an odd last matrix over at each level of odd length:
+# K = 6, 7, 15 and 31 have one such level, K = 5 two, K = 9 three, K = 17
+# four and K = 33 five (33, 17, 9, 5, 3); K = 8, 16 and 32 have none.
+@example(stack=vacuum_row(5), scale=1.0)
+@example(stack=vacuum_row(6), scale=0.7)
+@example(stack=vacuum_row(7), scale=1.3)
+@example(stack=vacuum_row(8), scale=1.0)
+@example(stack=vacuum_row(9), scale=0.7)
+@example(stack=vacuum_row(15), scale=1.3)
+@example(stack=vacuum_row(16), scale=1.0)
+@example(stack=vacuum_row(17), scale=0.7)
+@example(stack=vacuum_row(31), scale=1.3)
+@example(stack=vacuum_row(32), scale=1.0)
+@example(stack=vacuum_row(33), scale=0.7)
 def test_solve_stack_equals_explicit_product(stack, scale):
     """solve_stack agrees with the sequential fold within the bound above."""
     expected = oracle(stack, scale)
@@ -232,6 +254,21 @@ def deep_stack(seed, n_layers):
 def test_deep_stacks_match_oracle(seed, n_layers, scale):
     stack = deep_stack(seed, n_layers)
     assert_matches_oracle(solve_stack(stack, scale), stack, scale)
+
+
+def test_hundred_thousand_elements():
+    """10**5 sheets with no spacing, one element each (17 levels of scan),
+    agree with the one sheet of 10**5 times the conductance within the fold
+    bound; every sheet sees the same field, t."""
+    k, g = 10**5, 1e-5
+    stack, _ = stack_from_dict({"layers": [{"type": "sheet", "cond": g}] * k})
+    solution = solve_stack(stack)
+    merged = nlayer_replacement(k, g)
+    norm = np.linalg.norm(sheet_matrix(SheetParams(cond=g)), 2)
+    bound = BOUND_C * k * EPS * abs(merged.t) * norm ** k
+    assert abs(solution.t - merged.t) <= bound
+    assert abs(solution.r - merged.r) <= bound
+    assert np.all(np.abs(solution.sheet_fields - merged.t) <= bound)
 
 
 lossless_stacks = st.builds(

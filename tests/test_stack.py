@@ -109,6 +109,15 @@ class TestElementMatrices:
         m = interface_matrix(1.0, 1.5) @ interface_matrix(1.5, 1.0)
         assert np.allclose(m, np.eye(2), atol=1e-15)
 
+    def test_interface_argument_order(self):
+        """interface_matrix(n1, n2) maps the n1 side to the n2 side; a stack
+        passes its exit (right) index first.  From n = 1 into n = 1.5 the
+        Fresnel amplitudes are t = 0.8 and r = -0.2."""
+        step = interface_matrix(1.5, 1.0)
+        assert np.allclose(step @ [0.8, 0.0], [1.0, -0.2], rtol=0.0, atol=1e-15)
+        (element,) = element_matrices(LayerStack(ambient_out=1.5))
+        assert np.array_equal(element, step)
+
     def test_bare_interface_fresnel(self):
         c = stack_coeffs(LayerStack(layers=(), ambient_out=1.5))
         assert c.r == pytest.approx(-0.2, abs=1e-15)

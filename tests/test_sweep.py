@@ -1,6 +1,7 @@
 """solve_sweep: W evaluations of one layout in one batched pass, returned
 as columns, each row equal to the same evaluation solved alone."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -130,6 +131,21 @@ def test_rejects_negative_thickness_and_scale():
         solve_sweep(stack, [1.0, 0.0])
     with pytest.raises(ValueError, match="needs a slab"):
         solve_sweep(LayerStack(), [1.0], last_slab_d=[0.1])
+
+
+@pytest.mark.parametrize("scales, ds, message", [
+    ([1.0], [np.nan], "last_slab_d must be finite, got nan"),
+    ([1.0], [0.1, np.inf], "last_slab_d must be finite, got inf"),
+    ([np.inf], None, "wavelength_scale must be finite, got inf"),
+    ([1.0, np.nan], None, "wavelength_scale must be finite, got nan"),
+    ([-np.inf], [0.1], "wavelength_scale must be finite, got -inf"),
+], ids=["nan_thickness", "inf_thickness", "inf_scale", "nan_scale", "minus_inf_scale"])
+def test_rejects_non_finite_scale_and_thickness(scales, ds, message):
+    """A non-finite input is a ValueError naming it, as Slab(d=inf) is, not
+    a SingularStack."""
+    stack = LayerStack(layers=(Sheet(params=SheetParams(cond=0.1)), Slab(n=1.5, d=0.2)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_sweep(stack, scales, last_slab_d=ds)
 
 
 def test_ledger_rows_in_sheet_order():
