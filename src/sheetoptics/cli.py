@@ -3,7 +3,8 @@
 Subcommands: coeffs, twostate, stack, sweep, decouple, profile.
 Exit codes: 0 success, 1 configuration error, 2 file I/O error,
 3 numerical error.  Outputs are deterministic: CSV floats use fixed
-17-significant-digit formatting and JSON carries a provenance header.
+17-significant-digit formatting, JSON floats the shortest digits that
+read back (``repr``), and JSON carries a provenance header.
 
 Each subcommand is one entry of one table: its help line, its options and
 the function that runs it on the parsed arguments.  Each option is one
@@ -18,7 +19,11 @@ JSON document or as a one-row CSV; table commands (sweep, profile) return
 columns, an ordered dict of column name to equal-length values, rendered
 as CSV only.  The float cells of a long table are written by
 ``floattext.g17``, a vectorized kernel with the bytes of ``%.17g``; the
-rest by one ``%`` format per row (see ``_csv``).
+rest by one ``%`` format per row (see ``_csv``).  The floats of a long
+JSON array, such as a deep stack's ``sheet_fields``, are written by
+``floattext.shortest``, a vectorized kernel with the bytes of ``repr``,
+and the array's text is assembled as bytes (see ``_json_kernel_vector``);
+a short array's by one ``repr`` per float.
 """
 
 from __future__ import annotations
@@ -53,13 +58,16 @@ _EXIT_CODES = ("exit codes: 0 success, 1 configuration error, 2 file I/O error, 
                "3 numerical error")
 #: Rows of a CSV table turned into Python values at a time.
 _CSV_CHUNK_ROWS = 1024
-#: Float cells in a chunk from which ``floattext.g17`` writes them.  Measured
-#: on a shared 2-core x86_64 machine with numpy 2.4.6, the kernel costs
-#: 60-110 us a call however small the chunk (best and median timing), and
-#: broke even with one ``%`` per row at 300-400 float cells of distinct
-#: values; at 600 it was 1.3-1.6x faster, and a whole 8192-row profile
-#: command 1.9-2.2x.
-_CSV_KERNEL_CELLS = 500
+#: Float cells from which a float kernel writes them: ``floattext.g17`` in a
+#: CSV chunk, ``floattext.shortest`` in a JSON vector (both parts of a
+#: complex one).  Measured on a shared 2-core x86_64 machine with numpy
+#: 2.4.6 (median of 15 interleaved best-of timings, distinct values), both
+#: kernels cost about 100 us a call however few the cells, and each broke
+#: even with its per-cell route, one ``%`` per CSV row or one ``repr`` per
+#: JSON float, at 200-250 cells: the two routes cost about the same per
+#: float, so one crossover serves both.  At 250 cells the kernels were
+#: 1.08-1.14x faster, at 500 1.66-1.73x.
+_KERNEL_CELLS = 250
 
 
 class CliConfigError(Exception):
@@ -233,23 +241,68 @@ def _json_floats(values: np.ndarray) -> list[str]:
     """json's text of each float: its repr, or NaN, Infinity, -Infinity."""
     if np.isfinite(values).all():
         return list(map(float.__repr__, values.tolist()))
-    return [float.__repr__(v) if math.isfinite(v) else
-            "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
-            for v in values.tolist()]
+    return [float.__repr__(v) if math.isfinite(v) else _json_nonfinite(v) for v in values.tolist()]
+
+
+def _json_nonfinite(value: float) -> str:
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
 
 
 def _json_vector(values: np.ndarray) -> str:
     """JSON text of a 1-D float64 or complex128 array that is a value of the
     top-level object.  A complex element with zero imaginary part is a
-    plain number, any other an [re, im] pair (the codec's forms)."""
+    plain number, any other an [re, im] pair (the codec's forms).  An
+    array of at least ``_KERNEL_CELLS`` floats, counting both parts of a
+    complex element, goes to ``_json_kernel_vector``."""
     if not len(values):
         return "[]"
-    items = _json_floats(values.real)
-    if values.dtype.kind == "c":
-        imag = values.imag
+    parts = (values.real, values.imag) if values.dtype.kind == "c" else (values,)
+    if len(values) * len(parts) >= _KERNEL_CELLS:
+        return _json_kernel_vector(parts)
+    items = _json_floats(parts[0])
+    if len(parts) == 2:
+        imag = parts[1]
         items = [re if zero else f"[\n      {re},\n      {im}\n    ]"
                  for re, im, zero in zip(items, _json_floats(imag), (imag == 0.0).tolist())]
     return "[\n    " + ",\n    ".join(items) + "\n  ]"
+
+
+#: Bytes around the texts of the parts of a complex element, and after each item.
+_PAIR_OPEN, _PAIR_MIDDLE, _PAIR_CLOSE, _ITEM_END = (
+    np.frombuffer(text, dtype=np.uint8) for text in (b"[\n      ", b",\n      ", b"\n    ]",
+                                                     b",\n    "))
+
+
+def _json_kernel_vector(parts: tuple) -> str:
+    """``_json_vector`` of an array given as its parts, the array itself
+    for a float vector or the real and imaginary parts of a complex one,
+    whose floats are written by ``floattext.shortest``, the bytes of
+    ``float.__repr__``.
+
+    Each element's item, with the separator after it, is one NUL-padded
+    row of bytes; the text is every row with its NULs dropped.
+    """
+    size = len(parts[0])
+    cells = np.concatenate(parts)
+    texts = floattext.shortest(cells)
+    finite = np.isfinite(cells)
+    if not finite.all():
+        texts[~finite] = list(map(_json_nonfinite, cells[~finite].tolist()))
+    texts = texts.view(np.uint8).reshape(len(parts), size, floattext.WIDTH)
+    if len(parts) == 1:
+        pieces = [texts[0], _ITEM_END]
+    else:
+        pieces = [_PAIR_OPEN, texts[0], _PAIR_MIDDLE, texts[1], _PAIR_CLOSE, _ITEM_END]
+    widths = [piece.shape[-1] for piece in pieces]
+    rows = np.concatenate([np.broadcast_to(piece, (size, width))
+                           for piece, width in zip(pieces, widths)], axis=1)
+    if len(parts) == 2:
+        # an element with zero imaginary part is its real part alone
+        pair_only = np.repeat([True, False, True, True, True, False], widths)
+        rows[np.ix_(parts[1] == 0.0, pair_only)] = 0
+    flat = rows.reshape(-1)
+    text = flat[flat != 0].tobytes().decode("ascii")
+    return "[\n    " + text[:-len(_ITEM_END)] + "\n  ]"
 
 
 def _csv_code(column) -> str:
@@ -304,8 +357,8 @@ def _csv(columns: dict) -> Iterator[str]:
     per column (``_csv_code``; ``"%.17g" % v`` is ``float.__format__(v,
     ".17g")``), and is yielded alone.  The columns are taken
     ``_CSV_CHUNK_ROWS`` rows at a time, so a long table is never held whole,
-    as values or as text.  A chunk of at least ``_CSV_KERNEL_CELLS`` float
-    cells (profiles, and sweeps of a few hundred rows) takes a second route
+    as values or as text.  A chunk of at least ``_KERNEL_CELLS`` float
+    cells (profiles, and sweeps of a few dozen rows) takes a second route
     to the same bytes: ``floattext.g17`` writes all its float cells in one
     call, and each row is one ``%`` of a bytes template that takes them as
     ``%s``, decoded.  No cell a command writes needs CSV quoting: numbers,
@@ -327,7 +380,7 @@ def _csv(columns: dict) -> Iterator[str]:
     rows = max(lengths, default=0)
     for start in range(0, rows, _CSV_CHUNK_ROWS):
         chunk = [column[start:start + _CSV_CHUNK_ROWS] for column in values]
-        if len(chunk[0]) * floats < _CSV_KERNEL_CELLS:
+        if len(chunk[0]) * floats < _KERNEL_CELLS:
             yield from map(template.__mod__,
                            zip(*(_csv_cells(column, empty) for column in chunk)))
         else:

@@ -10,12 +10,13 @@ stack order, and (1, r) = M (t, 0).
 
 :func:`solve_sweep` solves W evaluations of one stack layout (W wavelength
 scales, or W thicknesses of the last slab) in one batched pass.  It builds
-the (K, W, 2, 2) element array once and runs one recursive associative
-scan over it (Ladner & Fischer, J. ACM 27, 831, 1980; Blelloch, "Prefix
-sums and their applications", 1990): it multiplies neighbours pairwise,
-recurses on the half-length sequence, and expands the suffixes it gets
-back to its own length.  That gives the stack matrix M and column 0 of
-every suffix product, from which t, r and the field at every sheet
+the element entries once, as one (2, 2, K, W) array, and runs one
+recursive associative scan over it (Ladner & Fischer, J. ACM 27, 831,
+1980; Blelloch, "Prefix sums and their applications", 1990): it
+multiplies neighbours pairwise, a few broadcast products over the whole
+array, recurses on the half-length sequence, and expands the suffixes it
+gets back to its own length.  That gives the stack matrix M and column 0
+of every suffix product, from which t, r and the field at every sheet
 follow, in O(K) work and O(log K) numpy calls.  The emission ledger is
 then computed as (sheets, W) arrays.  It returns a :class:`StackSweep`,
 which keeps every result as a (W,) or (sheets, W) array; indexing it
@@ -354,12 +355,9 @@ class _Layout:
         self.after_sheets = sheet_at + 1
         step_at, n1, n2 = after[step] - 1, right[step], left[step]
         self.const_at = np.concatenate((sheet_at, step_at))
-        self.const = np.empty((len(self.const_at), 2, 2), dtype=complex)
-        sheet_mats, step_mats = self.const[:len(sheet_at)], self.const[len(sheet_at):]
-        (sheet_mats[:, 0, 0], sheet_mats[:, 0, 1],
-         sheet_mats[:, 1, 0], sheet_mats[:, 1, 1]) = _sheet_entries(cond)
-        (step_mats[:, 0, 0], step_mats[:, 0, 1],
-         step_mats[:, 1, 0], step_mats[:, 1, 1]) = _interface_entries(n1, n2)
+        # entries (00, 01, 10, 11) as a (2, 2, sheets + steps) array
+        self.const = np.concatenate((_sheet_entries(cond), _interface_entries(n1, n2)),
+                                    axis=1).reshape(2, 2, len(self.const_at))
         self.k_re, self.k_im = TWO_PI * n.real, TWO_PI * n.imag
         self.slab_d = columns.d
 
@@ -410,17 +408,19 @@ def element_matrices(stack: LayerStack, wavelength_scale=1.0, last_slab_d=None, 
     scales, or an array ``last_slab_d`` of W thicknesses for the stack's
     last slab, gives shape (K, W, 2, 2); a length-1 array broadcasts over
     the other.  ``phases``, the layout's ``slab_phases`` of the same
-    arguments, saves computing them again.
+    arguments, saves computing them again.  The result is a view of a
+    (2, 2, K, W) entry array, the layout :func:`solve_sweep` scans.
     """
     layout = stack._layout
     if phases is None:
         phases = layout.slab_phases(wavelength_scale, last_slab_d)
     phi_re, phi_im = phases
-    mats = np.zeros((layout.n_elements, phi_re.shape[1], 2, 2), dtype=complex)
-    mats[layout.const_at] = layout.const[:, None]
+    entries = np.zeros((2, 2, layout.n_elements, phi_re.shape[1]), dtype=complex)
+    entries[:, :, layout.const_at] = layout.const[..., None]
     # A slab maps exit to entry: diag(e^{-i phi}, e^{i phi}).
-    mats[layout.slab_at, :, 0, 0] = np.exp(_join(phi_im, -phi_re))
-    mats[layout.slab_at, :, 1, 1] = np.exp(_join(-phi_im, phi_re))
+    entries[0, 0, layout.slab_at] = np.exp(_join(phi_im, -phi_re))
+    entries[1, 1, layout.slab_at] = np.exp(_join(-phi_im, phi_re))
+    mats = entries.transpose(2, 3, 0, 1)
     if np.ndim(wavelength_scale) or np.ndim(last_slab_d):
         return mats
     return mats[:, 0]
@@ -446,15 +446,15 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> Stack
     with np.errstate(over="ignore", invalid="ignore"):
         phi_re, phi_im = phases = layout.slab_phases(scales, last_slab_d)
         mats = element_matrices(stack, scales, last_slab_d, phases=phases)
-        if not len(mats):
-            mats = np.broadcast_to(np.eye(2, dtype=complex), (1,) + mats.shape[1:])
-        (m00, m01, m10, m11), u0, u1 = _scan(mats[..., 0, 0], mats[..., 0, 1],
-                                             mats[..., 1, 0], mats[..., 1, 1])
-    if np.any((np.abs(m00) < DEGENERATE_TOL)
-              | ~np.isfinite([m00, m01, m10, m11]).all(axis=0)):
+        entries = mats.transpose(2, 3, 0, 1)  # the (2, 2, K, W) array mats views
+        if not layout.n_elements:
+            entries = np.broadcast_to(np.eye(2, dtype=complex)[:, :, None, None],
+                                      (2, 2, 1, entries.shape[3]))
+        m, (u0, u1) = _scan(entries)
+    if np.any((np.abs(m[0, 0]) < DEGENERATE_TOL) | ~np.isfinite(m).all(axis=(0, 1))):
         raise SingularStack("stack transfer matrix is numerically singular")
-    t = 1.0 / m00
-    r = m10 / m00
+    t = 1.0 / m[0, 0]
+    r = m[1, 0] / m[0, 0]
 
     # The amplitudes just right of a sheet at slot s are S (t, 0), with S
     # the product of the elements after it, and the field is continuous
@@ -476,13 +476,13 @@ def solve_sweep(stack: LayerStack, wavelength_scales, last_slab_d=None) -> Stack
                       b=b, theta=theta, signs=layout.signs)
 
 
-def _scan(a, b, c, d):
+def _scan(m):
     """Associative scan over 2x2 matrices A_0 ... A_{K-1}, K >= 1.
 
-    ``a``, ``b``, ``c`` and ``d`` hold the entries (00, 01, 10, 11) of the
-    matrices, each a (K, W) array.  Returns the entries of the stack
-    matrix M = A_0 ... A_{K-1}, each (W,), and the two components of
-    column 0 of every suffix product A_s ... A_{K-1}, each (K, W).
+    ``m`` holds the matrices as a (2, 2, K, W) entry array: ``m[i, j]`` is
+    entry (i, j) of every matrix, a (K, W) array.  Returns the stack
+    matrix M = A_0 ... A_{K-1} as a (2, 2, W) array, and column 0 of every
+    suffix product A_s ... A_{K-1} as a (2, K, W) array.
 
     It multiplies neighbours pairwise, A_0 A_1, A_2 A_3, ..., carrying an
     odd last matrix over unpaired, and recurses on that half-length
@@ -490,26 +490,25 @@ def _scan(a, b, c, d):
     an even position 2i is the half-length sequence's suffix from i, the
     suffix from an odd position 2i + 1 is A_{2i+1} times the suffix from
     2i + 2, and when K is even the last matrix's own column 0 is its
-    suffix.
+    suffix.  Each product is (L R)_ij = L_i0 R_0j + L_i1 R_1j, one
+    broadcast multiply per term, so a level costs a few numpy calls.
     """
-    if len(a) == 1:
-        return (a[0], b[0], c[0], d[0]), a, c
-    pairs = 2 * (len(a) // 2)
-    a0, b0, c0, d0 = (x[0:pairs:2] for x in (a, b, c, d))
-    a1, b1, c1, d1 = (x[1:pairs:2] for x in (a, b, c, d))
-    half = [a0 * a1 + b0 * c1, a0 * b1 + b0 * d1, c0 * a1 + d0 * c1, c0 * b1 + d0 * d1]
-    if pairs < len(a):
-        half = [np.concatenate((x, odd[-1:])) for x, odd in zip(half, (a, b, c, d))]
-    m, u0, u1 = _scan(*half)
-    # odd positions 2i + 1 whose suffix from 2i + 2 is one of u0[1:], u1[1:]
-    inner = slice(1, 2 * len(u0) - 2, 2)
-    v0, v1 = np.empty_like(a), np.empty_like(c)
-    v0[0::2], v1[0::2] = u0, u1
-    v0[inner] = a[inner] * u0[1:] + b[inner] * u1[1:]
-    v1[inner] = c[inner] * u0[1:] + d[inner] * u1[1:]
-    if pairs == len(a):
-        v0[-1], v1[-1] = a[-1], c[-1]
-    return m, v0, v1
+    if m.shape[2] == 1:
+        return m[:, :, 0], m[:, 0]
+    pairs = 2 * (m.shape[2] // 2)
+    left, right = m[:, :, 0:pairs:2], m[:, :, 1:pairs:2]
+    half = left[:, 0, None] * right[None, 0] + left[:, 1, None] * right[None, 1]
+    if pairs < m.shape[2]:
+        half = np.concatenate((half, m[:, :, -1:]), axis=2)
+    product, u = _scan(half)
+    # odd positions 2i + 1 whose suffix from 2i + 2 is one of u[:, 1:]
+    inner = slice(1, 2 * u.shape[1] - 2, 2)
+    v = np.empty_like(m[:, 0])
+    v[:, 0::2] = u
+    v[:, inner] = m[:, 0, inner] * u[None, 0, 1:] + m[:, 1, inner] * u[None, 1, 1:]
+    if pairs == m.shape[2]:
+        v[:, -1] = m[:, 0, -1]
+    return product, v
 
 
 def solve_stack(stack: LayerStack, wavelength_scale: float = 1.0) -> StackSolution:

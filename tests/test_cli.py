@@ -1228,6 +1228,71 @@ def test_json_emitter_matches_json_dumps(vectors, slots, t):
     assert "".join(_json_chunks(doc)) == text
 
 
+@st.composite
+def long_json_vectors(draw, cells):
+    """A float vector of ``cells`` floats or a complex one of ``cells // 2``
+    elements: each part a drawn value of ``json_parts`` or an integral
+    float, a random float64 bit pattern or a scaled normal; a quarter of
+    the imaginary parts +0 or -0."""
+    pool = draw(st.lists(json_parts | st.integers(-2**60, 2**60).map(float),
+                         min_size=1, max_size=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex_vector = draw(st.booleans())
+    size = cells // 2 if complex_vector else cells
+
+    def part():
+        bits = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64)
+        scaled = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+        source = rng.integers(0, 3, size)
+        return np.choose(source, [rng.choice(np.array(pool), size), bits, scaled])
+
+    if not complex_vector:
+        return part()
+    vector = np.empty(size, dtype=complex)
+    vector.real, vector.imag = part(), part()
+    zero = rng.random(size) < 0.25
+    vector.imag[zero] = rng.choice([0.0, -0.0], zero.sum())
+    return vector
+
+
+@pytest.mark.parametrize("cells", [cli._KERNEL_CELLS - 1, cli._KERNEL_CELLS, 2400],
+                         ids=["below_kernel", "at_kernel", "long"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_long_json_vectors_match_json_dumps(cells, data):
+    """Vectors on both sides of the float kernel's crossover and well past
+    it, where floattext.shortest writes their floats: the bytes of
+    json.dumps."""
+    doc = {"tool_version": "0.1.0", "R": 0.25, "sheet_fields": data.draw(long_json_vectors(cells)),
+           "degenerate": False}
+    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    assert "".join(_json_chunks(doc)) == text
+
+
+def test_deep_stack_json_matches_json_dumps(capsys, tmp_path):
+    """`stack` on a seeded 1200-pair file prints json.dumps of its result:
+    2400 float cells of sheet_fields, written by the float kernel."""
+    rng = np.random.default_rng(1200)
+    layers = []
+    for _ in range(1200):
+        layers.append({"type": "sheet", "cond": [rng.uniform(0.005, 0.05), rng.uniform(0.0, 0.01)],
+                       "branching": rng.uniform(0.2, 1.0), "sign": int(rng.choice([1, -1]))})
+        layers.append({"type": "slab", "n_re": rng.uniform(1.3, 2.5),
+                       "n_im": float(rng.choice([0.0, rng.uniform(1e-3, 2e-2)])),
+                       "d": rng.uniform(0.05, 0.5)})
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"wavelength_nm": 633.0, "ambient_out": [1.46, 0.0],
+                                "layers": layers}))
+    code, out, err = run_cli(capsys, "stack", "--stack", str(path))
+    assert (code, err) == (0, "")
+    solution = stack_mod.solve_stack(stack_mod.load_stack(path)[0])
+    doc = json.loads(out)
+    doc.update(t=solution.t, r=solution.r, R=solution.R, T=solution.T, A=solution.A,
+               R_emission=solution.R_emission, sheet_fields=solution.sheet_fields)
+    assert len(solution.sheet_fields) * 2 >= cli._KERNEL_CELLS
+    assert out == json.dumps(doc, indent=2, default=_json_default) + "\n"
+
+
 #: Bit patterns of +0, -0, +inf, -inf, a quiet nan, a negative nan, the
 #: smallest and the largest subnormal and the largest float.
 SPECIAL_BITS = [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
@@ -1268,7 +1333,7 @@ csv_records = st.dictionaries(
 
 @settings(max_examples=300, deadline=None)
 @given(columns=csv_tables() | csv_records, chunk_rows=st.integers(1, 8),
-       kernel_cells=st.integers(0, 24) | st.just(cli._CSV_KERNEL_CELLS))
+       kernel_cells=st.integers(0, 24) | st.just(cli._KERNEL_CELLS))
 def test_csv_writer_matches_reference(columns, chunk_rows, kernel_cells):
     """Both row routes, one %-format per row and floattext's float cells in
     a bytes template, give the bytes of the cell-by-cell reference: random
@@ -1278,7 +1343,7 @@ def test_csv_writer_matches_reference(columns, chunk_rows, kernel_cells):
     falls below the crossover."""
     rows = list(zip(*columns.values()))
     with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows), \
-            mock.patch.object(cli, "_CSV_KERNEL_CELLS", kernel_cells):
+            mock.patch.object(cli, "_KERNEL_CELLS", kernel_cells):
         assert "".join(_csv(columns)) == reference_table(list(columns), rows)
 
 

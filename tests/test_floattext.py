@@ -1,4 +1,5 @@
-"""floattext.g17: the exact text of '%.17g' for every float64."""
+"""floattext.g17 and floattext.shortest: the exact texts of '%.17g' and of
+repr for every float64."""
 
 from unittest import mock
 
@@ -6,11 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheetoptics.floattext import E_MAX, E_MIN, g17
+from sheetoptics.floattext import E_MAX, E_MIN, g17, shortest
 
 
 def reference(values) -> list:
     return [b"%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def repr_reference(values) -> list:
+    return [float.__repr__(v).encode() for v in np.asarray(values, dtype=np.float64).tolist()]
 
 
 def powers_of_ten_and_neighbours(exponents) -> list:
@@ -29,6 +34,10 @@ EDGES = [
     # exact ties at the 18th digit, and values that round up to 10**17
     1234567890123456.75, 1234567890123457.25, 0.12345678901234565, 99999999999999999.0,
     1e23, 9007199254740993.0, 123456789.0, 0.5, 1200.0, 2.5e-300,
+    # within 1e-6 of a tie at the 18th digit but off it, by 2**-52 of the
+    # 17th: the kernel's estimate lands on the wrong side of the tie (a
+    # seeded search over scaled values 1/2 + k 2**-52 past a tie found it)
+    2.2422607587866907e-07,
     # both edges of the table of powers: the last cells placed and the first not
     *powers_of_ten_and_neighbours([E_MIN, E_MIN + 1, E_MIN + 2, E_MAX - 1, E_MAX, E_MAX + 1]),
     # every power of ten of a float64, with both neighbours
@@ -36,9 +45,28 @@ EDGES = [
 ]
 
 
+#: Edges of ``shortest``, the repr kernel.
+REPR_EDGES = [
+    # within 1e-6 of a tie between two candidates of 15 digits and of 16
+    # (the last two with both of those inside the interval), found by a
+    # seeded search
+    0.1694236924132555, 4.808783014647425e-08, 0.0049453626410331155,
+    0.09361635352504453, 97.64587600763357,
+    # significands of exactly 2**52, whose interval is narrower below
+    2.0, 2.0**-30, 2.0**60, 2.0**-1000, 2.0**1000, 9007199254740992.0,
+    # repr's switch between fixed and exponent form
+    1e15, 9999999999999998.0, 1e16, 1e-4, 9.999999999999999e-05,
+    999999999999999.9, 12345678901234567.0,
+    # integral values, written with ".0"
+    123456789012345.0, 1234567890123456.0, 4503599627370497.0, 999999999999999.0, 100.0,
+]
+
+
 def test_edge_table():
-    values = np.array(EDGES + [-v for v in EDGES])
+    values = np.array(EDGES + REPR_EDGES)
+    values = np.concatenate([values, -values])
     assert g17(values).tolist() == reference(values)
+    assert shortest(values).tolist() == repr_reference(values)
 
 
 def test_result_type():
@@ -46,6 +74,10 @@ def test_result_type():
     assert out.dtype == np.dtype("S24")
     assert out.tolist() == [b"1.5", b"-2"]
     assert g17(np.array([])).tolist() == []
+    out = shortest(np.array([1.5, -2.0, 0.0, -0.0]))
+    assert out.dtype == np.dtype("S24")
+    assert out.tolist() == [b"1.5", b"-2.0", b"0.0", b"-0.0"]
+    assert shortest(np.array([])).tolist() == []
 
 
 @settings(max_examples=200, deadline=None)
@@ -53,12 +85,14 @@ def test_result_type():
 def test_bit_patterns(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     assert g17(values).tolist() == reference(values)
+    assert shortest(values).tolist() == repr_reference(values)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), max_size=300))
 def test_floats(values):
     assert g17(np.array(values, dtype=np.float64)).tolist() == reference(values)
+    assert shortest(np.array(values, dtype=np.float64)).tolist() == repr_reference(values)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -68,17 +102,20 @@ def test_random_bit_patterns_and_scaled_normals(seed):
     scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-20, 20, 20_000)
     for values in (bits.view(np.float64), scaled):
         assert g17(values).tolist() == reference(values)
+        assert shortest(values).tolist() == repr_reference(values)
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_misjudged_exponent(shift):
     """A log10 one off puts the scaled value outside [10**16, 10**17): the
-    cell then goes through '%.17g' itself, so no output rests on log10."""
+    cell then goes through '%.17g' or repr itself, so no output rests on
+    log10."""
     rng = np.random.default_rng(2)
     values = rng.standard_normal(2000) * 10.0 ** rng.integers(-200, 200, 2000)
     log10 = np.log10
     with mock.patch.object(np, "log10", lambda a: log10(a) + shift):
         assert g17(values).tolist() == reference(values)
+        assert shortest(values).tolist() == repr_reference(values)
 
 
 def bits_of(value: float) -> int:
