@@ -19,11 +19,16 @@ JSON document or as a one-row CSV; table commands (sweep, profile) return
 columns, an ordered dict of column name to equal-length values, rendered
 as CSV only.  The float cells of a long table are written by
 ``floattext.g17``, a vectorized kernel with the bytes of ``%.17g``; the
-rest by one ``%`` format per row (see ``_csv``).  The floats of a long
-JSON array, such as a deep stack's ``sheet_fields``, are written by
-``floattext.shortest``, a vectorized kernel with the bytes of ``repr``,
-and the array's text is assembled as bytes (see ``_json_kernel_vector``);
-a short array's by one ``repr`` per float.
+rest by one ``%`` format per row (see ``_csv``).
+
+A JSON document comes from one writer, ``_json_chunks``, with the bytes of
+``json.dumps(doc, indent=2)``: ``_json_text`` writes each value as json's
+own encoder does, and ``_json_vector`` a 1-D float or complex array that is
+a value of the document.  The floats of a long such array, like a deep
+stack's ``sheet_fields``, are written by ``floattext.shortest``, a
+vectorized kernel with the bytes of ``repr``, and the array's text is
+assembled as bytes (see ``_json_kernel_vector``); a short array's by one
+``repr`` per float.
 """
 
 from __future__ import annotations
@@ -38,12 +43,11 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateDecoupling, SheetOpticsError, SingularStack
+from .errors import DegenerateDecoupling, SheetOpticsError
 from . import fields as fields_mod
 from . import floattext
 from . import stack as stack_mod
@@ -213,39 +217,71 @@ def _json_doc(args: argparse.Namespace, results: dict) -> Iterator[str]:
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
-    """The text of ``json.dumps(doc, indent=2, default=_json_default) + "\n"``,
-    in chunks.
+    """The text of ``json.dumps(doc, indent=2, default=_json_default) + "\n"``.
 
-    A 1-D float64 or complex128 array value is written here, as the codec and
-    json write its elements; each run of other values goes through one
-    ``json.dumps``.
+    A 1-D float64 or complex128 array value is written by ``_json_vector``,
+    every other value by ``_json_text``.
     """
-    separator = "{\n  "
-    for vector, items in groupby(doc.items(), key=lambda item: _is_vector(item[1])):
-        if vector:
-            for key, value in items:
-                yield f"{separator}{json.dumps(key)}: {_json_vector(value)}"
-                separator = ",\n  "
-        else:
-            # the items of a non-empty dict, between its "{\n  " and "\n}"
-            yield separator + json.dumps(dict(items), indent=2, default=_json_default)[4:-2]
-            separator = ",\n  "
-    yield "\n}\n"
+    items = [f"{_json_str(key)}: "
+             f"{_json_vector(value) if _is_vector(value) else _json_text(value, '  ')}"
+             for key, value in doc.items()]
+    yield "{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n"
+
+
+#: json's text of a str: the C encoder that ``json.dumps`` uses.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, default=_json_default)`` of a value on a
+    line indented by ``pad``: the same checks in the same order as json's
+    own encoder, whose Python route ``indent`` takes (the C encoder has no
+    indent)."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_json_str(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    return _json_text(_json_default(value), pad)
 
 
 def _is_vector(value) -> bool:
     return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype in (float, complex)
 
 
+#: json's text of the floats whose repr is not a JSON number.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    """json's text of a float: its repr, or NaN, Infinity, -Infinity."""
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
 def _json_floats(values: np.ndarray) -> list[str]:
-    """json's text of each float: its repr, or NaN, Infinity, -Infinity."""
+    """``_json_float`` of each float of an array."""
     if np.isfinite(values).all():
         return list(map(float.__repr__, values.tolist()))
-    return [float.__repr__(v) if math.isfinite(v) else _json_nonfinite(v) for v in values.tolist()]
-
-
-def _json_nonfinite(value: float) -> str:
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    return list(map(_json_float, values.tolist()))
 
 
 def _json_vector(values: np.ndarray) -> str:
@@ -287,7 +323,7 @@ def _json_kernel_vector(parts: tuple) -> str:
     texts = floattext.shortest(cells)
     finite = np.isfinite(cells)
     if not finite.all():
-        texts[~finite] = list(map(_json_nonfinite, cells[~finite].tolist()))
+        texts[~finite] = list(map(_json_float, cells[~finite].tolist()))
     texts = texts.view(np.uint8).reshape(len(parts), size, floattext.WIDTH)
     if len(parts) == 1:
         pieces = [texts[0], _ITEM_END]
@@ -473,11 +509,10 @@ def _cmd_twostate(args: argparse.Namespace) -> dict:
             e_plus=0.0, e_minus=0.0, r_plus=None, r_minus=None,
         )
     else:
-        theta_plus, theta_minus = twostate.decoupling_phase(sys_)
         results.update(
             degenerate=False,
-            theta_plus=theta_plus,
-            theta_minus=theta_minus,
+            theta_plus=pair.theta,
+            theta_minus=pair.theta_minus,
             e_plus=pair.energy_plus,
             e_minus=pair.energy_minus,
             r_plus=pair.reflection_plus,
@@ -671,11 +706,10 @@ def _read(command: str, options: list) -> argparse.Namespace | None:
     choices.  Help, abbreviations, ``--flag=value`` and every error are
     left to argparse.
     """
-    table = _SUBCOMMANDS[command][1]
-    by_flag = {option.flag: option for option in table}
-    values = {option.dest: option.default for option in table}
+    by_flag, defaults, required = _FLAG_TABLES[command]
     if len(options) % 2:
         return None
+    values = dict(defaults)
     given = set()
     for flag, text in zip(options[::2], options[1::2]):
         option = by_flag.get(flag)
@@ -693,9 +727,18 @@ def _read(command: str, options: list) -> argparse.Namespace | None:
             return None
         values[option.dest] = value
         given.add(flag)
-    if any(option.required and option.flag not in given for option in table):
+    if not required <= given:
         return None
     return argparse.Namespace(command=command, **values)
+
+
+#: Subcommand name -> what ``_read`` reads its argv with: its options by
+#: flag, each option's default by destination, and the required flags.
+_FLAG_TABLES = {
+    name: ({option.flag: option for option in options},
+           {option.dest: option.default for option in options},
+           frozenset(option.flag for option in options if option.required))
+    for name, (_, options, _) in _SUBCOMMANDS.items()}
 
 
 def _parse(argv: list) -> argparse.Namespace:
@@ -722,7 +765,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"sheetoptics: i/o error: {exc}", file=sys.stderr)
         return 2
-    except (SingularStack, SheetOpticsError, np.linalg.LinAlgError) as exc:
+    except SheetOpticsError as exc:
         print(f"sheetoptics: numerical error: {exc}", file=sys.stderr)
         return 3
 

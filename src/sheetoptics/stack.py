@@ -671,12 +671,15 @@ def reflectance_with_emission(
 
 
 def _number(value, what: str) -> float:
-    """``float(value)``, a ValueError naming ``what`` if it fails or the
-    value is not finite."""
+    """A JSON number (an int or a float; a bool, as ``decode_complex``
+    takes it) as a float, a ValueError naming ``what`` for any other value,
+    a numeric string included, and for one that is not finite."""
     try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+        number = float(value) if isinstance(value, (int, float)) else None
+    except OverflowError:  # an integer too large for a float
+        number = None
+    if number is None:
+        raise ValueError(f"{what} must be a number, got {value!r}")
     if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return number

@@ -91,20 +91,20 @@ def solve_single_sheet(params: SheetParams) -> ScatterCoeffs:
 
 
 def solve_boundary_system(params: SheetParams) -> ScatterCoeffs:
-    """Solve the boundary conditions for (t, r) by direct linear algebra.
+    """Solve the boundary conditions for (t, r) by Cramer's rule.
 
     The two conditions are field continuity, 1 + r = t, and the physical-state
-    condition t - (1 - r) + g*t = 0.  This route is kept independent of
-    :func:`solve_single_sheet` so the two can cross-check each other.
+    condition t - (1 - r) + g*t = 0, that is [[1, -1], [1 + g, 1]] (t, r) =
+    (1, 1).  This route is kept independent of :func:`solve_single_sheet` so
+    the two can cross-check each other.
     """
     g = complex(params.cond)
-    a = np.array([[1.0, -1.0], [1.0 + g, 1.0]], dtype=complex)
-    rhs = np.array([1.0, 1.0], dtype=complex)
-    try:
-        t, r = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:  # unreachable for Re(g) >= 0
-        raise SheetOpticsError(f"singular boundary system for cond={g}") from exc
-    return ScatterCoeffs(t=t, r=r)
+    (a, b), (c, d) = (1.0, -1.0), (1.0 + g, 1.0)
+    e, f = 1.0, 1.0
+    det = a * d - b * c
+    if det == 0:  # unreachable for Re(g) >= 0
+        raise SheetOpticsError(f"singular boundary system for cond={g}")
+    return ScatterCoeffs(t=(e * d - b * f) / det, r=(a * f - e * c) / det)
 
 
 def absorbance(coeffs: ScatterCoeffs, params: SheetParams) -> float:

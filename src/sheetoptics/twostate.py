@@ -43,9 +43,11 @@ class TwoStateSystem:
 
 @dataclass(frozen=True)
 class DecoupledPair:
-    """Decoupled-basis summary: phase, level energies and reflection branches."""
+    """Decoupled-basis summary: both decoupling phases, the level energies at
+    ``theta`` (theta_plus) and the reflection branches."""
 
     theta: float
+    theta_minus: float
     energy_plus: float
     energy_minus: float
     reflection_plus: complex
@@ -78,10 +80,12 @@ def decoupling_phase(sys: TwoStateSystem) -> tuple[float, float]:
         raise DegenerateDecoupling(
             "t + r or b vanishes; any theta decouples the pair"
         )
-    theta_plus = float((-np.angle(z)) % TWO_PI)
+    # np.angle(z), without the array checks a scalar does not need
+    theta_plus = float((-np.arctan2(z.imag, z.real)) % TWO_PI)
     theta_minus = float((theta_plus + np.pi) % TWO_PI)
+    bound = SELF_CHECK_TOL * abs(offdiagonal(sys))
     for theta in (theta_plus, theta_minus):
-        if abs(cross_element(sys, theta)) > SELF_CHECK_TOL * abs(offdiagonal(sys)):
+        if abs(cross_element(sys, theta)) > bound:
             raise DegenerateDecoupling(  # unreachable; numeric safety net
                 f"decoupling failed at theta={theta}"
             )
@@ -119,11 +123,12 @@ def corrected_reflection(sys: TwoStateSystem) -> tuple[complex, complex]:
 
 def decouple(sys: TwoStateSystem) -> DecoupledPair:
     """Full decoupled-pair summary at theta = theta_plus."""
-    theta_plus, _ = decoupling_phase(sys)
+    theta_plus, theta_minus = decoupling_phase(sys)
     e_plus, e_minus = level_energies(sys, theta_plus)
     r_plus, r_minus = corrected_reflection(sys)
     return DecoupledPair(
         theta=theta_plus,
+        theta_minus=theta_minus,
         energy_plus=e_plus,
         energy_minus=e_minus,
         reflection_plus=r_plus,

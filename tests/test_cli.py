@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from sheetoptics import cli
 from sheetoptics import stack as stack_mod
-from sheetoptics import surface
+from sheetoptics import surface, twostate
 from sheetoptics.cli import (
     _checked_args,
     _csv,
@@ -300,6 +300,20 @@ class TestTwostate:
         for key in ("offdiagonal", "theta_plus", "e_plus", "r_plus", "r_minus"):
             assert via_file[key] == direct[key]
 
+    def test_one_phase_solve_per_run(self, capsys, monkeypatch):
+        """decouple() keeps both phases, so the command solves for them once."""
+        calls = []
+        original = twostate.decoupling_phase
+
+        def counting(sys_):
+            calls.append(sys_)
+            return original(sys_)
+
+        monkeypatch.setattr(twostate, "decoupling_phase", counting)
+        doc = run_json(capsys, "twostate", "--cond", GRAPHENE)
+        assert len(calls) == 1
+        assert [doc["theta_plus"], doc["theta_minus"]] == list(original(calls[0]))
+
     def test_huge_energy_unit_stays_finite(self, capsys):
         """e = 2|h| is finite whenever it fits, however large u is."""
         def reject(constant):
@@ -523,10 +537,15 @@ class TestStack:
          "layers[1].f_sign"),
         ({"layers": [{"type": "sheet", "f_sign": 1}, {"type": "sheet", "sign": "-0.5"}]},
          "layers[1].sign"),
+        ({"layers": [{"type": "sheet"}, {"type": "slab", "d": "1_0"}]}, "layers[1].d"),
+        ({"layers": [{"type": "sheet", "branching": " 0.5 "}]}, "layers[0].branching"),
+        ({"layers": [{"type": "sheet", "sign": "1"}]}, "layers[0].sign"),
+        ({"layers": [], "wavelength_nm": "633"}, "wavelength_nm"),
     ], ids=["layer_not_object", "layers_not_list", "slab_without_d",
             "null_index", "list_wavelength", "huge_int_cond", "huge_int_cond_pair",
             "huge_int_ambient_in", "huge_int_ambient_out", "fractional_sign",
-            "fractional_f_sign", "fractional_sign_string"])
+            "fractional_f_sign", "fractional_sign_string", "numeric_string_d",
+            "numeric_string_branching", "numeric_string_sign", "numeric_string_wavelength"])
     def test_malformed_file(self, capsys, tmp_path, doc, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -1211,19 +1230,40 @@ def json_vectors(draw):
     return vector
 
 
+json_complexes = st.builds(complex, json_parts, json_parts | st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def json_matrices(draw, parts, dtype):
+    """A 2-D array of ``parts``, sides 0 to 3."""
+    rows, columns = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    values = draw(st.lists(parts, min_size=rows * columns, max_size=rows * columns))
+    return np.array(values, dtype=dtype).reshape(rows, columns)
+
+
+json_leaves = st.one_of(
+    st.text(max_size=6), st.none(), st.booleans(),
+    st.integers() | st.integers(2**63, 2**200) | st.integers(-2**200, -2**63),
+    json_parts, json_complexes, json_parts.map(np.float64),
+    json_parts.map(np.array), json_complexes.map(np.array),
+    json_matrices(json_parts, float), json_matrices(json_complexes, complex), json_vectors())
+json_values = st.recursive(
+    json_leaves,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=24)
+
+
 @settings(max_examples=300, deadline=None)
-@given(vectors=st.lists(json_vectors(), min_size=1, max_size=3),
-       slots=st.lists(st.integers(0, 6), min_size=3, max_size=3),
-       t=st.builds(complex, json_parts, json_parts))
-def test_json_emitter_matches_json_dumps(vectors, slots, t):
-    """Arrays anywhere among the items of a document, with signed zeros,
-    subnormals, huge exponents, empty arrays and non-finite values."""
-    items = [("tool_version", "0.1.0"),
-             ("config_echo", {"command": "stack", "input_path": None, "wavelength_nm": 5e-7}),
-             ("t", t), ("R", 0.25), ("degenerate", False), ("n_int", 87)]
-    for i, (vector, slot) in enumerate(zip(vectors, slots)):
-        items.insert(slot, (f"vector_{i}", vector))
-    doc = dict(items)
+@given(doc=st.dictionaries(st.text(max_size=8), json_values | json_vectors(), max_size=8))
+def test_json_emitter_matches_json_dumps(doc):
+    """Documents of every value type a result holds, nested at any depth:
+    strings with escapes and non-ASCII characters, None, bools, ints beyond
+    2**63, floats with signed zeros, subnormals, huge exponents and
+    non-finite values, lists, tuples and dicts (empty ones too), complex
+    numbers with zero and non-zero imaginary parts, numpy float64 scalars,
+    0-d and 2-D arrays, and 1-D arrays (empty ones too) anywhere among the
+    items of the document, where the vector writer takes them."""
     text = json.dumps(doc, indent=2, default=_json_default) + "\n"
     assert "".join(_json_chunks(doc)) == text
 

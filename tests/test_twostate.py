@@ -204,8 +204,9 @@ class TestDecoupleBundle:
     def test_matches_pieces(self):
         sys_ = graphene_system()
         pair = decouple(sys_)
-        theta_plus, _ = decoupling_phase(sys_)
+        theta_plus, theta_minus = decoupling_phase(sys_)
         assert pair.theta == theta_plus
+        assert pair.theta_minus == theta_minus
         assert pair.energy_plus == -pair.energy_minus
         r_plus, r_minus = corrected_reflection(sys_)
         assert pair.reflection_plus == r_plus
