@@ -17,9 +17,12 @@ Every command returns data and one renderer writes it.  Record commands
 (coeffs, twostate, stack, decouple) return a result dict, rendered as a
 JSON document or as a one-row CSV; table commands (sweep, profile) return
 columns, an ordered dict of column name to equal-length values, rendered
-as CSV only.  The float cells of a long table are written by
-``floattext.g17``, a vectorized kernel with the bytes of ``%.17g``; the
-rest by one ``%`` format per row (see ``_csv``).
+as CSV only.  A table is written 1024 rows at a time.  A long chunk is laid
+out as one byte matrix, its float cells written by ``floattext.g17``, a
+vectorized kernel with the bytes of ``%.17g``, and its text is yielded in
+pieces of whole rows, each a str of under 512 bytes unless it is one row,
+so that it comes from CPython's small-object allocator; a short table is
+written by one ``%`` format per row (see ``_csv``).
 
 A JSON document comes from one writer, ``_json_chunks``, with the bytes of
 ``json.dumps(doc, indent=2)``: ``_json_text`` writes each value as json's
@@ -70,7 +73,11 @@ _CSV_CHUNK_ROWS = 1024
 #: even with its per-cell route, one ``%`` per CSV row or one ``repr`` per
 #: JSON float, at 200-250 cells: the two routes cost about the same per
 #: float, so one crossover serves both.  At 250 cells the kernels were
-#: 1.08-1.14x faster, at 500 1.66-1.73x.
+#: 1.08-1.14x faster, at 500 1.66-1.73x.  The CSV byte-matrix route (median
+#: of 9 ratios of best-of-5 timings, written to a StringIO) breaks even at
+#: about 250 cells for all-float chunks, as sweeps of a stack or of cond
+#: write, and at 300-400 with an int or label column; at 400 cells it was
+#: 1.07-1.44x faster than one ``%`` per row.
 _KERNEL_CELLS = 250
 
 
@@ -336,8 +343,7 @@ def _json_kernel_vector(parts: tuple) -> str:
         # an element with zero imaginary part is its real part alone
         pair_only = np.repeat([True, False, True, True, True, False], widths)
         rows[np.ix_(parts[1] == 0.0, pair_only)] = 0
-    flat = rows.reshape(-1)
-    text = flat[flat != 0].tobytes().decode("ascii")
+    text = str(_unpadded(rows), "ascii")
     return "[\n    " + text[:-len(_ITEM_END)] + "\n  ]"
 
 
@@ -365,40 +371,19 @@ def _csv_cells(cells, empty: str) -> list:
     return [empty if v is None else v for v in cells] if None in cells else cells
 
 
-def _csv_texts(chunk: list, codes: list, empty: str) -> list:
-    """The cells of a chunk of columns as ``_csv`` fills its bytes template
-    with them: the float columns' texts, all from one ``floattext.g17``
-    call, as lists of bytes; ints as they are; other cells ``%s``-formatted
-    and encoded."""
-    floats = [column for column, code in zip(chunk, codes) if code == "%.17g"]
-    values = np.array(floats, dtype=np.float64).reshape(-1)
-    texts = iter(floattext.g17(values).reshape(len(floats), len(chunk[0])).tolist())
-    return [next(texts) if code == "%.17g"
-            else _csv_cells(column, empty) if code == "%d"
-            else _csv_encoded(_csv_cells(column, empty))
-            for column, code in zip(chunk, codes)]
-
-
-def _csv_encoded(cells: list) -> list:
-    """``("%s" % v).encode()`` of each cell, formatted once per distinct
-    value: a ``%s`` column holds a few labels, or bools."""
-    encoded = {v: ("%s" % v).encode() for v in set(cells)}
-    return list(map(encoded.__getitem__, cells))
-
-
 def _csv(columns: dict) -> Iterator[str]:
     """CSV text of columns: a header of their names, then one row per index.
 
-    Each row is one ``%`` format of a template that holds one printf code
-    per column (``_csv_code``; ``"%.17g" % v`` is ``float.__format__(v,
-    ".17g")``), and is yielded alone.  The columns are taken
-    ``_CSV_CHUNK_ROWS`` rows at a time, so a long table is never held whole,
-    as values or as text.  A chunk of at least ``_KERNEL_CELLS`` float
-    cells (profiles, and sweeps of a few dozen rows) takes a second route
-    to the same bytes: ``floattext.g17`` writes all its float cells in one
-    call, and each row is one ``%`` of a bytes template that takes them as
-    ``%s``, decoded.  No cell a command writes needs CSV quoting: numbers,
-    True/False, empty cells and the side labels.
+    The columns are taken ``_CSV_CHUNK_ROWS`` rows at a time, so a long
+    table is never held whole, as values or as text.  A chunk of fewer than
+    ``_KERNEL_CELLS`` float cells (records, and sweeps of up to a few dozen
+    rows) is written a row at a time: one ``%`` format of a template that
+    holds one printf code per column (``_csv_code``; ``"%.17g" % v`` is
+    ``float.__format__(v, ".17g")``), each row yielded alone.  A longer
+    chunk (profiles, longer sweeps) is one byte matrix (``_csv_kernel_rows``)
+    with the same bytes, yielded in pieces of whole rows.  No cell a command
+    writes needs CSV quoting: numbers, True/False, empty cells and the side
+    labels.
     """
     values = list(columns.values())
     lengths = {len(column) for column in values}
@@ -406,7 +391,6 @@ def _csv(columns: dict) -> Iterator[str]:
         raise ValueError("CSV columns differ in length")
     codes = list(map(_csv_code, values))
     template = ",".join(codes) + "\n"
-    kernel_template = b",".join(b"%d" if code == "%d" else b"%s" for code in codes) + b"\n"
     floats = codes.count("%.17g")
     # csv quotes a lone empty field, so that its row is not a blank line
     empty = '""' if len(values) == 1 else ""
@@ -416,12 +400,87 @@ def _csv(columns: dict) -> Iterator[str]:
     rows = max(lengths, default=0)
     for start in range(0, rows, _CSV_CHUNK_ROWS):
         chunk = [column[start:start + _CSV_CHUNK_ROWS] for column in values]
-        if len(chunk[0]) * floats < _KERNEL_CELLS:
-            yield from map(template.__mod__,
-                           zip(*(_csv_cells(column, empty) for column in chunk)))
-        else:
-            texts = _csv_texts(chunk, codes, empty)
-            yield from map(bytes.decode, map(kernel_template.__mod__, zip(*texts)))
+        pieces = None
+        if len(chunk[0]) * floats >= _KERNEL_CELLS:
+            pieces = _csv_kernel_rows(chunk, codes, empty)
+        if pieces is None:
+            pieces = map(template.__mod__, zip(*(_csv_cells(column, empty) for column in chunk)))
+        yield from pieces
+
+
+#: Characters of CSV text yielded in one piece at most, unless the piece is
+#: one row.  An ASCII str of 460 characters takes 509 bytes, so each piece
+#: comes from CPython's small-object allocator (up to 512 bytes).  Larger
+#: strs come from the C heap, next to a growing output buffer such as a
+#: StringIO's; whole 1024-row pieces raised a benchmark run's peak RSS by
+#: 8-10% at an equal command count, pieces of two rows by nothing.
+_PIECE_CHARS = 460
+
+
+def _csv_kernel_rows(chunk: list, codes: list, empty: str) -> list[str] | None:
+    """``_csv``'s rows of a chunk of columns as pieces of whole rows, or None
+    if a ``%s`` cell holds a NUL or a newline.
+
+    The chunk is laid out as one ``(rows, columns, width + 1)`` byte matrix:
+    each cell NUL-padded to the widest cell of the chunk, then a ``,`` or,
+    after a row's last cell, a newline.  The float cells are the texts of
+    ``floattext.g17``, the bytes of ``%.17g``, of all the chunk's float
+    columns in one call; the others are encoded (``_csv_encoded``).  The
+    text is the matrix with its NULs dropped (``_unpadded``), decoded once,
+    and cut into pieces of ``_PIECE_CHARS // widest row`` rows (at least
+    one); non-ASCII text, whose str takes 2 or 4 bytes a character, a row a
+    piece.
+    """
+    size = len(chunk[0])
+    float_at = [j for j, code in enumerate(codes) if code == "%.17g"]
+    others = {j: _csv_encoded(_csv_cells(column, empty), code)
+              for j, (column, code) in enumerate(zip(chunk, codes)) if code != "%.17g"}
+    if any(text is None for text in others.values()):
+        return None
+    width = max([floattext.WIDTH, *(text.shape[1] for text in others.values())])
+    cells = np.zeros((size, len(codes), width + 1), dtype=np.uint8)
+    floats = floattext.g17(np.array([chunk[j] for j in float_at], dtype=np.float64).reshape(-1))
+    cells[:, float_at, :floattext.WIDTH] = floats.view(np.uint8).reshape(
+        len(float_at), size, floattext.WIDTH).transpose(1, 0, 2)
+    for j, text in others.items():
+        cells[:, j, :text.shape[1]] = text
+    cells[:, :, width] = ord(",")
+    cells[:, -1, width] = ord("\n")
+    data = _unpadded(cells)
+    text = str(data, "utf-8")
+    ends = np.flatnonzero(data == ord("\n")) + 1
+    if len(text) == len(data):
+        widest = max(ends[0], (ends[1:] - ends[:-1]).max(initial=0))
+        per_piece = max(1, _PIECE_CHARS // int(widest))
+    else:
+        # byte offsets to character offsets: a UTF-8 continuation byte
+        # starts no character
+        ends -= np.cumsum((data & 0xC0) == 0x80)[ends - 1]
+        per_piece = 1
+    ends = ends[per_piece - 1::per_piece].tolist()
+    if size % per_piece:
+        ends.append(len(text))
+    return [text[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _csv_encoded(cells: list, code: str) -> np.ndarray | None:
+    """``(code % v).encode()`` of each cell as a NUL-padded byte matrix, a
+    row per cell as wide as the longest, or None if a cell holds a NUL or a
+    newline.  Each distinct value is formatted once: a ``%s`` column holds
+    a few labels, or bools."""
+    encoded = {v: (code % v).encode() for v in set(cells)}
+    joined = b"".join(encoded.values())
+    if b"\0" in joined or b"\n" in joined:
+        return None
+    width = max(1, *map(len, encoded.values()))
+    texts = np.array(list(map(encoded.__getitem__, cells)), dtype=f"S{width}")
+    return texts.view(np.uint8).reshape(len(cells), width)
+
+
+def _unpadded(rows: np.ndarray) -> np.ndarray:
+    """The bytes of a byte matrix, in order, with its NUL padding dropped."""
+    flat = rows.reshape(-1)
+    return flat[flat != 0]
 
 
 def _record_columns(results: dict) -> dict:

@@ -16,16 +16,19 @@ def encode_complex(z) -> float | list[float]:
 
 
 def decode_complex(value, what: str) -> complex:
+    """The complex number of a JSON value: a number (an int or a float; a
+    bool too, as Python's ``float`` reads it) or an ``[re, im]`` pair of
+    numbers.  Anything else, a numeric string among them, is a ValueError
+    naming ``what``."""
     z = None
     try:
         if isinstance(value, (int, float)):
             z = complex(value)
-        elif isinstance(value, (list, tuple)) and len(value) == 2:
+        elif (isinstance(value, (list, tuple)) and len(value) == 2
+              and all(isinstance(part, (int, float)) for part in value)):
             z = complex(float(value[0]), float(value[1]))
     except OverflowError:  # an integer too large for a float
         z = complex(math.inf)
-    except (TypeError, ValueError):
-        pass
     if z is None:
         raise ValueError(f"{what} must be a number or an [re, im] pair")
     if not cmath.isfinite(z):

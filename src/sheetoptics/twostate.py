@@ -75,26 +75,28 @@ def decoupling_phase(sys: TwoStateSystem) -> tuple[float, float]:
     (theta_plus, theta_minus) in [0, 2*pi) where theta_plus makes
     Re[e^{i theta} conj(t+r) b] positive.
     """
-    z = np.conj(sys.t_plus_r) * sys.b
-    if abs(sys.t_plus_r) < DEGENERATE_TOL or abs(sys.b) < DEGENERATE_TOL:
+    s = sys.t_plus_r
+    z = np.conj(s) * sys.b
+    if abs(s) < DEGENERATE_TOL or abs(sys.b) < DEGENERATE_TOL:
         raise DegenerateDecoupling(
             "t + r or b vanishes; any theta decouples the pair"
         )
     # np.angle(z), without the array checks a scalar does not need
     theta_plus = float((-np.arctan2(z.imag, z.real)) % TWO_PI)
     theta_minus = float((theta_plus + np.pi) % TWO_PI)
-    bound = SELF_CHECK_TOL * abs(offdiagonal(sys))
+    h = offdiagonal(sys)
+    bound = SELF_CHECK_TOL * abs(h)
     for theta in (theta_plus, theta_minus):
-        if abs(cross_element(sys, theta)) > bound:
+        if abs(cross_element(h, theta)) > bound:
             raise DegenerateDecoupling(  # unreachable; numeric safety net
                 f"decoupling failed at theta={theta}"
             )
     return theta_plus, theta_minus
 
 
-def cross_element(sys: TwoStateSystem, theta: float) -> complex:
-    """<Phi_theta^+| H |Phi_theta^-> for the superpositions at phase theta."""
-    h = offdiagonal(sys)
+def cross_element(h: complex, theta: float) -> complex:
+    """<Phi_theta^+| H |Phi_theta^-> for the superpositions at phase theta,
+    from the coupling element h = ``offdiagonal(sys)``."""
     return np.exp(-1j * theta) * h - np.exp(1j * theta) * np.conj(h)
 
 

@@ -7,11 +7,12 @@ Run from the repository root to regenerate it:
 ``cases`` is a seeded list of command lines, with their input files, from
 every command family at small sizes, plus an edge ladder: empty and bare
 stacks, one and 87 graphene sheets, a ``-0.0`` slab, thick Si slabs,
-overflowing sweep ranges and bad input files.  The script runs each through
-``cli.main`` in process and writes ``golden_corpus.json`` beside it: the
-argv, the files and what the command gave, that is its exit code, the sha256
-of its stdout and of its stderr and the number of warnings it raised, with
-the numpy and Python versions that gave them.  ``tests/test_golden.py``
+overflowing sweep ranges, a sweep of layer counts up to 1e300 and bad
+input files.  The script runs each through ``cli.main`` in process and
+writes ``golden_corpus.json`` beside it: the argv, the files and what the
+command gave, that is its exit code, the sha256 of its stdout and of its
+stderr and the number of warnings it raised, with the numpy and Python
+versions that gave them.  ``tests/test_golden.py``
 replays the corpus and compares.  A change that moves output on purpose runs
 this script and reports which entries changed.
 """
@@ -149,7 +150,7 @@ def _stack_cases(name: str, doc, formats=("json", "csv")) -> list[dict]:
 
 def ladder_cases() -> list[dict]:
     """The edge ladder: degenerate and extreme stacks, overflowing sweep
-    ranges and bad input files."""
+    ranges, ints of up to 301 digits and bad input files."""
     sheet = {"type": "sheet", "cond": GRAPHENE_COND}
     cases = []
     cases += _stack_cases("no_layers", {"layers": []})
@@ -177,6 +178,9 @@ def ladder_cases() -> list[dict]:
         cases.append(_case(f"sweep_{variable}_range_overflow", argv, files))
     cases.append(_case("sweep_n_layers_cond_overflow", [
         "sweep", "--sweep", "n_layers:1:2:2", "--cond", "1e308"]))
+    # ints of up to 301 digits in a table long enough for the byte matrix
+    cases.append(_case("sweep_n_layers_huge", [
+        "sweep", "--sweep", "n_layers:1:1e300:60", "--cond", "1e-3"]))
     slab = {"type": "slab", "n_re": 1.46, "d": 0.3}
     bad_files = {
         "not_json": "{\"layers\": [",

@@ -153,7 +153,7 @@ class TestCriterion5:
             ok = ok and e_plus == -e_minus
             ok = ok and abs(e_plus - 2.0 * abs(t + r) * abs(b)) <= 1e-12
             ok = ok and np.allclose(vals, [-abs(h), abs(h)], atol=1e-12, rtol=0.0)
-            ok = ok and abs(cross_element(sys_, theta_plus)) <= 1e-12
+            ok = ok and abs(cross_element(h, theta_plus)) <= 1e-12
             checked += 1
         report(5, "two-state suite on 100 random triples", ok)
 

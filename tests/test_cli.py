@@ -314,6 +314,28 @@ class TestTwostate:
         assert len(calls) == 1
         assert [doc["theta_plus"], doc["theta_minus"]] == list(original(calls[0]))
 
+    def test_coupling_element_computed_twice_per_run(self, capsys, monkeypatch):
+        """h is computed once for the printed element and once for the phase
+        self-check, whose two cross elements take it; t + r once in each of
+        those, once more for the phases and once each for the energies and
+        the corrected reflection."""
+        offdiagonal, t_plus_r = [], []
+        original_h, original_s = twostate.offdiagonal, twostate.TwoStateSystem.t_plus_r
+
+        def counting_h(sys_):
+            offdiagonal.append(sys_)
+            return original_h(sys_)
+
+        def counting_s(sys_):
+            t_plus_r.append(sys_)
+            return original_s.fget(sys_)
+
+        monkeypatch.setattr(twostate, "offdiagonal", counting_h)
+        monkeypatch.setattr(twostate.TwoStateSystem, "t_plus_r", property(counting_s))
+        doc = run_json(capsys, "twostate", "--cond", GRAPHENE)
+        assert (len(offdiagonal), len(t_plus_r)) == (2, 5)
+        assert doc["degenerate"] is False
+
     def test_huge_energy_unit_stays_finite(self, capsys):
         """e = 2|h| is finite whenever it fits, however large u is."""
         def reject(constant):
@@ -331,6 +353,12 @@ class TestTwostate:
         code, _, err = run_cli(capsys, "twostate", "--coeffs", str(path))
         assert code == 1
         assert "'t'" in err
+
+    def test_coeffs_file_numeric_string_pair(self, capsys, tmp_path):
+        path = tmp_path / "coeffs.json"
+        path.write_text(json.dumps({"t": ["0.9", "0"], "r": 0.1, "b": 0.2}))
+        assert run_cli(capsys, "twostate", "--coeffs", str(path)) == \
+            (1, "", "sheetoptics: config error: t must be a number or an [re, im] pair\n")
 
     def test_coeffs_file_not_an_object(self, capsys, tmp_path):
         path = tmp_path / "coeffs.json"
@@ -541,11 +569,13 @@ class TestStack:
         ({"layers": [{"type": "sheet", "branching": " 0.5 "}]}, "layers[0].branching"),
         ({"layers": [{"type": "sheet", "sign": "1"}]}, "layers[0].sign"),
         ({"layers": [], "wavelength_nm": "633"}, "wavelength_nm"),
+        ({"layers": [{"type": "sheet", "cond": ["0.05", 0.02]}]}, "layers[0].cond"),
     ], ids=["layer_not_object", "layers_not_list", "slab_without_d",
             "null_index", "list_wavelength", "huge_int_cond", "huge_int_cond_pair",
             "huge_int_ambient_in", "huge_int_ambient_out", "fractional_sign",
             "fractional_f_sign", "fractional_sign_string", "numeric_string_d",
-            "numeric_string_branching", "numeric_string_sign", "numeric_string_wavelength"])
+            "numeric_string_branching", "numeric_string_sign", "numeric_string_wavelength",
+            "numeric_string_cond_pair"])
     def test_malformed_file(self, capsys, tmp_path, doc, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -977,11 +1007,13 @@ class TestOutputFile:
     def test_csv_in_chunks(self):
         argv = ["profile", "--which", "b", "--points", "3000"]
         chunks = list(run(_checked_args(build_parser().parse_args(argv))))
-        assert len(chunks) > 1
-        # the header, then one piece per row
+        # the header, then pieces of whole rows, each a str from the
+        # small-object allocator (under 512 bytes) unless it is one row
         assert chunks[0] == ",".join(PROFILE_HEADER) + "\n"
-        assert len(chunks) == 1 + 3002
-        assert all(chunk.count("\n") == 1 and chunk.endswith("\n") for chunk in chunks)
+        assert len(chunks) > 1 + 3002 // cli._CSV_CHUNK_ROWS
+        for piece in chunks[1:]:
+            assert piece.endswith("\n")
+            assert sys.getsizeof(piece) < 512 or piece.count("\n") == 1
         params = surface.SheetParams()
         emission = surface.emission_amplitude(params, surface.solve_single_sheet(params))
         profile = eval_b(emission.b_r, emission.b_l, np.linspace(-5.0, 5.0, 3001))
@@ -1339,22 +1371,31 @@ SPECIAL_BITS = [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000
                 0xFFF8000000000001, 1, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF]
 csv_floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308])
 csv_names = st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True)
+#: Labels of ASCII and non-ASCII letters, which need no CSV quoting, and
+#: labels with a NUL, which the byte-matrix route cannot carry.
+csv_labels = (st.sampled_from(["minus", "plus", "bulk", "\0nul", "a\0b"])
+              | st.text(st.characters(categories=["L"]), min_size=1, max_size=40))
 
 
 @st.composite
 def csv_tables(draw):
-    """Equal-length columns of the kinds the table commands write."""
+    """Equal-length columns of the kinds the table commands write, and wider
+    ones: ints of up to 401 digits and labels of up to 40 letters, a few
+    distinct ones a column, as a profile's side labels."""
     rows = draw(st.integers(0, 30))
     cells = {
         "bits": st.integers(0, 2**64 - 1) | st.sampled_from(SPECIAL_BITS),
         "floats": csv_floats,
-        "ints": st.integers(-2**70, 2**70),
-        "sides": st.sampled_from(["minus", "plus", "bulk"]),
+        "ints": st.integers(-2**70, 2**70) | st.integers(-10**400, 10**400),
+        "sides": csv_labels,
     }
     columns = {}
     for name in draw(csv_names):
         kind = draw(st.sampled_from(sorted(cells)))
-        column = draw(st.lists(cells[kind], min_size=rows, max_size=rows))
+        cell = cells[kind]
+        if kind == "sides":
+            cell = st.sampled_from(draw(st.lists(cell, min_size=1, max_size=3)))
+        column = draw(st.lists(cell, min_size=rows, max_size=rows))
         if kind == "bits":
             column = np.array(column, dtype=np.uint64).view(np.float64)
             if draw(st.booleans()):  # a list of numpy scalars, as sweeps hold
@@ -1372,19 +1413,26 @@ csv_records = st.dictionaries(
 
 
 @settings(max_examples=300, deadline=None)
-@given(columns=csv_tables() | csv_records, chunk_rows=st.integers(1, 8),
+@given(columns=csv_tables() | csv_records,
+       chunk_rows=st.integers(1, 8) | st.just(cli._CSV_CHUNK_ROWS),
        kernel_cells=st.integers(0, 24) | st.just(cli._KERNEL_CELLS))
 def test_csv_writer_matches_reference(columns, chunk_rows, kernel_cells):
-    """Both row routes, one %-format per row and floattext's float cells in
-    a bytes template, give the bytes of the cell-by-cell reference: random
-    float64 bit patterns, signed zeros, infinities, nans, subnormals, ints,
-    side labels, and one-row records with None and bools, across chunk
-    boundaries, with the routes mixed in one table where a short last chunk
-    falls below the crossover."""
+    """Both routes, one %-format per row and one byte matrix per chunk, give
+    the bytes of the cell-by-cell reference: random float64 bit patterns,
+    signed zeros, infinities, nans, subnormals, ints of up to 401 digits,
+    ASCII and non-ASCII labels, labels with a NUL, and one-row records with
+    None and bools, across chunk boundaries, with the routes mixed in one
+    table where a short last chunk falls below the crossover.  After the
+    header every piece is whole rows, a str under 512 bytes unless it is
+    one row."""
     rows = list(zip(*columns.values()))
     with mock.patch.object(cli, "_CSV_CHUNK_ROWS", chunk_rows), \
             mock.patch.object(cli, "_KERNEL_CELLS", kernel_cells):
-        assert "".join(_csv(columns)) == reference_table(list(columns), rows)
+        pieces = list(_csv(columns))
+    assert "".join(pieces) == reference_table(list(columns), rows)
+    for piece in pieces[1:]:
+        assert piece.endswith("\n")
+        assert sys.getsizeof(piece) < 512 or piece.count("\n") == 1
 
 
 @pytest.mark.parametrize("columns", [{"a": [1.0, 2]}, {"a": [True, 1]}, {"a": [None, 0.5]}],

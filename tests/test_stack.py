@@ -460,8 +460,9 @@ class TestStackIO:
     @pytest.mark.parametrize("layer, fields", [
         (1, {"n_re": 2, "n_im": 0, "d": 1}),
         (2, {"cond": True, "branching": True, "f_sign": True, "sign": 1.0}),
-        (0, {"cond": ["0.05", 0.02], "f_sign": -1.0, "sign": 1.0}),
-    ], ids=["ints", "bools", "converted_signs"])
+        (0, {"cond": [0.05, 0.02], "f_sign": -1.0, "sign": 1.0}),
+        (2, {"cond": [1, 0]}),
+    ], ids=["ints", "bools", "converted_signs", "int_pair"])
     def test_converted_fields_read_as_clean_ones(self, layer, fields):
         data = json.loads(json.dumps(self.CLEAN))
         data["layers"][layer].update(fields)

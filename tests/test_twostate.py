@@ -99,7 +99,7 @@ class TestDecouplingPhase:
             assert abs(np.imag(np.exp(1j * theta_plus) * z)) <= 1e-12
             assert np.real(np.exp(1j * theta_plus) * z) > 0
             assert np.real(np.exp(1j * theta_minus) * z) < 0
-            assert abs(cross_element(sys_, theta_plus)) <= 1e-12
+            assert abs(cross_element(offdiagonal(sys_), theta_plus)) <= 1e-12
 
 
 class TestLevelEnergies:
