@@ -51,6 +51,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateDecoupling, SheetOpticsError
+# fields, floattext, stack and twostate are lazy modules (see the package
+# docstring): each runs at the first command that reads one of its names
 from . import fields as fields_mod
 from . import floattext
 from . import stack as stack_mod
@@ -74,10 +76,14 @@ _CSV_CHUNK_ROWS = 1024
 #: JSON float, at 200-250 cells: the two routes cost about the same per
 #: float, so one crossover serves both.  At 250 cells the kernels were
 #: 1.08-1.14x faster, at 500 1.66-1.73x.  The CSV byte-matrix route (median
-#: of 9 ratios of best-of-5 timings, written to a StringIO) breaks even at
-#: about 250 cells for all-float chunks, as sweeps of a stack or of cond
-#: write, and at 300-400 with an int or label column; at 400 cells it was
-#: 1.07-1.44x faster than one ``%`` per row.
+#: of 9 ratios of best-of-7 timings, written to a StringIO) breaks even at
+#: about 250 float cells for a stack sweep's nine float columns, and each
+#: int or label column adds about as many again: a profile chunk (nine
+#: float columns and the side label) broke even at about 55 rows (500 float
+#: cells), an n_layers sweep (an int column and five float ones) at 100-130
+#: rows (500-650), where at 60 rows the byte matrix took 1.4-1.6x as long
+#: as one ``%`` per row.  So ``_csv`` asks ``_KERNEL_CELLS`` more float
+#: cells of a chunk for each column that is not float.
 _KERNEL_CELLS = 250
 
 
@@ -365,7 +371,11 @@ def _csv_code(column) -> str:
 
 def _csv_cells(cells, empty: str) -> list:
     """The cells of a column slice as a list of Python values, None as
-    ``empty``."""
+    ``empty``; in a one-column table, where ``empty`` is ``'""'``, an empty
+    string as ``empty`` too."""
+    if empty:
+        cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
+        return [empty if v is None or v == "" else v for v in cells]
     if isinstance(cells, np.ndarray):
         return cells.tolist()
     return [empty if v is None else v for v in cells] if None in cells else cells
@@ -376,14 +386,15 @@ def _csv(columns: dict) -> Iterator[str]:
 
     The columns are taken ``_CSV_CHUNK_ROWS`` rows at a time, so a long
     table is never held whole, as values or as text.  A chunk of fewer than
-    ``_KERNEL_CELLS`` float cells (records, and sweeps of up to a few dozen
-    rows) is written a row at a time: one ``%`` format of a template that
-    holds one printf code per column (``_csv_code``; ``"%.17g" % v`` is
-    ``float.__format__(v, ".17g")``), each row yielded alone.  A longer
-    chunk (profiles, longer sweeps) is one byte matrix (``_csv_kernel_rows``)
-    with the same bytes, yielded in pieces of whole rows.  No cell a command
-    writes needs CSV quoting: numbers, True/False, empty cells and the side
-    labels.
+    ``_KERNEL_CELLS`` float cells, and ``_KERNEL_CELLS`` more for each int or
+    label column (records, and sweeps of up to a few dozen rows, or about a
+    hundred with an int column), is written a row at a time: one ``%``
+    format of a template that holds one printf code per column
+    (``_csv_code``; ``"%.17g" % v`` is ``float.__format__(v, ".17g")``),
+    each row yielded alone.  A longer chunk (profiles, longer sweeps) is one
+    byte matrix (``_csv_kernel_rows``) with the same bytes, yielded in
+    pieces of whole rows.  No cell a command writes needs CSV quoting:
+    numbers, True/False, empty cells and the side labels.
     """
     values = list(columns.values())
     lengths = {len(column) for column in values}
@@ -392,8 +403,10 @@ def _csv(columns: dict) -> Iterator[str]:
     codes = list(map(_csv_code, values))
     template = ",".join(codes) + "\n"
     floats = codes.count("%.17g")
-    # csv quotes a lone empty field, so that its row is not a blank line
-    empty = '""' if len(values) == 1 else ""
+    kernel_cells = _KERNEL_CELLS * (1 + len(codes) - floats)
+    # csv quotes a lone empty field, so that its row is not a blank line;
+    # only a %s cell (None or a string) can be empty
+    empty = '""' if codes == ["%s"] else ""
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(columns)
     yield header.getvalue()
@@ -401,7 +414,7 @@ def _csv(columns: dict) -> Iterator[str]:
     for start in range(0, rows, _CSV_CHUNK_ROWS):
         chunk = [column[start:start + _CSV_CHUNK_ROWS] for column in values]
         pieces = None
-        if len(chunk[0]) * floats >= _KERNEL_CELLS:
+        if len(chunk[0]) * floats >= kernel_cells:
             pieces = _csv_kernel_rows(chunk, codes, empty)
         if pieces is None:
             pieces = map(template.__mod__, zip(*(_csv_cells(column, empty) for column in chunk)))

@@ -1371,9 +1371,10 @@ SPECIAL_BITS = [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000
                 0xFFF8000000000001, 1, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF]
 csv_floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308])
 csv_names = st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True)
-#: Labels of ASCII and non-ASCII letters, which need no CSV quoting, and
-#: labels with a NUL, which the byte-matrix route cannot carry.
-csv_labels = (st.sampled_from(["minus", "plus", "bulk", "\0nul", "a\0b"])
+#: Labels of ASCII and non-ASCII letters, which need no CSV quoting, the
+#: empty label, which csv quotes when it is a row's only cell, and labels
+#: with a NUL, which the byte-matrix route cannot carry.
+csv_labels = (st.sampled_from(["minus", "plus", "bulk", "", "\0nul", "a\0b"])
               | st.text(st.characters(categories=["L"]), min_size=1, max_size=40))
 
 
@@ -1433,6 +1434,19 @@ def test_csv_writer_matches_reference(columns, chunk_rows, kernel_cells):
     for piece in pieces[1:]:
         assert piece.endswith("\n")
         assert sys.getsizeof(piece) < 512 or piece.count("\n") == 1
+
+
+@pytest.mark.parametrize("columns", [{"a": [""]}, {"a": ["", "x"]}, {"a": np.array(["x", ""])},
+                                     {"a": [None, ""]}, {"a": ["", None], "b": ["", "y"]}],
+                         ids=["one_empty", "empty_first", "array", "none_and_empty", "two_columns"])
+@pytest.mark.parametrize("kernel_cells", [0, cli._KERNEL_CELLS], ids=["byte_matrix", "per_row"])
+def test_csv_lone_empty_cell_quoted(columns, kernel_cells):
+    """An empty cell that is its row's only cell is written ``""``, as csv
+    writes it, so that the row is not a blank line; beside other cells it
+    stays empty."""
+    with mock.patch.object(cli, "_KERNEL_CELLS", kernel_cells):
+        text = "".join(_csv(columns))
+    assert text == reference_table(list(columns), zip(*columns.values()))
 
 
 @pytest.mark.parametrize("columns", [{"a": [1.0, 2]}, {"a": [True, 1]}, {"a": [None, 0.5]}],
