@@ -13,9 +13,13 @@ names (``__all__``) are served by a module ``__getattr__`` (PEP 562), so
 ``from sheetoptics import solve_stack`` loads ``stack`` and nothing else.
 A ``coeffs``, ``twostate`` or ``profile`` process thus never runs
 ``stack``, and a ``stack`` or ``sweep`` process never runs ``fields`` or
-``twostate``.  A one-shot ``python -m sheetoptics.cli coeffs`` took 171 ms
-where eager imports took 214, ``twostate`` 193 where they took 221
-(medians of 12 alternating runs, shared 2-core x86_64, Python 3.11, no
+``twostate``.  numpy loads only where an array is built: ``surface`` and
+the scalar functions of ``twostate`` compute on ``math`` and ``cmath``, so
+a ``coeffs`` or ``twostate`` process never loads it.  A one-shot
+``python -m sheetoptics.cli coeffs`` took 85 ms where the same lazy
+modules with numpy loaded at start took 171 (and eager imports 214, in
+earlier runs), ``twostate`` 83 where they took 169 (medians of 15
+alternating runs, shared 2-core x86_64, Python 3.11, numpy 2.4.6, no
 ``.pyc`` written; README.md has the table).  Before Python 3.12 a lazy
 module's first load takes no lock: two threads that first touch one at
 the same moment can both run its code, so code that starts threads

@@ -18,11 +18,12 @@ Every command returns data and one renderer writes it.  Record commands
 JSON document or as a one-row CSV; table commands (sweep, profile) return
 columns, an ordered dict of column name to equal-length values, rendered
 as CSV only.  A table is written 1024 rows at a time.  A long chunk is laid
-out as one byte matrix, its float cells written by ``floattext.g17``, a
-vectorized kernel with the bytes of ``%.17g``, and its text is yielded in
-pieces of whole rows, each a str of under 512 bytes unless it is one row,
-so that it comes from CPython's small-object allocator; a short table is
-written by one ``%`` format per row (see ``_csv``).
+out as one byte matrix by ``floattext.csv_pieces``, its float cells written
+by ``floattext.g17``, a vectorized kernel with the bytes of ``%.17g``, and
+its text is yielded in pieces of whole rows, each a str of under 512 bytes
+unless it is one row, so that it comes from CPython's small-object
+allocator; a short table is written by one ``%`` format per row (see
+``_csv``).
 
 A JSON document comes from one writer, ``_json_chunks``, with the bytes of
 ``json.dumps(doc, indent=2)``: ``_json_text`` writes each value as json's
@@ -30,8 +31,14 @@ own encoder does, and ``_json_vector`` a 1-D float or complex array that is
 a value of the document.  The floats of a long such array, like a deep
 stack's ``sheet_fields``, are written by ``floattext.shortest``, a
 vectorized kernel with the bytes of ``repr``, and the array's text is
-assembled as bytes (see ``_json_kernel_vector``); a short array's by one
+assembled as bytes (see ``floattext.json_vector``); a short array's by one
 ``repr`` per float.
+
+numpy is imported where an array is built: by the stack, sweep and profile
+commands and by the lazy modules they run.  ``coeffs`` and ``twostate``
+compute on ``math`` and ``cmath`` (``surface``, ``twostate``) and build no
+array, so their processes never load numpy; the writers test for an array
+through ``sys.modules`` (``_ndarray``).
 """
 
 from __future__ import annotations
@@ -46,8 +53,7 @@ import re
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import DegenerateDecoupling, SheetOpticsError
@@ -57,7 +63,10 @@ from . import fields as fields_mod
 from . import floattext
 from . import stack as stack_mod
 from . import surface, twostate
-from .codec import decode_complex, encode_complex
+from .codec import decode_complex, encode_complex, json_float
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DESCRIPTION = ("Scattering, absorption and emission of atomically thin conducting "
                 "sheets and their stacks: single-sheet coefficients, two-state "
@@ -83,7 +92,14 @@ _CSV_CHUNK_ROWS = 1024
 #: cells), an n_layers sweep (an int column and five float ones) at 100-130
 #: rows (500-650), where at 60 rows the byte matrix took 1.4-1.6x as long
 #: as one ``%`` per row.  So ``_csv`` asks ``_KERNEL_CELLS`` more float
-#: cells of a chunk for each column that is not float.
+#: cells of a chunk for each column that is not float.  A float column held
+#: as a list of Python floats, as a cond or n_layers sweep returns its
+#: t, r, A and |t + r| columns, is first turned into an array: a cond sweep
+#: (an array and six lists of floats) broke even at 65-70 rows (455-490
+#: float cells), where at 40 rows the byte matrix took 1.4x as long, and an
+#: n_layers sweep (an int column and five lists of floats) at about 140
+#: rows (700 cells).  So ``_csv`` asks a sixth of ``_KERNEL_CELLS`` more
+#: for each such list.
 _KERNEL_CELLS = 250
 
 
@@ -109,6 +125,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
     """(variable, values) of a ``var:start:stop:steps`` sweep spec."""
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) != 4:
         raise CliConfigError("--sweep expects var:start:stop:steps")
@@ -208,7 +226,7 @@ def _json_default(value):
     """JSON form of the non-JSON values in a result: complex scalars, arrays."""
     if isinstance(value, complex):
         return encode_complex(value)
-    if isinstance(value, np.ndarray):
+    if isinstance(value, _ndarray()):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
@@ -235,8 +253,9 @@ def _json_chunks(doc: dict) -> Iterator[str]:
     A 1-D float64 or complex128 array value is written by ``_json_vector``,
     every other value by ``_json_text``.
     """
+    ndarray = _ndarray()
     items = [f"{_json_str(key)}: "
-             f"{_json_vector(value) if _is_vector(value) else _json_text(value, '  ')}"
+             f"{_json_vector(value) if _is_vector(value, ndarray) else _json_text(value, '  ')}"
              for key, value in doc.items()]
     yield "{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n"
 
@@ -261,7 +280,7 @@ def _json_text(value, pad: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _json_float(value)
+        return json_float(value)
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         if not value:
@@ -276,25 +295,25 @@ def _json_text(value, pad: str) -> str:
     return _json_text(_json_default(value), pad)
 
 
-def _is_vector(value) -> bool:
-    return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype in (float, complex)
+def _ndarray():
+    """numpy's array type, or ``()``, which nothing is an instance of,
+    before numpy loads: no value is an array then, and a command that
+    builds none never loads numpy."""
+    numpy = sys.modules.get("numpy")
+    return () if numpy is None else numpy.ndarray
 
 
-#: json's text of the floats whose repr is not a JSON number.
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(value: float) -> str:
-    """json's text of a float: its repr, or NaN, Infinity, -Infinity."""
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
+def _is_vector(value, ndarray) -> bool:
+    return isinstance(value, ndarray) and value.ndim == 1 and value.dtype in (float, complex)
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
-    """``_json_float`` of each float of an array."""
+    """``json_float`` of each float of an array."""
+    import numpy as np
+
     if np.isfinite(values).all():
         return list(map(float.__repr__, values.tolist()))
-    return list(map(_json_float, values.tolist()))
+    return list(map(json_float, values.tolist()))
 
 
 def _json_vector(values: np.ndarray) -> str:
@@ -302,12 +321,12 @@ def _json_vector(values: np.ndarray) -> str:
     top-level object.  A complex element with zero imaginary part is a
     plain number, any other an [re, im] pair (the codec's forms).  An
     array of at least ``_KERNEL_CELLS`` floats, counting both parts of a
-    complex element, goes to ``_json_kernel_vector``."""
+    complex element, goes to ``floattext.json_vector``."""
     if not len(values):
         return "[]"
     parts = (values.real, values.imag) if values.dtype.kind == "c" else (values,)
     if len(values) * len(parts) >= _KERNEL_CELLS:
-        return _json_kernel_vector(parts)
+        return floattext.json_vector(parts)
     items = _json_floats(parts[0])
     if len(parts) == 2:
         imag = parts[1]
@@ -316,48 +335,11 @@ def _json_vector(values: np.ndarray) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]"
 
 
-#: Bytes around the texts of the parts of a complex element, and after each item.
-_PAIR_OPEN, _PAIR_MIDDLE, _PAIR_CLOSE, _ITEM_END = (
-    np.frombuffer(text, dtype=np.uint8) for text in (b"[\n      ", b",\n      ", b"\n    ]",
-                                                     b",\n    "))
-
-
-def _json_kernel_vector(parts: tuple) -> str:
-    """``_json_vector`` of an array given as its parts, the array itself
-    for a float vector or the real and imaginary parts of a complex one,
-    whose floats are written by ``floattext.shortest``, the bytes of
-    ``float.__repr__``.
-
-    Each element's item, with the separator after it, is one NUL-padded
-    row of bytes; the text is every row with its NULs dropped.
-    """
-    size = len(parts[0])
-    cells = np.concatenate(parts)
-    texts = floattext.shortest(cells)
-    finite = np.isfinite(cells)
-    if not finite.all():
-        texts[~finite] = list(map(_json_float, cells[~finite].tolist()))
-    texts = texts.view(np.uint8).reshape(len(parts), size, floattext.WIDTH)
-    if len(parts) == 1:
-        pieces = [texts[0], _ITEM_END]
-    else:
-        pieces = [_PAIR_OPEN, texts[0], _PAIR_MIDDLE, texts[1], _PAIR_CLOSE, _ITEM_END]
-    widths = [piece.shape[-1] for piece in pieces]
-    rows = np.concatenate([np.broadcast_to(piece, (size, width))
-                           for piece, width in zip(pieces, widths)], axis=1)
-    if len(parts) == 2:
-        # an element with zero imaginary part is its real part alone
-        pair_only = np.repeat([True, False, True, True, True, False], widths)
-        rows[np.ix_(parts[1] == 0.0, pair_only)] = 0
-    text = str(_unpadded(rows), "ascii")
-    return "[\n    " + text[:-len(_ITEM_END)] + "\n  ]"
-
-
 def _csv_code(column) -> str:
     """The printf code of a column, from the types of its cells: ``%.17g``
     for floats, ``%d`` for ints, ``%s`` for bools, strings and None (which
     ``_csv_cells`` turns into an empty cell)."""
-    cells = column[:1].tolist() if isinstance(column, np.ndarray) else column
+    cells = column[:1].tolist() if isinstance(column, _ndarray()) else column
     types = set(map(type, cells))
     if all(issubclass(t, float) for t in types):
         return "%.17g"
@@ -374,9 +356,9 @@ def _csv_cells(cells, empty: str) -> list:
     ``empty``; in a one-column table, where ``empty`` is ``'""'``, an empty
     string as ``empty`` too."""
     if empty:
-        cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
+        cells = cells.tolist() if isinstance(cells, _ndarray()) else cells
         return [empty if v is None or v == "" else v for v in cells]
-    if isinstance(cells, np.ndarray):
+    if isinstance(cells, _ndarray()):
         return cells.tolist()
     return [empty if v is None else v for v in cells] if None in cells else cells
 
@@ -386,13 +368,14 @@ def _csv(columns: dict) -> Iterator[str]:
 
     The columns are taken ``_CSV_CHUNK_ROWS`` rows at a time, so a long
     table is never held whole, as values or as text.  A chunk of fewer than
-    ``_KERNEL_CELLS`` float cells, and ``_KERNEL_CELLS`` more for each int or
-    label column (records, and sweeps of up to a few dozen rows, or about a
-    hundred with an int column), is written a row at a time: one ``%``
-    format of a template that holds one printf code per column
-    (``_csv_code``; ``"%.17g" % v`` is ``float.__format__(v, ".17g")``),
-    each row yielded alone.  A longer chunk (profiles, longer sweeps) is one
-    byte matrix (``_csv_kernel_rows``) with the same bytes, yielded in
+    ``_KERNEL_CELLS`` float cells, ``_KERNEL_CELLS`` more for each int or
+    label column and a sixth as many more for each float column given as a
+    list (records; stack sweeps of up to 27 rows, cond sweeps of up to 71,
+    profile chunks of up to 55 and n_layers sweeps of up to 141), is
+    written a row at a time: one ``%`` format of a template that holds one
+    printf code per column (``_csv_code``; ``"%.17g" % v`` is
+    ``float.__format__(v, ".17g")``), each row yielded alone.  A longer chunk (profiles, longer sweeps) is one
+    byte matrix (``floattext.csv_pieces``) with the same bytes, yielded in
     pieces of whole rows.  No cell a command writes needs CSV quoting:
     numbers, True/False, empty cells and the side labels.
     """
@@ -403,97 +386,29 @@ def _csv(columns: dict) -> Iterator[str]:
     codes = list(map(_csv_code, values))
     template = ",".join(codes) + "\n"
     floats = codes.count("%.17g")
+    rows = max(lengths, default=0)
     kernel_cells = _KERNEL_CELLS * (1 + len(codes) - floats)
+    if rows * floats >= kernel_cells:
+        ndarray = _ndarray()
+        listed = sum(code == "%.17g" and not isinstance(column, ndarray)
+                     for code, column in zip(codes, values))
+        kernel_cells += _KERNEL_CELLS * listed // 6
     # csv quotes a lone empty field, so that its row is not a blank line;
     # only a %s cell (None or a string) can be empty
     empty = '""' if codes == ["%s"] else ""
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(columns)
     yield header.getvalue()
-    rows = max(lengths, default=0)
     for start in range(0, rows, _CSV_CHUNK_ROWS):
         chunk = [column[start:start + _CSV_CHUNK_ROWS] for column in values]
         pieces = None
         if len(chunk[0]) * floats >= kernel_cells:
-            pieces = _csv_kernel_rows(chunk, codes, empty)
+            pieces = floattext.csv_pieces(
+                [column if code == "%.17g" else _csv_cells(column, empty)
+                 for column, code in zip(chunk, codes)], codes)
         if pieces is None:
             pieces = map(template.__mod__, zip(*(_csv_cells(column, empty) for column in chunk)))
         yield from pieces
-
-
-#: Characters of CSV text yielded in one piece at most, unless the piece is
-#: one row.  An ASCII str of 460 characters takes 509 bytes, so each piece
-#: comes from CPython's small-object allocator (up to 512 bytes).  Larger
-#: strs come from the C heap, next to a growing output buffer such as a
-#: StringIO's; whole 1024-row pieces raised a benchmark run's peak RSS by
-#: 8-10% at an equal command count, pieces of two rows by nothing.
-_PIECE_CHARS = 460
-
-
-def _csv_kernel_rows(chunk: list, codes: list, empty: str) -> list[str] | None:
-    """``_csv``'s rows of a chunk of columns as pieces of whole rows, or None
-    if a ``%s`` cell holds a NUL or a newline.
-
-    The chunk is laid out as one ``(rows, columns, width + 1)`` byte matrix:
-    each cell NUL-padded to the widest cell of the chunk, then a ``,`` or,
-    after a row's last cell, a newline.  The float cells are the texts of
-    ``floattext.g17``, the bytes of ``%.17g``, of all the chunk's float
-    columns in one call; the others are encoded (``_csv_encoded``).  The
-    text is the matrix with its NULs dropped (``_unpadded``), decoded once,
-    and cut into pieces of ``_PIECE_CHARS // widest row`` rows (at least
-    one); non-ASCII text, whose str takes 2 or 4 bytes a character, a row a
-    piece.
-    """
-    size = len(chunk[0])
-    float_at = [j for j, code in enumerate(codes) if code == "%.17g"]
-    others = {j: _csv_encoded(_csv_cells(column, empty), code)
-              for j, (column, code) in enumerate(zip(chunk, codes)) if code != "%.17g"}
-    if any(text is None for text in others.values()):
-        return None
-    width = max([floattext.WIDTH, *(text.shape[1] for text in others.values())])
-    cells = np.zeros((size, len(codes), width + 1), dtype=np.uint8)
-    floats = floattext.g17(np.array([chunk[j] for j in float_at], dtype=np.float64).reshape(-1))
-    cells[:, float_at, :floattext.WIDTH] = floats.view(np.uint8).reshape(
-        len(float_at), size, floattext.WIDTH).transpose(1, 0, 2)
-    for j, text in others.items():
-        cells[:, j, :text.shape[1]] = text
-    cells[:, :, width] = ord(",")
-    cells[:, -1, width] = ord("\n")
-    data = _unpadded(cells)
-    text = str(data, "utf-8")
-    ends = np.flatnonzero(data == ord("\n")) + 1
-    if len(text) == len(data):
-        widest = max(ends[0], (ends[1:] - ends[:-1]).max(initial=0))
-        per_piece = max(1, _PIECE_CHARS // int(widest))
-    else:
-        # byte offsets to character offsets: a UTF-8 continuation byte
-        # starts no character
-        ends -= np.cumsum((data & 0xC0) == 0x80)[ends - 1]
-        per_piece = 1
-    ends = ends[per_piece - 1::per_piece].tolist()
-    if size % per_piece:
-        ends.append(len(text))
-    return [text[start:end] for start, end in zip([0] + ends, ends)]
-
-
-def _csv_encoded(cells: list, code: str) -> np.ndarray | None:
-    """``(code % v).encode()`` of each cell as a NUL-padded byte matrix, a
-    row per cell as wide as the longest, or None if a cell holds a NUL or a
-    newline.  Each distinct value is formatted once: a ``%s`` column holds
-    a few labels, or bools."""
-    encoded = {v: (code % v).encode() for v in set(cells)}
-    joined = b"".join(encoded.values())
-    if b"\0" in joined or b"\n" in joined:
-        return None
-    width = max(1, *map(len, encoded.values()))
-    texts = np.array(list(map(encoded.__getitem__, cells)), dtype=f"S{width}")
-    return texts.view(np.uint8).reshape(len(cells), width)
-
-
-def _unpadded(rows: np.ndarray) -> np.ndarray:
-    """The bytes of a byte matrix, in order, with its NUL padding dropped."""
-    flat = rows.reshape(-1)
-    return flat[flat != 0]
 
 
 def _record_columns(results: dict) -> dict:
@@ -653,6 +568,8 @@ def _stack_sweep(args: argparse.Namespace) -> stack_mod.StackSweep:
 def _cmd_sweep(args: argparse.Namespace) -> dict:
     # --jobs is accepted and ignored: a thread pool over these small,
     # GIL-bound numpy solves ran slower than the serial loop.
+    import numpy as np
+
     variable, values = args.sweep
     if args.stack_file and variable in ("cond", "n_layers"):
         raise CliConfigError(f"--stack does not apply to --sweep {variable}")
@@ -680,6 +597,8 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
 
 
 def _cmd_profile(args: argparse.Namespace) -> dict:
+    import numpy as np
+
     if args.which == "a":
         for option, value in (("--b-r", args.b_r), ("--b-l", args.b_l)):
             if value is not None:
@@ -731,6 +650,12 @@ _SUBCOMMANDS = {
 }
 #: Commands that return columns rather than a record; they emit CSV only.
 _TABLE_COMMANDS = frozenset({"sweep", "profile"})
+#: Commands whose sheet options ``run`` checks after the command, so that
+#: its own errors come first.  coeffs, twostate and profile build the
+#: sheet's ``SheetParams`` themselves.  decouple and the n_layers and stack
+#: sweeps leave --branching unused and unchecked, and the cond and stack
+#: sweeps --cond (a cond sweep builds one per swept value).
+_SHEET_CHECKED_LATE = frozenset({"decouple", "sweep"})
 
 
 def _checked_args(args: argparse.Namespace) -> argparse.Namespace:
@@ -758,10 +683,7 @@ def run(args: argparse.Namespace) -> Iterator[str]:
     call, before the first chunk."""
     _, _, command = _SUBCOMMANDS[args.command]
     results = command(args)
-    # decouple and the n_layers and stack sweeps leave --branching unused and
-    # unchecked, and the cond and stack sweeps --cond; the sheet options are
-    # checked after the command, so that its own errors come first
-    if hasattr(args, "cond"):
+    if args.command in _SHEET_CHECKED_LATE:
         _sheet_params(args)
     if args.fmt == "json":
         return _json_doc(args, results)

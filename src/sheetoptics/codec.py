@@ -1,7 +1,9 @@
-"""JSON form of complex numbers, shared by stack files and CLI documents.
+"""JSON form of floats and complex numbers, shared by stack files and CLI
+documents.
 
 A complex number is written as a plain number when its imaginary part is
-zero and as an ``[re, im]`` pair otherwise; both forms are read back.
+zero and as an ``[re, im]`` pair otherwise; both forms are read back.  A
+float's text is its ``repr``, or json's NaN, Infinity and -Infinity.
 """
 
 from __future__ import annotations
@@ -34,3 +36,13 @@ def decode_complex(value, what: str) -> complex:
     if not cmath.isfinite(z):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return z
+
+
+#: json's text of the floats whose repr is not a JSON number.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_float(value: float) -> str:
+    """json's text of a float: its repr, or NaN, Infinity, -Infinity."""
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)

@@ -33,6 +33,11 @@ digit shorter lies within 1e-6 of the interval's edge, or whose chosen
 candidate lies within 1e-6 of a rounding tie or carries to 10**17;
 significands of exactly 2**52, whose interval is lopsided; and the cells
 of 14 digits or fewer.
+
+The command line's long tables and vectors are laid out here too, as byte
+matrices around the kernels' texts: ``csv_pieces`` writes a CSV chunk,
+``json_vector`` a JSON array.  This module loads on first use, so a
+command that writes neither compiles none of it.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
+
+from .codec import json_float
 
 #: Bytes in the longest text, ``-1.2345678901234567e-308``.
 WIDTH = 24
@@ -340,3 +347,119 @@ def _spell(values, d, index, placed, zero, layout, fallback) -> np.ndarray:
         text[unsure] = np.array(list(map(fallback, values[unsure].tolist())),
                                 dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
     return text.view(f"S{WIDTH}").reshape(n)
+
+
+#: Characters of CSV text yielded in one piece at most, unless the piece is
+#: one row.  An ASCII str of 460 characters takes 509 bytes, so each piece
+#: comes from CPython's small-object allocator (up to 512 bytes).  Larger
+#: strs come from the C heap, next to a growing output buffer such as a
+#: StringIO's; whole 1024-row pieces raised a benchmark run's peak RSS by
+#: 8-10% at an equal command count, pieces of two rows by nothing.
+_PIECE_CHARS = 460
+
+
+def csv_pieces(columns: list, codes: list) -> list[str] | None:
+    """The CSV rows of equal-length columns, one printf code each, as pieces
+    of whole rows, or None if a ``%s`` cell holds a NUL or a newline.
+
+    A ``%.17g`` column is an array or a list of floats; any other is a list
+    of the Python values its cells show.  The columns are laid out as one
+    ``(rows, columns, width + 1)`` byte matrix: each cell NUL-padded to the
+    widest cell, then a ``,`` or, after a row's last cell, a newline.  The
+    float cells are the texts of ``g17``, the bytes of ``%.17g``, of all the
+    float columns in one call; the others are encoded (``_encoded``).  The
+    text is the matrix with its NULs dropped (``_unpadded``), decoded once,
+    and cut into pieces of ``_PIECE_CHARS // widest row`` rows (at least
+    one); non-ASCII text, whose str takes 2 or 4 bytes a character, a row a
+    piece.
+    """
+    size = len(columns[0])
+    float_at = [j for j, code in enumerate(codes) if code == "%.17g"]
+    others = {j: _encoded(column, code)
+              for j, (column, code) in enumerate(zip(columns, codes)) if code != "%.17g"}
+    if any(text is None for text in others.values()):
+        return None
+    width = max([WIDTH, *(text.shape[1] for text in others.values())])
+    cells = np.zeros((size, len(codes), width + 1), dtype=np.uint8)
+    floats = g17(np.array([columns[j] for j in float_at], dtype=np.float64).reshape(-1))
+    cells[:, float_at, :WIDTH] = floats.view(np.uint8).reshape(
+        len(float_at), size, WIDTH).transpose(1, 0, 2)
+    for j, text in others.items():
+        cells[:, j, :text.shape[1]] = text
+    cells[:, :, width] = ord(",")
+    cells[:, -1, width] = ord("\n")
+    data = _unpadded(cells)
+    text = str(data, "utf-8")
+    ends = np.flatnonzero(data == ord("\n")) + 1
+    if len(text) == len(data):
+        widest = max(ends[0], (ends[1:] - ends[:-1]).max(initial=0))
+        per_piece = max(1, _PIECE_CHARS // int(widest))
+    else:
+        # byte offsets to character offsets: a UTF-8 continuation byte
+        # starts no character
+        ends -= np.cumsum((data & 0xC0) == 0x80)[ends - 1]
+        per_piece = 1
+    ends = ends[per_piece - 1::per_piece].tolist()
+    if size % per_piece:
+        ends.append(len(text))
+    return [text[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def _encoded(cells: list, code: str) -> np.ndarray | None:
+    """``(code % v).encode()`` of each cell as a NUL-padded byte matrix, a
+    row per cell as wide as the longest, or None if a cell holds a NUL or a
+    newline.  Each distinct value is formatted once: a ``%s`` column holds
+    a few labels, or bools."""
+    encoded = {v: (code % v).encode() for v in set(cells)}
+    joined = b"".join(encoded.values())
+    if b"\0" in joined or b"\n" in joined:
+        return None
+    width = max(1, *map(len, encoded.values()))
+    texts = np.array(list(map(encoded.__getitem__, cells)), dtype=f"S{width}")
+    return texts.view(np.uint8).reshape(len(cells), width)
+
+
+def _unpadded(rows: np.ndarray) -> np.ndarray:
+    """The bytes of a byte matrix, in order, with its NUL padding dropped."""
+    flat = rows.reshape(-1)
+    return flat[flat != 0]
+
+
+#: Bytes around the texts of the parts of a complex element, and after each item.
+_PAIR_OPEN, _PAIR_MIDDLE, _PAIR_CLOSE, _ITEM_END = (
+    np.frombuffer(text, dtype=np.uint8) for text in (b"[\n      ", b",\n      ", b"\n    ]",
+                                                     b",\n    "))
+
+
+def json_vector(parts: tuple) -> str:
+    """The JSON text, as ``json.dumps(doc, indent=2)`` writes it, of a 1-D
+    float64 or complex128 array that is a value of the document's top-level
+    object, given as its parts: the array itself for a float vector, or
+    the real and imaginary parts of a complex one.  A complex element with
+    zero imaginary part is a plain number, any other an [re, im] pair (the
+    codec's forms).  The floats are written by ``shortest``, the bytes of
+    ``float.__repr__``, and the non-finite ones as json spells them.
+
+    Each element's item, with the separator after it, is one NUL-padded
+    row of bytes; the text is every row with its NULs dropped.
+    """
+    size = len(parts[0])
+    cells = np.concatenate(parts)
+    texts = shortest(cells)
+    finite = np.isfinite(cells)
+    if not finite.all():
+        texts[~finite] = list(map(json_float, cells[~finite].tolist()))
+    texts = texts.view(np.uint8).reshape(len(parts), size, WIDTH)
+    if len(parts) == 1:
+        pieces = [texts[0], _ITEM_END]
+    else:
+        pieces = [_PAIR_OPEN, texts[0], _PAIR_MIDDLE, texts[1], _PAIR_CLOSE, _ITEM_END]
+    widths = [piece.shape[-1] for piece in pieces]
+    rows = np.concatenate([np.broadcast_to(piece, (size, width))
+                           for piece, width in zip(pieces, widths)], axis=1)
+    if len(parts) == 2:
+        # an element with zero imaginary part is its real part alone
+        pair_only = np.repeat([True, False, True, True, True, False], widths)
+        rows[np.ix_(parts[1] == 0.0, pair_only)] = 0
+    text = str(_unpadded(rows), "ascii")
+    return "[\n    " + text[:-len(_ITEM_END)] + "\n  ]"

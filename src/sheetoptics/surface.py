@@ -8,9 +8,8 @@ Natural units are used throughout (epsilon_0 = c = 1, incident amplitude 1).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import SheetOpticsError
 
@@ -18,7 +17,7 @@ from .errors import SheetOpticsError
 FINE_STRUCTURE = 7.2973525693e-3
 
 #: Dimensionless conductance of a pristine graphene sheet, g = pi * alpha.
-GRAPHENE_COND = np.pi * FINE_STRUCTURE
+GRAPHENE_COND = math.pi * FINE_STRUCTURE
 
 #: Magnitude below which t + r, b or a transfer-matrix pivot counts as zero.
 DEGENERATE_TOL = 1e-14
@@ -31,7 +30,7 @@ SELF_CHECK_TOL = 1e-12
 #: Largest |1 + r - t| that ``fields.eval_a`` accepts as continuous.
 CONTINUITY_TOL = 1e-10
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,6 @@ def emission_amplitude(params: SheetParams, coeffs: ScatterCoeffs) -> EmissionAm
     emission state is symmetric, b_r = b_l.
     """
     a = absorbance(coeffs, params)
-    f_mag = float(np.sqrt(2.0 * params.branching * a))
+    f_mag = math.sqrt(2.0 * params.branching * a)
     b = -params.f_sign * (f_mag / 2.0) * coeffs.t
     return EmissionAmplitudes(b_r=b, b_l=b, f_mag=f_mag)

@@ -5,16 +5,26 @@ element h = u * conj(b) * (t + r) couples them.  Everything observable here
 (decoupling phase, level energies, corrected reflection) is a function of the
 scattering coefficients, the emission amplitude b, the overlap between the two
 states and the energy unit u.
+
+The scalar functions compute with Python ``complex`` and ``float`` on
+``math`` and ``cmath``: each takes its inputs as complex numbers and
+returns a Python ``complex`` or ``float``.  numpy is imported only where an
+array is built (``spin_matrix``, ``orthogonalize``) and for the angle of a
+coupling that lies off both axes (see ``decoupling_phase``).
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateDecoupling
 from .surface import DEGENERATE_TOL, SELF_CHECK_TOL, TWO_PI, ScatterCoeffs
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,7 @@ class OrthogonalizedBasis:
 
 def offdiagonal(sys: TwoStateSystem) -> complex:
     """Coupling matrix element <emission| H |scattering> = u * conj(b) * (t+r)."""
-    return sys.energy_unit * np.conj(sys.b) * sys.t_plus_r
+    return complex(sys.energy_unit) * complex(sys.b).conjugate() * complex(sys.t_plus_r)
 
 
 def decoupling_phase(sys: TwoStateSystem) -> tuple[float, float]:
@@ -75,37 +85,53 @@ def decoupling_phase(sys: TwoStateSystem) -> tuple[float, float]:
     (theta_plus, theta_minus) in [0, 2*pi) where theta_plus makes
     Re[e^{i theta} conj(t+r) b] positive.
     """
-    s = sys.t_plus_r
-    z = np.conj(s) * sys.b
+    s = complex(sys.t_plus_r)
+    z = s.conjugate() * complex(sys.b)
     if abs(s) < DEGENERATE_TOL or abs(sys.b) < DEGENERATE_TOL:
         raise DegenerateDecoupling(
             "t + r or b vanishes; any theta decouples the pair"
         )
-    # np.angle(z), without the array checks a scalar does not need
-    theta_plus = float((-np.arctan2(z.imag, z.real)) % TWO_PI)
-    theta_minus = float((theta_plus + np.pi) % TWO_PI)
+    if z.real == 0.0 or z.imag == 0.0:
+        # on an axis every atan2 gives the same correctly rounded angle
+        angle = math.atan2(z.imag, z.real)
+    else:
+        # off the axes numpy's atan2 (SIMD on AVX-512) and the C library's
+        # differ in the last bit for about 2% of couplings; numpy's is kept
+        import numpy
+
+        angle = float(numpy.arctan2(z.imag, z.real))
+    theta_plus = -angle % TWO_PI
+    theta_minus = (theta_plus + math.pi) % TWO_PI
     h = offdiagonal(sys)
-    bound = SELF_CHECK_TOL * abs(h)
+    bound = SELF_CHECK_TOL * _modulus(h)
     for theta in (theta_plus, theta_minus):
-        if abs(cross_element(h, theta)) > bound:
+        if _modulus(cross_element(h, theta)) > bound:
             raise DegenerateDecoupling(  # unreachable; numeric safety net
                 f"decoupling failed at theta={theta}"
             )
     return theta_plus, theta_minus
 
 
+def _modulus(z: complex) -> float:
+    """|z|, or inf where it overflows (Python's ``abs`` raises there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def cross_element(h: complex, theta: float) -> complex:
     """<Phi_theta^+| H |Phi_theta^-> for the superpositions at phase theta,
     from the coupling element h = ``offdiagonal(sys)``."""
-    return np.exp(-1j * theta) * h - np.exp(1j * theta) * np.conj(h)
+    h = complex(h)
+    return cmath.exp(-1j * theta) * h - cmath.exp(1j * theta) * h.conjugate()
 
 
 def level_energies(sys: TwoStateSystem, theta: float) -> tuple[float, float]:
     """Energies (+e, -e) of the decoupled pair, e = 2u Re[e^{i theta}(t+r)* b]."""
+    z = cmath.exp(1j * theta) * complex(sys.t_plus_r).conjugate() * complex(sys.b)
     # doubled last: u times the real part is finite wherever |h| is
-    e = 2.0 * (sys.energy_unit * float(
-        np.real(np.exp(1j * theta) * np.conj(sys.t_plus_r) * sys.b)
-    ))
+    e = 2.0 * (float(sys.energy_unit) * z.real)
     return e, -e
 
 
@@ -115,12 +141,13 @@ def corrected_reflection(sys: TwoStateSystem) -> tuple[complex, complex]:
     The physical branch is the minus one when the lower-energy superposition
     is stabilized.
     """
-    s = sys.t_plus_r
+    s = complex(sys.t_plus_r)
     if abs(s) < DEGENERATE_TOL:
         raise DegenerateDecoupling("t + r = 0: the correction branch is undefined")
     unit = s / abs(s)
-    correction = unit * abs(sys.b)
-    return sys.coeffs.r + correction, sys.coeffs.r - correction
+    correction = unit * abs(complex(sys.b))
+    r = complex(sys.coeffs.r)
+    return r + correction, r - correction
 
 
 def decouple(sys: TwoStateSystem) -> DecoupledPair:
@@ -145,8 +172,10 @@ def spin_matrix(sys: TwoStateSystem) -> np.ndarray:
     Eigenvalues are +/-|h|; the phase of the eigenvector components reproduces
     the decoupling phases.
     """
+    import numpy as np
+
     h = offdiagonal(sys)
-    return np.array([[0.0, h], [np.conj(h), 0.0]], dtype=complex)
+    return np.array([[0.0, h], [h.conjugate(), 0.0]], dtype=complex)
 
 
 def orthogonalize(sys: TwoStateSystem) -> OrthogonalizedBasis:
@@ -156,11 +185,13 @@ def orthogonalize(sys: TwoStateSystem) -> OrthogonalizedBasis:
     A = a, B = b - a * <a|b>.  ``hamiltonian`` and ``gram`` are the matrix
     representations transported to the new basis.
     """
+    import numpy as np
+
     s = complex(sys.overlap)
     c = np.array([[1.0, -s], [0.0, 1.0]], dtype=complex)
     h = offdiagonal(sys)
-    h_old = np.array([[0.0, np.conj(h)], [h, 0.0]], dtype=complex)
-    g_old = np.array([[1.0, s], [np.conj(s), 1.0]], dtype=complex)
+    h_old = np.array([[0.0, h.conjugate()], [h, 0.0]], dtype=complex)
+    g_old = np.array([[1.0, s], [s.conjugate(), 1.0]], dtype=complex)
     return OrthogonalizedBasis(
         basis_matrix=c,
         hamiltonian=c.conj().T @ h_old @ c,

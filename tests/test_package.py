@@ -1,5 +1,8 @@
 """The package's exports and which modules a process runs.
 
+numpy loads only in a process that builds an array: never for ``coeffs``
+or ``twostate``, always for ``stack``, ``sweep`` and ``profile``.
+
 ``stack``, ``twostate``, ``fields`` and ``floattext`` are registered at
 package import and run on first attribute access; until then each is an
 ``importlib.util`` lazy module, which ``type()`` shows without loading it.
@@ -12,7 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sheetoptics
+from sheetoptics.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -47,6 +53,20 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(sorted(name for name, module in sys.modules.items()
                         if name.startswith("sheetoptics")
                         and type(module) is not types.ModuleType)))
+"""
+
+#: Prints whether numpy is loaded after ``import sheetoptics`` and after
+#: the CLI runs each argv of argv[1], as a JSON list of booleans.
+NUMPY_LOADED = r"""
+import contextlib, io, json, sys
+import sheetoptics
+loaded = ["numpy" in sys.modules]
+from sheetoptics.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
 """
 
 #: Prints the names of ``__all__`` missing from ``dir(sheetoptics)``, then
@@ -86,6 +106,27 @@ def test_coeffs_leaves_stack_unrun():
     [lazy] = fresh(STILL_LAZY, [["coeffs"]])
     assert lazy == ["sheetoptics.fields", "sheetoptics.floattext", "sheetoptics.stack",
                     "sheetoptics.twostate"]
+
+
+def test_scalar_commands_leave_numpy_unloaded(tmp_path):
+    """coeffs and twostate compute on math and cmath and build no array."""
+    path = tmp_path / "coeffs.json"
+    assert main(["coeffs", "--cond", "0.5", "--out", str(path)]) == 0
+    argv = [["coeffs"], ["coeffs", "--format", "csv"], ["twostate"],
+            ["twostate", "--coeffs", str(path)]]
+    assert fresh(NUMPY_LOADED, argv) == [[False] * 5]
+
+
+@pytest.mark.parametrize("argv", [
+    ["stack", "--stack", "{stack}"],
+    ["sweep", "--sweep", "cond:0:1:3"],
+    ["profile", "--points", "10"],
+], ids=lambda argv: argv[0])
+def test_array_commands_load_numpy(tmp_path, argv):
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps({"layers": [{"type": "sheet", "cond": 0.1}]}))
+    argv = [str(path) if token == "{stack}" else token for token in argv]
+    assert fresh(NUMPY_LOADED, [argv]) == [[False, True]]
 
 
 def test_star_import_binds_every_export():
