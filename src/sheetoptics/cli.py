@@ -147,7 +147,10 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
         return variable, np.array([start])
     if not math.isfinite(stop - start):
         raise CliConfigError(f"sweep range {text!r} is too wide: stop - start overflows")
-    return variable, np.linspace(start, stop, steps)
+    # the last point may round past the largest float before linspace sets
+    # it to stop
+    with np.errstate(over="ignore"):
+        return variable, np.linspace(start, stop, steps)
 
 
 @dataclass(frozen=True)

@@ -43,17 +43,16 @@ import json
 import math
 import operator
 import warnings
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from importlib import resources
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .codec import decode_complex, encode_complex
+from .codec import complex_parts, decode_complex, encode_complex, floats
 from .errors import LedgerMismatch, SingularStack
 from .surface import (
     DEGENERATE_TOL,
@@ -355,10 +354,13 @@ class _Layout:
         self.after_sheets = sheet_at + 1
         step_at, n1, n2 = after[step] - 1, right[step], left[step]
         self.const_at = np.concatenate((sheet_at, step_at))
-        # entries (00, 01, 10, 11) as a (2, 2, sheets + steps) array
-        self.const = np.concatenate((_sheet_entries(cond), _interface_entries(n1, n2)),
-                                    axis=1).reshape(2, 2, len(self.const_at))
-        self.k_re, self.k_im = TWO_PI * n.real, TWO_PI * n.imag
+        # An entry too large for a float is inf or nan here, and its stack
+        # singular (see solve_sweep).
+        with np.errstate(over="ignore", invalid="ignore"):
+            # entries (00, 01, 10, 11) as a (2, 2, sheets + steps) array
+            self.const = np.concatenate((_sheet_entries(cond), _interface_entries(n1, n2)),
+                                        axis=1).reshape(2, 2, len(self.const_at))
+            self.k_re, self.k_im = TWO_PI * n.real, TWO_PI * n.imag
         self.slab_d = columns.d
 
         # ledger inputs as (sheets, 1) columns
@@ -671,15 +673,14 @@ def reflectance_with_emission(
 
 
 def _number(value, what: str) -> float:
-    """A JSON number (an int or a float; a bool, as ``decode_complex``
-    takes it) as a float, a ValueError naming ``what`` for any other value,
-    a numeric string included, and for one that is not finite."""
+    """A number as a float, by the number rule of ``codec.floats``; a
+    ValueError naming ``what`` for any other value, a numeric string and
+    an int too large for a float among them, and for one that is not
+    finite."""
     try:
-        number = float(value) if isinstance(value, (int, float)) else None
-    except OverflowError:  # an integer too large for a float
-        number = None
-    if number is None:
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        (number,) = floats([value])
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return number
@@ -704,72 +705,63 @@ def _in_range(where: str, make, *args):
 
 
 def _clean_columns(entries: list) -> _Columns | None:
-    """Columns of clean layer entries, or None.
+    """The columns of layer entries, or None if one of them is bad.
 
-    A clean entry is an object of type "sheet" or "slab" whose numbers are
-    finite and in range.  ``array('d')`` converts each number as ``float``
-    does, or raises, and a sign equal to +1 or -1 converts by ``int``, so
-    a clean description gives the stack that the per-layer loop of
-    :func:`stack_from_dict` gives.  That loop reads every description this
-    function returns None for: it converts what it accepts or raises the
-    error naming the first bad field.
+    Each entry must be an object of type "sheet" or "slab".  Every value
+    is converted in one ``codec.floats`` call, the number rule of
+    ``_number``, ``_sign`` and ``decode_complex``, a conductance as its
+    ``codec.complex_parts``; then all must be finite and in range:
+    Re(cond), n_im and d >= 0, branching in [0, 1], n_re > 0, and f_sign
+    and sign +1 or -1.  These are the checks of ``_reject_layers``, which
+    reads the entries one by one, so the two accept the same entries.
     """
-    if set(map(type, entries)) - {dict}:
+    if not all(issubclass(kind, dict) for kind in set(map(type, entries))):
         return None
     kinds = [entry.get("type") for entry in entries]
     if kinds.count("sheet") + kinds.count("slab") != len(kinds):
         return None
-    is_sheet = list(map("sheet".__eq__, kinds))
+    is_sheet = list(map(operator.eq, kinds, repeat("sheet")))
     sheets = list(compress(entries, is_sheet))
-    slabs = list(compress(entries, map("slab".__eq__, kinds)))
-    # cond is a float or an [re, im] pair; the pair's parts convert by float
-    cond = [[c, 0.0] if type(c := entry.get("cond", 0.0)) is float else c for entry in sheets]
-    signs = ([entry.get("f_sign", 1) for entry in sheets]
-             + [entry.get("sign", -1) for entry in sheets])
-    if (any(type(c) is not list or len(c) != 2 for c in cond)
-            or signs.count(1) + signs.count(-1) != len(signs)):
-        return None
+    slabs = list(compress(entries, map(operator.not_, is_sheet)))
+    cond = [(c, 0.0) if type(c := entry.get("cond", 0.0)) is float else complex_parts(c)
+            for entry in sheets]
     try:
-        values = np.frombuffer(array("d", [c[1] for c in cond] + [c[0] for c in cond]
-                                     + [entry.get("branching", 1.0) for entry in sheets]
-                                     + [entry.get("n_im", 0.0) for entry in slabs]
-                                     + [entry.get("d") for entry in slabs]
-                                     + [entry.get("n_re", 1.0) for entry in slabs]),
+        values = np.frombuffer(floats([c[1] for c in cond] + [c[0] for c in cond]
+                                      + [entry.get("branching", 1.0) for entry in sheets]
+                                      + [entry.get("n_im", 0.0) for entry in slabs]
+                                      + [entry.get("d") for entry in slabs]
+                                      + [entry.get("n_re", 1.0) for entry in slabs]
+                                      + [entry.get("f_sign", 1) for entry in sheets]
+                                      + [entry.get("sign", -1) for entry in sheets]),
                                dtype=float)
     except (TypeError, OverflowError):
         return None
+    layer_values = 3 * (len(sheets) + len(slabs))
     cond_im, cond_re, branching = values[:3 * len(sheets)].reshape(3, -1)
-    n_im, d, n_re = values[3 * len(sheets):].reshape(3, -1)
+    n_im, d, n_re = values[3 * len(sheets):layer_values].reshape(3, -1)
+    signs = values[layer_values:]
     # cond_re, branching, n_im and d are the values from len(sheets) to the
     # start of n_re.
     if not (np.isfinite(values).all()
-            and np.minimum.reduce(values[len(sheets):len(values) - len(slabs)],
+            and np.minimum.reduce(values[len(sheets):layer_values - len(slabs)],
                                   initial=math.inf) >= 0.0
             and np.maximum.reduce(branching, initial=-math.inf) <= 1.0
-            and np.minimum.reduce(n_re, initial=math.inf) > 0.0):
+            and np.minimum.reduce(n_re, initial=math.inf) > 0.0
+            and (np.abs(signs) == 1.0).all()):
         return None
-    signs = list(map(int, signs))
+    signs = signs.astype(int).tolist()
     return _Columns(is_sheet=np.array(is_sheet, dtype=bool), cond=_join(cond_re, cond_im),
                     branching=branching, f_sign=signs[:len(sheets)],
                     sign=tuple(signs[len(sheets):]), n=_join(n_re, n_im), d=d)
 
 
-def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
-    """Build a stack from its JSON-compatible description.
-
-    Returns the stack and the optional reference wavelength in nm.  A
-    malformed description raises ValueError naming the offending field.
-    The layers are read as columns; only a description that needs
-    conversion or holds a bad field goes through layer objects.
-    """
-    if not isinstance(data, dict):
-        raise ValueError("stack description must be a JSON object")
-    entries = data.get("layers", [])
-    if not isinstance(entries, list):
-        raise ValueError("layers must be a list of layer objects")
-    columns = _clean_columns(entries)
-    layers: list[Layer] = []
-    for i, entry in enumerate(entries if columns is None else ()):
+def _reject_layers(entries: list) -> NoReturn:
+    """Raise the ValueError naming the first bad field, in file order, of
+    layer entries that :func:`_clean_columns` refused: read them one by
+    one through ``_number``, ``_sign``, ``decode_complex`` and the checks
+    of ``SheetParams``, ``Sheet`` and ``Slab``.  A generic ValueError if
+    no field is bad on its own."""
+    for i, entry in enumerate(entries):
         where = f"layers[{i}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{where} must be an object, got {entry!r}")
@@ -779,21 +771,39 @@ def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
                                decode_complex(entry.get("cond", 0.0), f"{where}.cond"),
                                _number(entry.get("branching", 1.0), f"{where}.branching"),
                                _sign(entry.get("f_sign", 1), f"{where}.f_sign"))
-            layers.append(_in_range(where, Sheet, params,
-                                    _sign(entry.get("sign", -1), f"{where}.sign")))
+            _in_range(where, Sheet, params, _sign(entry.get("sign", -1), f"{where}.sign"))
         elif kind == "slab":
             if "d" not in entry:
                 raise ValueError(f"{where}.d is required")
             n_re = _number(entry.get("n_re", 1.0), f"{where}.n_re")
             n_im = _number(entry.get("n_im", 0.0), f"{where}.n_im")
-            layers.append(_in_range(where, Slab, complex(n_re, n_im),
-                                    _number(entry["d"], f"{where}.d")))
+            _in_range(where, Slab, complex(n_re, n_im), _number(entry["d"], f"{where}.d"))
         else:
             raise ValueError(f"{where}.type must be 'sheet' or 'slab', got {kind!r}")
+    raise ValueError("layers could not be read, though no field is bad on its own")
+
+
+def stack_from_dict(data: dict) -> tuple[LayerStack, float | None]:
+    """Build a stack from its description, a JSON document or a dict of
+    Python values.
+
+    Returns the stack and the optional reference wavelength in nm.  The
+    layers are read as columns by :func:`_clean_columns`, whose columns
+    the stack holds; every number, here and in the ambient media and
+    the wavelength, is converted by the rule of ``codec.floats``.  A
+    malformed description raises ValueError naming the first bad field.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("stack description must be a JSON object")
+    entries = data.get("layers", [])
+    if not isinstance(entries, list):
+        raise ValueError("layers must be a list of layer objects")
+    columns = _clean_columns(entries)
+    if columns is None:
+        _reject_layers(entries)
     ambient_in = decode_complex(data.get("ambient_in", 1.0), "ambient_in")
     ambient_out = decode_complex(data.get("ambient_out", 1.0), "ambient_out")
-    stack = LayerStack(layers=layers if columns is None else columns,
-                       ambient_in=ambient_in, ambient_out=ambient_out)
+    stack = LayerStack(layers=columns, ambient_in=ambient_in, ambient_out=ambient_out)
     wavelength_nm = data.get("wavelength_nm")
     if wavelength_nm is not None:
         wavelength_nm = _number(wavelength_nm, "wavelength_nm")

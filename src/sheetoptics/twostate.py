@@ -10,7 +10,10 @@ The scalar functions compute with Python ``complex`` and ``float`` on
 ``math`` and ``cmath``: each takes its inputs as complex numbers and
 returns a Python ``complex`` or ``float``.  numpy is imported only where an
 array is built (``spin_matrix``, ``orthogonalize``) and for the angle of a
-coupling that lies off both axes (see ``decoupling_phase``).
+coupling that lies off both axes (see ``decoupling_phase``).  The phases,
+level energies and corrected reflection are computed on t + r and b
+scaled by powers of two, so that no modulus or product overflows where
+the result fits in a float.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ class TwoStateSystem:
             raise ValueError("|overlap| must be < 1")
         if not self.energy_unit > 0:
             raise ValueError("energy_unit must be positive")
+        # (t + r, its exponent, b, its exponent), scaled by ``_scale``: what
+        # the phases, the level energies and the corrected reflection take
+        object.__setattr__(self, "_scaled",
+                           _scale(complex(self.t_plus_r)) + _scale(complex(self.b)))
 
     @property
     def t_plus_r(self) -> complex:
@@ -83,14 +90,19 @@ def decoupling_phase(sys: TwoStateSystem) -> tuple[float, float]:
 
     Solutions of Im[e^{i theta} conj(t+r) b] = 0, returned as
     (theta_plus, theta_minus) in [0, 2*pi) where theta_plus makes
-    Re[e^{i theta} conj(t+r) b] positive.
+    Re[e^{i theta} conj(t+r) b] positive.  The phases do not change when
+    t + r or b is multiplied by a positive number, so both are scaled by
+    powers of two (``_scale``) before the angle and the self-check: no
+    modulus or product overflows, however large their parts.  Whether
+    either vanishes is read from the unscaled moduli.
     """
-    s = complex(sys.t_plus_r)
-    z = s.conjugate() * complex(sys.b)
-    if abs(s) < DEGENERATE_TOL or abs(sys.b) < DEGENERATE_TOL:
+    s, b = complex(sys.t_plus_r), complex(sys.b)
+    if _modulus(s) < DEGENERATE_TOL or _modulus(b) < DEGENERATE_TOL:
         raise DegenerateDecoupling(
             "t + r or b vanishes; any theta decouples the pair"
         )
+    s, _, b, _ = sys._scaled
+    z = s.conjugate() * b
     if z.real == 0.0 or z.imag == 0.0:
         # on an axis every atan2 gives the same correctly rounded angle
         angle = math.atan2(z.imag, z.real)
@@ -102,10 +114,10 @@ def decoupling_phase(sys: TwoStateSystem) -> tuple[float, float]:
         angle = float(numpy.arctan2(z.imag, z.real))
     theta_plus = -angle % TWO_PI
     theta_minus = (theta_plus + math.pi) % TWO_PI
-    h = offdiagonal(sys)
-    bound = SELF_CHECK_TOL * _modulus(h)
+    h = b.conjugate() * s  # offdiagonal(sys) over u and the two scales
+    bound = SELF_CHECK_TOL * abs(h)
     for theta in (theta_plus, theta_minus):
-        if _modulus(cross_element(h, theta)) > bound:
+        if abs(cross_element(h, theta)) > bound:
             raise DegenerateDecoupling(  # unreachable; numeric safety net
                 f"decoupling failed at theta={theta}"
             )
@@ -120,6 +132,15 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
+def _scale(z: complex) -> tuple[complex, int]:
+    """(z / 2**k, k) for the k that puts the larger part of z in [0.5, 1),
+    k = 0 for z = 0.  The division is exact unless a part falls below the
+    normal range, so angles and ratios keep their bits (the scaling of
+    Blue's norm, ACM TOMS 4, 15, 1978)."""
+    k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)), k
+
+
 def cross_element(h: complex, theta: float) -> complex:
     """<Phi_theta^+| H |Phi_theta^-> for the superpositions at phase theta,
     from the coupling element h = ``offdiagonal(sys)``."""
@@ -128,10 +149,16 @@ def cross_element(h: complex, theta: float) -> complex:
 
 
 def level_energies(sys: TwoStateSystem, theta: float) -> tuple[float, float]:
-    """Energies (+e, -e) of the decoupled pair, e = 2u Re[e^{i theta}(t+r)* b]."""
-    z = cmath.exp(1j * theta) * complex(sys.t_plus_r).conjugate() * complex(sys.b)
-    # doubled last: u times the real part is finite wherever |h| is
-    e = 2.0 * (float(sys.energy_unit) * z.real)
+    """Energies (+e, -e) of the decoupled pair, e = 2u Re[e^{i theta}(t+r)* b].
+
+    t + r and b are scaled as in ``decoupling_phase`` and e scaled back,
+    so e is finite wherever it fits in a float.
+    """
+    s, k_s, b, k_b = sys._scaled
+    z = cmath.exp(1j * theta) * s.conjugate() * b
+    # doubled last: u times the real part, scaled back, is finite wherever
+    # |h| is
+    e = 2.0 * _ldexp(float(sys.energy_unit) * z.real, k_s + k_b)
     return e, -e
 
 
@@ -139,15 +166,26 @@ def corrected_reflection(sys: TwoStateSystem) -> tuple[complex, complex]:
     """Both branches r +/- ((t+r)/|t+r|) |b| of the emission-corrected reflection.
 
     The physical branch is the minus one when the lower-energy superposition
-    is stabilized.
+    is stabilized.  t + r and b are scaled as in ``decoupling_phase``, so
+    neither modulus overflows; a part of the correction too large for a
+    float is infinite.
     """
     s = complex(sys.t_plus_r)
-    if abs(s) < DEGENERATE_TOL:
+    if _modulus(s) < DEGENERATE_TOL:
         raise DegenerateDecoupling("t + r = 0: the correction branch is undefined")
-    unit = s / abs(s)
-    correction = unit * abs(complex(sys.b))
+    s, _, b, k = sys._scaled
+    correction = s / abs(s) * abs(b)
+    correction = complex(_ldexp(correction.real, k), _ldexp(correction.imag, k))
     r = complex(sys.coeffs.r)
     return r + correction, r - correction
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x * 2**k, or an infinity of the sign of x where it overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def decouple(sys: TwoStateSystem) -> DecoupledPair:

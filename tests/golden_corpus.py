@@ -7,8 +7,9 @@ Run from the repository root to regenerate it:
 ``cases`` is a seeded list of command lines, with their input files, from
 every command family at small sizes, plus an edge ladder: empty and bare
 stacks, one and 87 graphene sheets, a ``-0.0`` slab, thick Si slabs,
-overflowing sweep ranges, a sweep of layer counts up to 1e300 and bad
-input files.  The script runs each through ``cli.main`` in process and
+overflowing sweep ranges, a sweep of layer counts up to 1e300, bad input
+files and two ``--coeffs`` files whose t + r or coupling lie near the
+largest float.  The script runs each through ``cli.main`` in process and
 writes ``golden_corpus.json`` beside it: the argv, the files and what the
 command gave, that is its exit code, the sha256 of its stdout and of its
 stderr and the number of warnings it raised, with the numpy and Python
@@ -209,6 +210,15 @@ def ladder_cases() -> list[dict]:
     cases.append(_case("bad_coeffs_file", ["twostate", "--coeffs", "coeffs.json"],
                        {"coeffs.json": json.dumps({"r": 0.1, "b": 0.2})}))
     cases.append(_case("decouple_subnormal_cond", ["decouple", "--cond", "1.5e-308"]))
+    # a t + r whose modulus overflows, and a coupling h near the largest float
+    cases.append(_case("twostate_coeffs_modulus_overflow", ["twostate", "--coeffs", "huge.json"],
+                       {"huge.json": json.dumps({"t": [0.75e308, 0.75e308],
+                                                 "r": [0.75e308, 0.75e308], "b": [0, 1]})}))
+    cases.append(_case("twostate_coeffs_coupling_near_max", [
+        "twostate", "--coeffs", "near_max.json", "--energy-unit", "0.5"],
+        {"near_max.json": json.dumps({"t": [0.0, 4.0414184592774605e175],
+                                      "r": [4.041418459277461e163, 4.0414184592774605e175],
+                                      "b": [0.0, 2.224086855860645e132]})}))
     return cases
 
 

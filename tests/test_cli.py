@@ -314,11 +314,11 @@ class TestTwostate:
         assert len(calls) == 1
         assert [doc["theta_plus"], doc["theta_minus"]] == list(original(calls[0]))
 
-    def test_coupling_element_computed_twice_per_run(self, capsys, monkeypatch):
-        """h is computed once for the printed element and once for the phase
-        self-check, whose two cross elements take it; t + r once in each of
-        those, once more for the phases and once each for the energies and
-        the corrected reflection."""
+    def test_coupling_element_computed_once_per_run(self, capsys, monkeypatch):
+        """h is computed once, for the printed element (the phase self-check
+        takes its own, scaled one); t + r once for it, once when the system
+        is scaled and once each for the degeneracy checks of the phases and
+        of the corrected reflection."""
         offdiagonal, t_plus_r = [], []
         original_h, original_s = twostate.offdiagonal, twostate.TwoStateSystem.t_plus_r
 
@@ -333,7 +333,7 @@ class TestTwostate:
         monkeypatch.setattr(twostate, "offdiagonal", counting_h)
         monkeypatch.setattr(twostate.TwoStateSystem, "t_plus_r", property(counting_s))
         doc = run_json(capsys, "twostate", "--cond", GRAPHENE)
-        assert (len(offdiagonal), len(t_plus_r)) == (2, 5)
+        assert (len(offdiagonal), len(t_plus_r)) == (1, 4)
         assert doc["degenerate"] is False
 
     def test_huge_energy_unit_stays_finite(self, capsys):

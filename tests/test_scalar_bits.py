@@ -3,6 +3,12 @@ gives the same bits as the numpy formulas it replaced, kept here as the
 oracle: ``np.conj``, ``np.exp`` and ``np.arctan2`` on numpy scalars, numpy's
 floor-mod of the angle and ``np.sqrt`` of the emission magnitude.
 
+The decoupling phases, level energies and corrected reflection are
+computed, in the oracle as in ``twostate``, on t + r and b scaled by powers
+of two (numpy's ``frexp`` and ``ldexp`` here), energy and correction
+scaled back by ``ldexp``, so that no modulus or product overflows; whether
+t + r or b vanishes is read from the unscaled moduli.
+
 The systems are drawn as the command line builds them: from a sheet
 (``coeffs``, ``twostate``) or from a ``--coeffs`` file of any finite
 complex t, r and b, with energy units up to the largest float.  The
@@ -44,8 +50,14 @@ def old_offdiagonal(u, b, s):
     return u * np.conj(b) * s
 
 
+def scaled(z):
+    """(z / 2**k, k), k the exponent of the larger part of z."""
+    k = int(np.frexp(max(abs(z.real), abs(z.imag)))[1])
+    return complex(np.ldexp(z.real, -k), np.ldexp(z.imag, -k)), k
+
+
 def old_phases(s, b):
-    z = np.conj(s) * b
+    z = np.conj(scaled(s)[0]) * scaled(b)[0]
     theta_plus = float((-np.arctan2(z.imag, z.real)) % TWO_PI)
     return theta_plus, float((theta_plus + np.pi) % TWO_PI)
 
@@ -55,10 +67,10 @@ def old_cross_element(h, theta):
 
 
 def old_decoupling_phase(u, s, b):
-    if abs(s) < 1e-14 or abs(b) < 1e-14:
+    if np.abs(np.complex128(s)) < 1e-14 or np.abs(np.complex128(b)) < 1e-14:
         raise DegenerateDecoupling("t + r or b vanishes; any theta decouples the pair")
     phases = old_phases(s, b)
-    h = old_offdiagonal(u, b, s)
+    h = old_offdiagonal(1.0, scaled(b)[0], scaled(s)[0])
     for theta in phases:
         if abs(old_cross_element(h, theta)) > 1e-12 * abs(h):
             raise DegenerateDecoupling(f"decoupling failed at theta={theta}")
@@ -66,14 +78,18 @@ def old_decoupling_phase(u, s, b):
 
 
 def old_level_energy(u, s, b, theta):
-    return 2.0 * (u * float(np.real(np.exp(1j * theta) * np.conj(s) * b)))
+    (s, k_s), (b, k_b) = scaled(s), scaled(b)
+    return 2.0 * float(np.ldexp(u * float(np.real(np.exp(1j * theta) * np.conj(s) * b)),
+                                k_s + k_b))
 
 
 def old_corrected_reflection(r, s, b):
-    if abs(s) < 1e-14:
+    if np.abs(np.complex128(s)) < 1e-14:
         raise DegenerateDecoupling("t + r = 0: the correction branch is undefined")
-    unit = s / abs(s)
-    return r + unit * abs(b), r - unit * abs(b)
+    (s, _), (b, k) = scaled(s), scaled(b)
+    correction = s / abs(s) * abs(b)
+    correction = complex(np.ldexp(correction.real, k), np.ldexp(correction.imag, k))
+    return r + correction, r - correction
 
 
 def old_f_mag(branching, a):
@@ -120,11 +136,10 @@ systems = st.one_of(sheet_systems(), file_systems())
 
 def outcome(function, *args):
     """The bits of what a function returns, or the type and message of the
-    error it raises: DegenerateDecoupling, or an OverflowError from
-    Python's ``abs`` of a complex too large, which both paths raise alike."""
+    DegenerateDecoupling it raises."""
     try:
         value = function(*args)
-    except (DegenerateDecoupling, OverflowError) as exc:
+    except DegenerateDecoupling as exc:
         return type(exc).__name__, str(exc)
     return list(map(bits, value)) if isinstance(value, tuple) else bits(value)
 
@@ -159,6 +174,33 @@ def check_against_oracle(sys_):
                         energy_unit=1.7976931348623157e308))
 def test_twostate_matches_numpy_formulas(sys_):
     check_against_oracle(sys_)
+
+
+#: Parts whose products neither overflow nor leave the normal range.
+normal = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-100, 1e100),
+                   st.floats(-1e100, -1e-100))
+normal_parts = st.builds(complex, normal, normal)
+
+
+@settings(max_examples=500, deadline=None)
+@given(normal_parts, normal_parts, normal_parts)
+@example(0.6 - 0.2j, -0.4 - 0.2j, -0.2683281572999747 + 0.08944271909999157j)
+def test_scaling_keeps_the_bits_of_unscaled_formulas(t, r, b):
+    """Where nothing overflows, the scaled phases, level energies and
+    corrected reflection have the bits of the formulas on unscaled t + r
+    and b."""
+    sys_ = TwoStateSystem(coeffs=ScatterCoeffs(t=t, r=r), b=b)
+    s = t + r
+    if abs(s) < 1e-14 or abs(b) < 1e-14:
+        return
+    z = np.conj(s) * b
+    theta_plus = float((-np.arctan2(z.imag, z.real)) % TWO_PI)
+    assert outcome(decoupling_phase, sys_) == [bits(theta_plus),
+                                              bits(float((theta_plus + np.pi) % TWO_PI))]
+    e = 2.0 * (1.0 * float(np.real(np.exp(1j * theta_plus) * np.conj(s) * b)))
+    assert outcome(level_energies, sys_, theta_plus) == [bits(e), bits(-e)]
+    correction = s / abs(s) * abs(b)
+    assert outcome(corrected_reflection, sys_) == [bits(r + correction), bits(r - correction)]
 
 
 @settings(max_examples=500, deadline=None)

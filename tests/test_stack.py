@@ -1,11 +1,14 @@
 """Transfer-matrix stack optics, N-layer closed forms, emission reflectance."""
 
 import json
+import math
 from dataclasses import FrozenInstanceError, replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sheetoptics import (
     EmissionLedger,
@@ -30,6 +33,7 @@ from sheetoptics import (
     stack_absorbance,
     stack_coeffs,
 )
+from sheetoptics import stack as stack_mod
 from sheetoptics.stack import (
     element_matrices,
     load_stack,
@@ -471,6 +475,55 @@ class TestStackIO:
         assert np.array_equal(solve_stack(converted).sheet_fields,
                               solve_stack(clean).sheet_fields)
 
+    @pytest.mark.parametrize("fields", [
+        {"cond": 0, "branching": True, "f_sign": 1.0, "sign": True},
+        {"cond": (0.05, 0.02), "branching": np.int64(1), "f_sign": np.float64(-1.0)},
+        {"cond": [1, 0], "branching": Fraction(1, 2), "sign": Decimal("-1")},
+    ], ids=["json_conversions", "tuple_and_numpy", "fraction_and_decimal"])
+    def test_reading_builds_no_layer_objects(self, monkeypatch, fields):
+        """Every valid description is read as columns: the per-layer
+        checks, which build Sheet, Slab and SheetParams, run only on the
+        way to an error."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a layer object was built")
+
+        for name in ("Sheet", "Slab", "SheetParams"):
+            monkeypatch.setattr(stack_mod, name, refuse)
+        data = json.loads(json.dumps(self.CLEAN))
+        data["layers"][0].update(fields)
+        data["layers"][1].update(n_re=2, n_im=False, d=1)
+        stk, _ = stack_from_dict(data)
+        assert isinstance(vars(stk)["_columns"], stack_mod._Columns)
+
+    @pytest.mark.parametrize("cond, message", [
+        ([10 ** 400, "x"], "layers[0].cond must be a number or an [re, im] pair"),
+        ([10 ** 400, 0], "layers[0].cond must be finite, got [1"),
+        (np.complex128(0.05 + 0.02j), "layers[0].cond must be a number or an [re, im] pair"),
+    ], ids=["text_outranks_overflow", "overflow", "numpy_complex"])
+    def test_conductance_messages(self, cond, message):
+        """A part that is not a number is named so even next to an int too
+        large for a float; numpy's complex scalars, which would convert to
+        their real part, are not numbers."""
+        with pytest.raises(ValueError) as caught:
+            stack_from_dict({"layers": [{"type": "sheet", "cond": cond}]})
+        assert str(caught.value).startswith(message)
+
+    def test_no_bad_field_is_one_generic_error(self):
+        """A description the column read refuses but whose fields each pass
+        on their own, here a number that fails only its first conversion,
+        gives one ValueError."""
+        class FirstConversionFails:
+            calls = 0
+
+            def __float__(self):
+                type(self).calls += 1
+                if type(self).calls == 1:
+                    raise TypeError("first conversion")
+                return 0.5
+
+        with pytest.raises(ValueError, match="^layers could not be read"):
+            stack_from_dict({"layers": [{"type": "sheet", "branching": FirstConversionFails()}]})
+
     def test_read_stack_api(self):
         stk, _ = stack_from_dict(self.CLEAN)
         assert [type(layer) for layer in stk.layers] == [Sheet, Slab, Sheet]
@@ -530,3 +583,129 @@ class TestValidation:
     def test_rejects_non_finite(self, build):
         with pytest.raises(ValueError, match="finite"):
             build()
+
+
+#: Values that no field may hold: text, null, an int too large for a
+#: float, infinities, NaN and a list.
+BAD_VALUES = st.sampled_from(["0.5", "1", None, 10 ** 400, math.inf, -math.inf, math.nan,
+                              [0.1]])
+SIGNS = st.sampled_from([1, -1, 1.0, -1.0, True, np.int64(-1), np.float64(1.0), Fraction(1),
+                         Decimal("-1")])
+
+
+def python_forms(x: float):
+    """x as a JSON number and as the number types a Python caller may pass."""
+    forms = [x, np.float64(x), Fraction(x), Decimal(repr(x))]
+    if x.is_integer():
+        forms += [int(x), np.int64(int(x))]
+    if x == 1.0:
+        forms.append(True)
+    return st.sampled_from(forms)
+
+
+@st.composite
+def field_values(draw, low, high, pair=False):
+    """A field's value: mostly a number in [low, high] in one of its forms,
+    an [re, im] list or tuple for a complex field; now and then a value
+    out of range or one that is not a number at all."""
+    kind = draw(st.integers(0, 19))
+    if kind == 0:
+        return draw(BAD_VALUES)
+    if kind == 1:
+        return draw(st.floats(-3.0, 3.0))
+    x = draw(st.sampled_from([v for v in (low, high, 0.0, 1.0) if low <= v <= high])
+             | st.floats(low, high))
+    value = draw(python_forms(x))
+    if pair and kind < 8:
+        value = draw(st.sampled_from([list, tuple]))(
+            [value, draw(st.floats(-1.0, 1.0).flatmap(python_forms))])
+    return value
+
+
+@st.composite
+def layer_entries(draw):
+    kind = draw(st.integers(0, 29))
+    if kind == 0:
+        return draw(st.sampled_from([3, None, {"type": "mirror"}, {}]))
+    if kind < 15:
+        fields = {"cond": field_values(0.0, 2.0, pair=True), "branching": field_values(0.0, 1.0),
+                  "f_sign": SIGNS | BAD_VALUES, "sign": SIGNS | st.sampled_from([0, 2, 1.5])}
+        entry = {"type": "sheet"}
+    else:
+        fields = {"n_re": field_values(0.5, 3.0), "n_im": field_values(0.0, 0.5),
+                  "d": field_values(0.0, 2.0)}
+        entry = {"type": "slab"}
+    for name, values in fields.items():
+        if name == "d" or draw(st.booleans()):
+            entry[name] = draw(values)
+    return entry
+
+
+def respellings(value, is_complex: bool) -> list:
+    """Other JSON spellings of a clean value, which every reader must read
+    as the value itself: 0.05 <-> [0.05, 0], 0.0 <-> 0, 1 <-> 1.0 <-> true."""
+    if is_complex and type(value) is list and len(value) == 2 and type(value[1]) is int \
+            and value[1] == 0:
+        return [value[0]]
+    if type(value) not in (int, float, bool) or not abs(value) <= 2 ** 53:
+        return []
+    x = float(value)
+    forms = [x] + [int(x)] * x.is_integer() + [bool(x)] * (x in (0.0, 1.0))
+    if is_complex:
+        forms.append([value, 0])
+    return [form for form in forms if not (type(form) is type(value) and form == value)]
+
+
+@st.composite
+def respelled_descriptions(draw):
+    """A description of JSON and Python values and a copy of it with one
+    clean field respelled."""
+    doc = {"layers": draw(st.lists(layer_entries(), max_size=5))}
+    for name in ("ambient_in", "ambient_out"):
+        if draw(st.booleans()):
+            doc[name] = draw(field_values(1.0, 4.0, pair=True))
+    if draw(st.booleans()):
+        doc["wavelength_nm"] = draw(field_values(100.0, 1000.0))
+    # (layer index or None, field name, whether the field is complex)
+    fields = [(None, name, name.startswith("ambient")) for name in doc if name != "layers"]
+    fields += [(i, name, name == "cond") for i, entry in enumerate(doc["layers"])
+               if isinstance(entry, dict) for name in entry if name != "type"]
+    respelled = dict(doc, layers=[dict(entry) if isinstance(entry, dict) else entry
+                                  for entry in doc["layers"]])
+
+    def holder(d, i):
+        return d if i is None else d["layers"][i]
+
+    # a wavelength that is not positive is quoted in its message as written
+    choices = [(i, name, spelling) for i, name, is_complex in fields
+               for spelling in respellings(holder(doc, i)[name], is_complex)
+               if name != "wavelength_nm" or spelling > 0]
+    assume(choices)
+    i, name, spelling = draw(st.sampled_from(choices))
+    holder(respelled, i)[name] = spelling
+    return doc, respelled
+
+
+def read(doc):
+    """The stack and wavelength of a description, or its error message."""
+    try:
+        return stack_from_dict(doc)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(respelled_descriptions())
+@example(({"layers": [{"type": "sheet", "cond": 0.0, "branching": np.int64(1)}]},
+          {"layers": [{"type": "sheet", "cond": 0, "branching": np.int64(1)}]}))
+@example(({"layers": [{"type": "sheet", "cond": 0.05, "branching": Fraction(1, 2)}]},
+          {"layers": [{"type": "sheet", "cond": [0.05, 0], "branching": Fraction(1, 2)}]}))
+@example(({"layers": [{"type": "slab", "n_re": 1.0, "d": Decimal("0.5")}]},
+          {"layers": [{"type": "slab", "n_re": True, "d": Decimal("0.5")}]}))
+def test_respelled_field_reads_the_same(pair):
+    """Respelling one clean field leaves the stack, or the message naming
+    the first bad field, as it was, whatever Python values the other
+    fields hold."""
+    before, after = map(read, pair)
+    assert before == after
+    assert "no field is bad on its own" not in str(before)
