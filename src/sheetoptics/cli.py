@@ -44,8 +44,6 @@ through ``sys.modules`` (``_ndarray``).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -99,7 +97,9 @@ _CSV_CHUNK_ROWS = 1024
 #: float cells), where at 40 rows the byte matrix took 1.4x as long, and an
 #: n_layers sweep (an int column and five lists of floats) at about 140
 #: rows (700 cells).  So ``_csv`` asks a sixth of ``_KERNEL_CELLS`` more
-#: for each such list.
+#: for each such list.  The term marks these sweeps' shape rather than
+#: the lists' cost: with its columns built as arrays a cond sweep broke
+#: even at the same 72 rows (ROADMAP item 13).
 _KERNEL_CELLS = 250
 
 
@@ -354,16 +354,12 @@ def _csv_code(column) -> str:
                     + ", ".join(sorted(t.__name__ for t in types)))
 
 
-def _csv_cells(cells, empty: str) -> list:
-    """The cells of a column slice as a list of Python values, None as
-    ``empty``; in a one-column table, where ``empty`` is ``'""'``, an empty
-    string as ``empty`` too."""
-    if empty:
-        cells = cells.tolist() if isinstance(cells, _ndarray()) else cells
-        return [empty if v is None or v == "" else v for v in cells]
+def _csv_cells(cells) -> list:
+    """The cells of a column slice as a list of Python values, None as an
+    empty string."""
     if isinstance(cells, _ndarray()):
         return cells.tolist()
-    return [empty if v is None else v for v in cells] if None in cells else cells
+    return ["" if v is None else v for v in cells] if None in cells else cells
 
 
 def _csv(columns: dict) -> Iterator[str]:
@@ -377,10 +373,13 @@ def _csv(columns: dict) -> Iterator[str]:
     profile chunks of up to 55 and n_layers sweeps of up to 141), is
     written a row at a time: one ``%`` format of a template that holds one
     printf code per column (``_csv_code``; ``"%.17g" % v`` is
-    ``float.__format__(v, ".17g")``), each row yielded alone.  A longer chunk (profiles, longer sweeps) is one
-    byte matrix (``floattext.csv_pieces``) with the same bytes, yielded in
-    pieces of whole rows.  No cell a command writes needs CSV quoting:
-    numbers, True/False, empty cells and the side labels.
+    ``float.__format__(v, ".17g")``), each row yielded alone.  A longer
+    chunk (profiles, longer sweeps) is one byte matrix
+    (``floattext.csv_pieces``) with the same bytes, yielded in pieces of
+    whole rows.  Nothing is quoted: the writer takes the cells and names
+    the commands write, numbers, True/False, empty cells and ASCII labels
+    and names with no comma, quote or line break, in tables of at least
+    two columns, where an empty cell is never a row of its own.
     """
     values = list(columns.values())
     lengths = {len(column) for column in values}
@@ -396,22 +395,15 @@ def _csv(columns: dict) -> Iterator[str]:
         listed = sum(code == "%.17g" and not isinstance(column, ndarray)
                      for code, column in zip(codes, values))
         kernel_cells += _KERNEL_CELLS * listed // 6
-    # csv quotes a lone empty field, so that its row is not a blank line;
-    # only a %s cell (None or a string) can be empty
-    empty = '""' if codes == ["%s"] else ""
-    header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(columns)
-    yield header.getvalue()
+    yield ",".join(columns) + "\n"
     for start in range(0, rows, _CSV_CHUNK_ROWS):
         chunk = [column[start:start + _CSV_CHUNK_ROWS] for column in values]
-        pieces = None
         if len(chunk[0]) * floats >= kernel_cells:
-            pieces = floattext.csv_pieces(
-                [column if code == "%.17g" else _csv_cells(column, empty)
+            yield from floattext.csv_pieces(
+                [column if code == "%.17g" else _csv_cells(column)
                  for column, code in zip(chunk, codes)], codes)
-        if pieces is None:
-            pieces = map(template.__mod__, zip(*(_csv_cells(column, empty) for column in chunk)))
-        yield from pieces
+        else:
+            yield from map(template.__mod__, zip(*map(_csv_cells, chunk)))
 
 
 def _record_columns(results: dict) -> dict:

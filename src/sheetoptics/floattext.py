@@ -358,27 +358,24 @@ def _spell(values, d, index, placed, zero, layout, fallback) -> np.ndarray:
 _PIECE_CHARS = 460
 
 
-def csv_pieces(columns: list, codes: list) -> list[str] | None:
+def csv_pieces(columns: list, codes: list) -> list[str]:
     """The CSV rows of equal-length columns, one printf code each, as pieces
-    of whole rows, or None if a ``%s`` cell holds a NUL or a newline.
+    of whole rows.
 
     A ``%.17g`` column is an array or a list of floats; any other is a list
-    of the Python values its cells show.  The columns are laid out as one
-    ``(rows, columns, width + 1)`` byte matrix: each cell NUL-padded to the
-    widest cell, then a ``,`` or, after a row's last cell, a newline.  The
-    float cells are the texts of ``g17``, the bytes of ``%.17g``, of all the
-    float columns in one call; the others are encoded (``_encoded``).  The
-    text is the matrix with its NULs dropped (``_unpadded``), decoded once,
-    and cut into pieces of ``_PIECE_CHARS // widest row`` rows (at least
-    one); non-ASCII text, whose str takes 2 or 4 bytes a character, a row a
-    piece.
+    of the Python values its cells show, whose texts are ASCII with no NUL
+    or newline.  The columns are laid out as one ``(rows, columns, width +
+    1)`` byte matrix: each cell NUL-padded to the widest cell, then a ``,``
+    or, after a row's last cell, a newline.  The float cells are the texts
+    of ``g17``, the bytes of ``%.17g``, of all the float columns in one
+    call; the others are encoded (``_encoded``).  The text is the matrix
+    with its NULs dropped (``_unpadded``), decoded once as ASCII, and cut
+    into pieces of ``_PIECE_CHARS // widest row`` rows (at least one).
     """
     size = len(columns[0])
     float_at = [j for j, code in enumerate(codes) if code == "%.17g"]
     others = {j: _encoded(column, code)
               for j, (column, code) in enumerate(zip(columns, codes)) if code != "%.17g"}
-    if any(text is None for text in others.values()):
-        return None
     width = max([WIDTH, *(text.shape[1] for text in others.values())])
     cells = np.zeros((size, len(codes), width + 1), dtype=np.uint8)
     floats = g17(np.array([columns[j] for j in float_at], dtype=np.float64).reshape(-1))
@@ -389,31 +386,21 @@ def csv_pieces(columns: list, codes: list) -> list[str] | None:
     cells[:, :, width] = ord(",")
     cells[:, -1, width] = ord("\n")
     data = _unpadded(cells)
-    text = str(data, "utf-8")
+    text = str(data, "ascii")
     ends = np.flatnonzero(data == ord("\n")) + 1
-    if len(text) == len(data):
-        widest = max(ends[0], (ends[1:] - ends[:-1]).max(initial=0))
-        per_piece = max(1, _PIECE_CHARS // int(widest))
-    else:
-        # byte offsets to character offsets: a UTF-8 continuation byte
-        # starts no character
-        ends -= np.cumsum((data & 0xC0) == 0x80)[ends - 1]
-        per_piece = 1
+    widest = max(ends[0], (ends[1:] - ends[:-1]).max(initial=0))
+    per_piece = max(1, _PIECE_CHARS // int(widest))
     ends = ends[per_piece - 1::per_piece].tolist()
     if size % per_piece:
         ends.append(len(text))
     return [text[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _encoded(cells: list, code: str) -> np.ndarray | None:
+def _encoded(cells: list, code: str) -> np.ndarray:
     """``(code % v).encode()`` of each cell as a NUL-padded byte matrix, a
-    row per cell as wide as the longest, or None if a cell holds a NUL or a
-    newline.  Each distinct value is formatted once: a ``%s`` column holds
-    a few labels, or bools."""
+    row per cell as wide as the longest.  Each distinct value is formatted
+    once: a ``%s`` column holds a few labels, or bools."""
     encoded = {v: (code % v).encode() for v in set(cells)}
-    joined = b"".join(encoded.values())
-    if b"\0" in joined or b"\n" in joined:
-        return None
     width = max(1, *map(len, encoded.values()))
     texts = np.array(list(map(encoded.__getitem__, cells)), dtype=f"S{width}")
     return texts.view(np.uint8).reshape(len(cells), width)

@@ -13,7 +13,9 @@ array is built (``spin_matrix``, ``orthogonalize``) and for the angle of a
 coupling that lies off both axes (see ``decoupling_phase``).  The phases,
 level energies and corrected reflection are computed on t + r and b
 scaled by powers of two, so that no modulus or product overflows where
-the result fits in a float.
+the result fits in a float; a t + r that overflows is summed from t and r
+scaled first, and a coupling element that is not finite is formed again
+from the scaled pair, so that finite inputs give no NaN.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ class TwoStateSystem:
             raise ValueError("energy_unit must be positive")
         # (t + r, its exponent, b, its exponent), scaled by ``_scale``: what
         # the phases, the level energies and the corrected reflection take
-        object.__setattr__(self, "_scaled",
-                           _scale(complex(self.t_plus_r)) + _scale(complex(self.b)))
+        s = complex(self.t_plus_r)
+        s = _scale(s) if cmath.isfinite(s) else _scaled_sum(complex(self.coeffs.t),
+                                                            complex(self.coeffs.r))
+        object.__setattr__(self, "_scaled", s + _scale(complex(self.b)))
 
     @property
     def t_plus_r(self) -> complex:
@@ -81,8 +85,21 @@ class OrthogonalizedBasis:
 
 
 def offdiagonal(sys: TwoStateSystem) -> complex:
-    """Coupling matrix element <emission| H |scattering> = u * conj(b) * (t+r)."""
-    return complex(sys.energy_unit) * complex(sys.b).conjugate() * complex(sys.t_plus_r)
+    """Coupling matrix element <emission| H |scattering> = u * conj(b) * (t+r).
+
+    Where that product is not finite, because t + r or a partial product
+    overflowed, it is formed again from t + r and b scaled as in
+    ``decoupling_phase``, and each part scaled back by ``_ldexp``: a part
+    too large for a float is infinite, not NaN.
+    """
+    h = complex(sys.energy_unit) * complex(sys.b).conjugate() * complex(sys.t_plus_r)
+    if cmath.isfinite(h):
+        return h
+    s, k_s, b, k_b = sys._scaled
+    z, k = _scale(b.conjugate() * s)
+    h = complex(sys.energy_unit) * z
+    k += k_s + k_b
+    return complex(_ldexp(h.real, k), _ldexp(h.imag, k))
 
 
 def decoupling_phase(sys: TwoStateSystem) -> tuple[float, float]:
@@ -139,6 +156,16 @@ def _scale(z: complex) -> tuple[complex, int]:
     Blue's norm, ACM TOMS 4, 15, 1978)."""
     k = math.frexp(max(abs(z.real), abs(z.imag)))[1]
     return complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)), k
+
+
+def _scaled_sum(t: complex, r: complex) -> tuple[complex, int]:
+    """``_scale(t + r)`` for a t + r that overflows: the sum is formed from
+    t and r scaled by the power of two that puts their largest part in
+    [0.5, 1)."""
+    k = math.frexp(max(abs(t.real), abs(t.imag), abs(r.real), abs(r.imag)))[1]
+    s, j = _scale(complex(math.ldexp(t.real, -k) + math.ldexp(r.real, -k),
+                          math.ldexp(t.imag, -k) + math.ldexp(r.imag, -k)))
+    return s, j + k
 
 
 def cross_element(h: complex, theta: float) -> complex:

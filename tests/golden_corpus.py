@@ -8,8 +8,8 @@ Run from the repository root to regenerate it:
 every command family at small sizes, plus an edge ladder: empty and bare
 stacks, one and 87 graphene sheets, a ``-0.0`` slab, thick Si slabs,
 overflowing sweep ranges, a sweep of layer counts up to 1e300, bad input
-files and two ``--coeffs`` files whose t + r or coupling lie near the
-largest float.  The script runs each through ``cli.main`` in process and
+files and ``--coeffs`` files whose t + r or coupling lie near or beyond
+the largest float.  The script runs each through ``cli.main`` in process and
 writes ``golden_corpus.json`` beside it: the argv, the files and what the
 command gave, that is its exit code, the sha256 of its stdout and of its
 stderr and the number of warnings it raised, with the numpy and Python
@@ -219,6 +219,16 @@ def ladder_cases() -> list[dict]:
         {"near_max.json": json.dumps({"t": [0.0, 4.0414184592774605e175],
                                       "r": [4.041418459277461e163, 4.0414184592774605e175],
                                       "b": [0.0, 2.224086855860645e132]})}))
+    # a t + r that overflows although t and r are finite, and couplings
+    # whose partial products overflow
+    cases.append(_case("twostate_coeffs_sum_overflow", ["twostate", "--coeffs", "sum.json"],
+                       {"sum.json": json.dumps({"t": 1.5e308, "r": 1.5e308, "b": [0, 1]})}))
+    cases.append(_case("twostate_coeffs_b_overflow", [
+        "twostate", "--coeffs", "big_b.json", "--energy-unit", "10"],
+        {"big_b.json": json.dumps({"t": 1, "r": 0, "b": [1.5e308, 1.5e308]})}))
+    cases.append(_case("twostate_coeffs_real_b_overflow", [
+        "twostate", "--coeffs", "real_b.json", "--energy-unit", "10"],
+        {"real_b.json": json.dumps({"t": 1.0, "r": 0.5, "b": [1e308, 0]})}))
     return cases
 
 

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import string
 import subprocess
 import sys
 import warnings
@@ -1370,12 +1371,13 @@ def test_deep_stack_json_matches_json_dumps(capsys, tmp_path):
 SPECIAL_BITS = [0, 1 << 63, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
                 0xFFF8000000000001, 1, 0x000FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF]
 csv_floats = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308])
-csv_names = st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True)
-#: Labels of ASCII and non-ASCII letters, which need no CSV quoting, the
-#: empty label, which csv quotes when it is a row's only cell, and labels
-#: with a NUL, which the byte-matrix route cannot carry.
-csv_labels = (st.sampled_from(["minus", "plus", "bulk", "", "\0nul", "a\0b"])
-              | st.text(st.characters(categories=["L"]), min_size=1, max_size=40))
+#: Column names and labels as the commands write them: ASCII, with no
+#: comma, quote or line break, so that none needs CSV quoting.
+csv_text = st.text(string.ascii_letters + string.digits + "_", max_size=4)
+csv_names = st.lists(csv_text, min_size=2, max_size=6, unique=True)
+#: The side labels, the empty label and labels of up to 40 ASCII letters.
+csv_labels = (st.sampled_from(["minus", "plus", "bulk", ""])
+              | st.text(string.ascii_letters, min_size=1, max_size=40))
 
 
 @st.composite
@@ -1408,9 +1410,9 @@ def csv_tables(draw):
 
 
 csv_records = st.dictionaries(
-    st.text(max_size=4),
+    csv_text,
     st.one_of(st.none(), st.booleans(), csv_floats, st.integers()).map(lambda v: [v]),
-    min_size=1, max_size=8)
+    min_size=2, max_size=8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1421,8 +1423,8 @@ def test_csv_writer_matches_reference(columns, chunk_rows, kernel_cells):
     """Both routes, one %-format per row and one byte matrix per chunk, give
     the bytes of the cell-by-cell reference: random float64 bit patterns,
     signed zeros, infinities, nans, subnormals, ints of up to 401 digits,
-    ASCII and non-ASCII labels, labels with a NUL, and one-row records with
-    None and bools, across chunk boundaries, with the routes mixed in one
+    ASCII labels, and one-row records with None and bools, in tables of at
+    least two columns, across chunk boundaries, with the routes mixed in one
     table where a short last chunk falls below the crossover.  After the
     header every piece is whole rows, a str under 512 bytes unless it is
     one row."""
@@ -1436,14 +1438,17 @@ def test_csv_writer_matches_reference(columns, chunk_rows, kernel_cells):
         assert sys.getsizeof(piece) < 512 or piece.count("\n") == 1
 
 
-@pytest.mark.parametrize("columns", [{"a": [""]}, {"a": ["", "x"]}, {"a": np.array(["x", ""])},
-                                     {"a": [None, ""]}, {"a": ["", None], "b": ["", "y"]}],
+@pytest.mark.parametrize("columns", [{"a": [""], "b": [0.5]}, {"a": ["", "x"], "b": [1, 2]},
+                                     {"a": np.array(["x", ""]), "b": [True, False]},
+                                     {"a": [None, ""], "b": ["y", "z"]},
+                                     {"a": ["", None], "b": ["", "y"]}],
                          ids=["one_empty", "empty_first", "array", "none_and_empty", "two_columns"])
 @pytest.mark.parametrize("kernel_cells", [0, cli._KERNEL_CELLS], ids=["byte_matrix", "per_row"])
 def test_csv_lone_empty_cell_quoted(columns, kernel_cells):
-    """An empty cell that is its row's only cell is written ``""``, as csv
-    writes it, so that the row is not a blank line; beside other cells it
-    stays empty."""
+    """An empty cell, from None or an empty label in a list or an array, is
+    written as nothing beside the other cells of its row, on both routes,
+    as csv writes it: in a table of at least two columns no row is a blank
+    line, so no cell is quoted, even where every cell of a row is empty."""
     with mock.patch.object(cli, "_KERNEL_CELLS", kernel_cells):
         text = "".join(_csv(columns))
     assert text == reference_table(list(columns), zip(*columns.values()))
@@ -1456,3 +1461,50 @@ def test_csv_mixed_column_rejected(columns):
     writer fails before its first piece."""
     with pytest.raises(TypeError, match="no CSV format"):
         next(_csv(columns))
+
+
+#: Real command lines whose CSV tables cover the column shapes the writer
+#: meets: profile labels as a ``<U5`` array, n_layers ints and cond sweep
+#: floats as lists, stack sweep arrays and one-row records, each at row
+#: counts on both sides of its shape's crossover (profiles 56 rows, cond
+#: sweeps 72, n_layers sweeps 142, stack sweeps 28) and across a chunk.
+ROUTE_SWAP_ARGV = [
+    ["profile", "--which", "a", "--points", "39"],
+    ["profile", "--which", "a", "--points", "1100"],
+    ["profile", "--which", "b", "--points", "39"],
+    ["profile", "--which", "b", "--points", "99", "--b-r", "0.2", "--b-l", "-0.1"],
+    ["sweep", "--sweep", "cond:0:2:50"],
+    ["sweep", "--sweep", "cond:0:2:100", "--branching", "0.5"],
+    ["sweep", "--sweep", "n_layers:1:100:100"],
+    ["sweep", "--sweep", "n_layers:1:300:200"],
+    ["sweep", "--stack", "STACK", "--sweep", "wavelength_nm:500:800:10"],
+    ["sweep", "--stack", "STACK", "--sweep", "wavelength_nm:500:800:40"],
+    ["sweep", "--stack", "STACK", "--sweep", "thickness:0:1:10"],
+    ["sweep", "--stack", "STACK", "--sweep", "thickness:0:1:40"],
+    ["coeffs", "--format", "csv"],
+    ["twostate", "--format", "csv"],
+    ["twostate", "--cond", "2", "--format", "csv"],
+    ["stack", "--stack", "STACK", "--format", "csv"],
+    ["decouple", "--format", "csv"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTE_SWAP_ARGV, ids=[" ".join(a) for a in ROUTE_SWAP_ARGV])
+def test_csv_routes_swap_on_command_output(capsys, tmp_path, argv):
+    """A command's CSV is the same whichever route writes each chunk:
+    every chunk on the byte matrix (``_KERNEL_CELLS`` 0), every chunk a row
+    at a time (``_KERNEL_CELLS`` above any table) and the routes the
+    crossover picks."""
+    stack = tmp_path / "stack.json"
+    stack.write_text(json.dumps({"ambient_out": [3.882, 0.019], "wavelength_nm": 633.0,
+                                 "layers": [{"type": "sheet", "cond": 0.0229253},
+                                            {"type": "slab", "n_re": 1.46, "d": 0.3}] * 3}))
+    argv = [str(stack) if arg == "STACK" else arg for arg in argv]
+    outputs = []
+    for kernel_cells in (0, 10**9, cli._KERNEL_CELLS):
+        with mock.patch.object(cli, "_KERNEL_CELLS", kernel_cells):
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0].splitlines()) > 1

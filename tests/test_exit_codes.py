@@ -5,7 +5,8 @@ property of ``cli.main``: whatever the argv and input files,
   process would print a traceback;
 - exits 1 and 3 print nothing on stdout and one ``sheetoptics:`` line on
   stderr, with no warning, which a process would print as more lines;
-- on exit 0 the output is a JSON document or a CSV table.
+- on exit 0 the output is a JSON document or a CSV table, and a
+  ``twostate`` output, whose inputs are then all finite, holds no NaN.
 
 The argv are built from the option tables ``_read`` reads (``cli._FLAG_TABLES``):
 each option of a command is given or not, float options take values from
@@ -131,6 +132,12 @@ def is_csv_table(text: str) -> bool:
                           '4.0414184592774605e175], "b": [0, 2.224086855860645e132]}'}))
 @example((["twostate", "--coeffs", "coeffs.json"],
           {"coeffs.json": '{"t": 1, "r": 0, "b": [1.5e308, 1.5e308]}'}))
+@example((["twostate", "--coeffs", "coeffs.json"],
+          {"coeffs.json": '{"t": 1.5e308, "r": 1.5e308, "b": [0, 1]}'}))
+@example((["twostate", "--coeffs", "coeffs.json", "--energy-unit", "10"],
+          {"coeffs.json": '{"t": 1, "r": 0, "b": [1.5e308, 1.5e308]}'}))
+@example((["twostate", "--coeffs", "coeffs.json", "--energy-unit", "10"],
+          {"coeffs.json": '{"t": 1.0, "r": 0.5, "b": [1e308, 0]}'}))
 @example((["profile", "--x-max", "1e308", "--k", "10"], {}))
 def test_exit_code_contract(command_line):
     argv, files = command_line
@@ -144,6 +151,10 @@ def test_exit_code_contract(command_line):
     elif code == 0:
         fmt = argv[argv.index("--format") + 1] if "--format" in argv else None
         if fmt == "json" or fmt is None and argv[0] not in cli._TABLE_COMMANDS:
-            json.loads(out)
+            words = []
+            json.loads(out, parse_constant=words.append)
         else:
             assert is_csv_table(out), out[:200]
+            words = out.replace("\n", ",").split(",")
+        if argv[0] == "twostate":
+            assert "NaN" not in words and "nan" not in words, out

@@ -7,7 +7,10 @@ The decoupling phases, level energies and corrected reflection are
 computed, in the oracle as in ``twostate``, on t + r and b scaled by powers
 of two (numpy's ``frexp`` and ``ldexp`` here), energy and correction
 scaled back by ``ldexp``, so that no modulus or product overflows; whether
-t + r or b vanishes is read from the unscaled moduli.
+t + r or b vanishes is read from the unscaled moduli.  Where t + r
+overflows, it is the sum of t and r scaled first, and where the coupling
+u conj(b) (t + r) is not finite, it is formed again from the scaled pair
+and scaled back.
 
 The systems are drawn as the command line builds them: from a sheet
 (``coeffs``, ``twostate``) or from a ``--coeffs`` file of any finite
@@ -56,8 +59,31 @@ def scaled(z):
     return complex(np.ldexp(z.real, -k), np.ldexp(z.imag, -k)), k
 
 
-def old_phases(s, b):
-    z = np.conj(scaled(s)[0]) * scaled(b)[0]
+def scaled_sum(t, r):
+    """``scaled(t + r)``, or where t + r overflows, that of the sum of t and
+    r scaled by the exponent of their largest part."""
+    s = np.complex128(t) + r
+    if np.isfinite(s):
+        return scaled(s)
+    k = int(np.frexp(max(abs(t.real), abs(t.imag), abs(r.real), abs(r.imag)))[1])
+    s, j = scaled(complex(np.ldexp(t.real, -k) + np.ldexp(r.real, -k),
+                          np.ldexp(t.imag, -k) + np.ldexp(r.imag, -k)))
+    return s, j + k
+
+
+def old_coupling(u, b, t, r):
+    h = old_offdiagonal(u, b, t + r)
+    if np.isfinite(h):
+        return h
+    (s, k_s), (b, k_b) = scaled_sum(t, r), scaled(b)
+    z, k = scaled(complex(np.conj(b) * s))
+    h = u * np.complex128(z)
+    k += k_s + k_b
+    return complex(np.ldexp(h.real, k), np.ldexp(h.imag, k))
+
+
+def old_phases(t, r, b):
+    z = np.conj(scaled_sum(t, r)[0]) * scaled(b)[0]
     theta_plus = float((-np.arctan2(z.imag, z.real)) % TWO_PI)
     return theta_plus, float((theta_plus + np.pi) % TWO_PI)
 
@@ -66,27 +92,27 @@ def old_cross_element(h, theta):
     return np.exp(-1j * theta) * h - np.exp(1j * theta) * np.conj(h)
 
 
-def old_decoupling_phase(u, s, b):
-    if np.abs(np.complex128(s)) < 1e-14 or np.abs(np.complex128(b)) < 1e-14:
+def old_decoupling_phase(u, t, r, b):
+    if np.abs(np.complex128(t) + r) < 1e-14 or np.abs(np.complex128(b)) < 1e-14:
         raise DegenerateDecoupling("t + r or b vanishes; any theta decouples the pair")
-    phases = old_phases(s, b)
-    h = old_offdiagonal(1.0, scaled(b)[0], scaled(s)[0])
+    phases = old_phases(t, r, b)
+    h = old_offdiagonal(1.0, scaled(b)[0], scaled_sum(t, r)[0])
     for theta in phases:
         if abs(old_cross_element(h, theta)) > 1e-12 * abs(h):
             raise DegenerateDecoupling(f"decoupling failed at theta={theta}")
     return phases
 
 
-def old_level_energy(u, s, b, theta):
-    (s, k_s), (b, k_b) = scaled(s), scaled(b)
+def old_level_energy(u, t, r, b, theta):
+    (s, k_s), (b, k_b) = scaled_sum(t, r), scaled(b)
     return 2.0 * float(np.ldexp(u * float(np.real(np.exp(1j * theta) * np.conj(s) * b)),
                                 k_s + k_b))
 
 
-def old_corrected_reflection(r, s, b):
-    if np.abs(np.complex128(s)) < 1e-14:
+def old_corrected_reflection(t, r, b):
+    if np.abs(np.complex128(t) + r) < 1e-14:
         raise DegenerateDecoupling("t + r = 0: the correction branch is undefined")
-    (s, _), (b, k) = scaled(s), scaled(b)
+    (s, _), (b, k) = scaled_sum(t, r), scaled(b)
     correction = s / abs(s) * abs(b)
     correction = complex(np.ldexp(correction.real, k), np.ldexp(correction.imag, k))
     return r + correction, r - correction
@@ -145,17 +171,17 @@ def outcome(function, *args):
 
 
 def check_against_oracle(sys_):
-    u, b, s, r = sys_.energy_unit, sys_.b, sys_.t_plus_r, sys_.coeffs.r
+    u, b, t, r = sys_.energy_unit, sys_.b, sys_.coeffs.t, sys_.coeffs.r
     with np.errstate(all="ignore"):
         h = offdiagonal(sys_)
-        assert bits(h) == bits(complex(old_offdiagonal(u, b, s)))
-        assert outcome(decoupling_phase, sys_) == outcome(old_decoupling_phase, u, s, b)
-        for theta in old_phases(s, b):
+        assert bits(h) == bits(complex(old_coupling(u, b, t, r)))
+        assert outcome(decoupling_phase, sys_) == outcome(old_decoupling_phase, u, t, r, b)
+        for theta in old_phases(t, r, b):
             assert bits(cross_element(h, theta)) == \
                 bits(complex(old_cross_element(np.complex128(h), theta)))
-            old = old_level_energy(u, s, b, theta)
+            old = old_level_energy(u, t, r, b, theta)
             assert outcome(level_energies, sys_, theta) == [bits(old), bits(-old)]
-        assert outcome(corrected_reflection, sys_) == outcome(old_corrected_reflection, r, s, b)
+        assert outcome(corrected_reflection, sys_) == outcome(old_corrected_reflection, t, r, b)
 
 
 @settings(max_examples=1500, deadline=None)
@@ -172,6 +198,11 @@ def check_against_oracle(sys_):
                         b=1j))
 @example(TwoStateSystem(coeffs=ScatterCoeffs(t=0.9 + 0j, r=-0.1 + 0j), b=-0.3 + 0j,
                         energy_unit=1.7976931348623157e308))
+@example(TwoStateSystem(coeffs=ScatterCoeffs(t=1.5e308 + 0j, r=1.5e308 + 0j), b=1j))
+@example(TwoStateSystem(coeffs=ScatterCoeffs(t=1 + 0j, r=0j), b=1.5e308 + 1.5e308j,
+                        energy_unit=10.0))
+@example(TwoStateSystem(coeffs=ScatterCoeffs(t=1 + 0j, r=0.5 + 0j), b=1e308 + 0j,
+                        energy_unit=10.0))
 def test_twostate_matches_numpy_formulas(sys_):
     check_against_oracle(sys_)
 
