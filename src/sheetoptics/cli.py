@@ -25,14 +25,13 @@ unless it is one row, so that it comes from CPython's small-object
 allocator; a short table is written by one ``%`` format per row (see
 ``_csv``).
 
-A JSON document comes from one writer, ``_json_chunks``, with the bytes of
-``json.dumps(doc, indent=2)``: ``_json_text`` writes each value as json's
-own encoder does, and ``_json_vector`` a 1-D float or complex array that is
-a value of the document.  The floats of a long such array, like a deep
-stack's ``sheet_fields``, are written by ``floattext.shortest``, a
+A JSON document comes from one writer, ``_json_text``, with the bytes of
+``json.dumps(doc, indent=2)``, for the values the commands write: str,
+None, bools, ints, floats, complex numbers in the codec's forms, non-empty
+dicts of these and 1-D complex arrays, like a stack's ``sheet_fields``.
+The floats of a long such array are written by ``floattext.shortest``, a
 vectorized kernel with the bytes of ``repr``, and the array's text is
-assembled as bytes (see ``floattext.json_vector``); a short array's by one
-``repr`` per float.
+assembled as bytes (see ``floattext.json_vector``).
 
 numpy is imported where an array is built: by the stack, sweep and profile
 commands and by the lazy modules they run.  ``coeffs`` and ``twostate``
@@ -75,8 +74,8 @@ _EXIT_CODES = ("exit codes: 0 success, 1 configuration error, 2 file I/O error, 
 #: Rows of a CSV table turned into Python values at a time.
 _CSV_CHUNK_ROWS = 1024
 #: Float cells from which a float kernel writes them: ``floattext.g17`` in a
-#: CSV chunk, ``floattext.shortest`` in a JSON vector (both parts of a
-#: complex one).  Measured on a shared 2-core x86_64 machine with numpy
+#: CSV chunk, ``floattext.shortest`` in a JSON vector (both parts of each
+#: element).  Measured on a shared 2-core x86_64 machine with numpy
 #: 2.4.6 (median of 15 interleaved best-of timings, distinct values), both
 #: kernels cost about 100 us a call however few the cells, and each broke
 #: even with its per-cell route, one ``%`` per CSV row or one ``repr`` per
@@ -225,15 +224,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _json_default(value):
-    """JSON form of the non-JSON values in a result: complex scalars, arrays."""
-    if isinstance(value, complex):
-        return encode_complex(value)
-    if isinstance(value, _ndarray()):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _json_doc(args: argparse.Namespace, results: dict) -> Iterator[str]:
     options = dict(vars(args))
     doc = {
@@ -251,16 +241,9 @@ def _json_doc(args: argparse.Namespace, results: dict) -> Iterator[str]:
 
 
 def _json_chunks(doc: dict) -> Iterator[str]:
-    """The text of ``json.dumps(doc, indent=2, default=_json_default) + "\n"``.
-
-    A 1-D float64 or complex128 array value is written by ``_json_vector``,
-    every other value by ``_json_text``.
-    """
-    ndarray = _ndarray()
-    items = [f"{_json_str(key)}: "
-             f"{_json_vector(value) if _is_vector(value, ndarray) else _json_text(value, '  ')}"
-             for key, value in doc.items()]
-    yield "{\n  " + ",\n  ".join(items) + "\n}\n" if items else "{}\n"
+    """The text of ``json.dumps(doc, indent=2) + "\n"``, written by
+    ``_json_text``."""
+    yield _json_text(doc, "") + "\n"
 
 
 #: json's text of a str: the C encoder that ``json.dumps`` uses.
@@ -268,10 +251,11 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(value, pad: str) -> str:
-    """``json.dumps(value, indent=2, default=_json_default)`` of a value on a
-    line indented by ``pad``: the same checks in the same order as json's
-    own encoder, whose Python route ``indent`` takes (the C encoder has no
-    indent)."""
+    """``json.dumps(value, indent=2)`` of a value on a line indented by
+    ``pad``, for the values a document holds: a str, None, a bool, an int,
+    a float, a complex number in the codec's form (a plain number or an
+    [re, im] pair), a non-empty dict of these and a 1-D complex128 array
+    (``_json_vector``).  Any other value is a TypeError."""
     if isinstance(value, str):
         return _json_str(value)
     if value is None:
@@ -285,17 +269,17 @@ def _json_text(value, pad: str) -> str:
     if isinstance(value, float):
         return json_float(value)
     inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(item, inner) for item in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+    if isinstance(value, complex):
+        z = encode_complex(value)
+        if isinstance(z, float):
+            return json_float(z)
+        return f"[\n{inner}{json_float(z[0])},\n{inner}{json_float(z[1])}\n{pad}]"
+    if isinstance(value, dict) and value:
         items = [f"{_json_str(key)}: {_json_text(item, inner)}" for key, item in value.items()]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    return _json_text(_json_default(value), pad)
+    if isinstance(value, _ndarray()) and value.ndim == 1 and value.dtype == complex:
+        return _json_vector(value, pad)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _ndarray():
@@ -306,36 +290,21 @@ def _ndarray():
     return () if numpy is None else numpy.ndarray
 
 
-def _is_vector(value, ndarray) -> bool:
-    return isinstance(value, ndarray) and value.ndim == 1 and value.dtype in (float, complex)
-
-
-def _json_floats(values: np.ndarray) -> list[str]:
-    """``json_float`` of each float of an array."""
-    import numpy as np
-
-    if np.isfinite(values).all():
-        return list(map(float.__repr__, values.tolist()))
-    return list(map(json_float, values.tolist()))
-
-
-def _json_vector(values: np.ndarray) -> str:
-    """JSON text of a 1-D float64 or complex128 array that is a value of the
-    top-level object.  A complex element with zero imaginary part is a
-    plain number, any other an [re, im] pair (the codec's forms).  An
-    array of at least ``_KERNEL_CELLS`` floats, counting both parts of a
-    complex element, goes to ``floattext.json_vector``."""
+def _json_vector(values: np.ndarray, pad: str) -> str:
+    """JSON text of a 1-D complex128 array on a line indented by ``pad``:
+    each element in the codec's form, as ``_json_text`` writes a complex
+    number.  An array of at least ``_KERNEL_CELLS`` floats, counting both
+    parts of an element, goes to ``floattext.json_vector``."""
     if not len(values):
         return "[]"
-    parts = (values.real, values.imag) if values.dtype.kind == "c" else (values,)
-    if len(values) * len(parts) >= _KERNEL_CELLS:
-        return floattext.json_vector(parts)
-    items = _json_floats(parts[0])
-    if len(parts) == 2:
-        imag = parts[1]
-        items = [re if zero else f"[\n      {re},\n      {im}\n    ]"
-                 for re, im, zero in zip(items, _json_floats(imag), (imag == 0.0).tolist())]
-    return "[\n    " + ",\n    ".join(items) + "\n  ]"
+    if 2 * len(values) >= _KERNEL_CELLS:
+        return floattext.json_vector(values, pad)
+    inner = pad + "  "
+    imag = values.imag
+    items = [re if zero else f"[\n{inner}  {re},\n{inner}  {im}\n{inner}]"
+             for re, im, zero in zip(map(json_float, values.real.tolist()),
+                                     map(json_float, imag.tolist()), (imag == 0.0).tolist())]
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
 
 
 def _csv_code(column) -> str:
@@ -617,8 +586,8 @@ def _cmd_profile(args: argparse.Namespace) -> dict:
         profile = fields_mod.eval_a(coeffs.t, coeffs.r, grid_x, k=args.k)
     else:
         if args.b_r is not None or args.b_l is not None:
-            b_r = args.b_r or 0.0
-            b_l = args.b_l or 0.0
+            b_r = 0.0 if args.b_r is None else args.b_r
+            b_l = 0.0 if args.b_l is None else args.b_l
         else:
             coeffs = surface.solve_single_sheet(params)
             emission = surface.emission_amplitude(params, coeffs)

@@ -412,41 +412,34 @@ def _unpadded(rows: np.ndarray) -> np.ndarray:
     return flat[flat != 0]
 
 
-#: Bytes around the texts of the parts of a complex element, and after each item.
-_PAIR_OPEN, _PAIR_MIDDLE, _PAIR_CLOSE, _ITEM_END = (
-    np.frombuffer(text, dtype=np.uint8) for text in (b"[\n      ", b",\n      ", b"\n    ]",
-                                                     b",\n    "))
-
-
-def json_vector(parts: tuple) -> str:
-    """The JSON text, as ``json.dumps(doc, indent=2)`` writes it, of a 1-D
-    float64 or complex128 array that is a value of the document's top-level
-    object, given as its parts: the array itself for a float vector, or
-    the real and imaginary parts of a complex one.  A complex element with
-    zero imaginary part is a plain number, any other an [re, im] pair (the
+def json_vector(values: np.ndarray, pad: str) -> str:
+    """The JSON text, as ``json.dumps(value, indent=2)`` writes it, of a 1-D
+    complex128 array on a line indented by ``pad``.  An element with zero
+    imaginary part is a plain number, any other an [re, im] pair (the
     codec's forms).  The floats are written by ``shortest``, the bytes of
     ``float.__repr__``, and the non-finite ones as json spells them.
 
     Each element's item, with the separator after it, is one NUL-padded
     row of bytes; the text is every row with its NULs dropped.
     """
-    size = len(parts[0])
-    cells = np.concatenate(parts)
+    size = len(values)
+    cells = np.concatenate((values.real, values.imag))
     texts = shortest(cells)
     finite = np.isfinite(cells)
     if not finite.all():
         texts[~finite] = list(map(json_float, cells[~finite].tolist()))
-    texts = texts.view(np.uint8).reshape(len(parts), size, WIDTH)
-    if len(parts) == 1:
-        pieces = [texts[0], _ITEM_END]
-    else:
-        pieces = [_PAIR_OPEN, texts[0], _PAIR_MIDDLE, texts[1], _PAIR_CLOSE, _ITEM_END]
+    texts = texts.view(np.uint8).reshape(2, size, WIDTH)
+    # the bytes around the texts of an element's parts, and after its item
+    inner = pad + "  "
+    pair_open, middle, close, end = (
+        np.frombuffer(text.encode(), dtype=np.uint8)
+        for text in (f"[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]", f",\n{inner}"))
+    pieces = [pair_open, texts[0], middle, texts[1], close, end]
     widths = [piece.shape[-1] for piece in pieces]
     rows = np.concatenate([np.broadcast_to(piece, (size, width))
                            for piece, width in zip(pieces, widths)], axis=1)
-    if len(parts) == 2:
-        # an element with zero imaginary part is its real part alone
-        pair_only = np.repeat([True, False, True, True, True, False], widths)
-        rows[np.ix_(parts[1] == 0.0, pair_only)] = 0
+    # an element with zero imaginary part is its real part alone
+    pair_only = np.repeat([True, False, True, True, True, False], widths)
+    rows[np.ix_(values.imag == 0.0, pair_only)] = 0
     text = str(_unpadded(rows), "ascii")
-    return "[\n    " + text[:-len(_ITEM_END)] + "\n  ]"
+    return f"[\n{inner}" + text[:-len(end)] + f"\n{pad}]"

@@ -178,14 +178,15 @@ def cross_element(h: complex, theta: float) -> complex:
 def level_energies(sys: TwoStateSystem, theta: float) -> tuple[float, float]:
     """Energies (+e, -e) of the decoupled pair, e = 2u Re[e^{i theta}(t+r)* b].
 
-    t + r and b are scaled as in ``decoupling_phase`` and e scaled back,
-    so e is finite wherever it fits in a float.
+    u, t + r and b are scaled as in ``decoupling_phase`` and e scaled
+    back, so e is finite wherever it fits in a float.
     """
     s, k_s, b, k_b = sys._scaled
     z = cmath.exp(1j * theta) * s.conjugate() * b
-    # doubled last: u times the real part, scaled back, is finite wherever
-    # |h| is
-    e = 2.0 * _ldexp(float(sys.energy_unit) * z.real, k_s + k_b)
+    # u is scaled too, and the product doubled last: scaled back, it is
+    # finite wherever |h| is
+    u, k_u = math.frexp(float(sys.energy_unit))
+    e = 2.0 * _ldexp(u * z.real, k_s + k_b + k_u)
     return e, -e
 
 

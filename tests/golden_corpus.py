@@ -229,6 +229,15 @@ def ladder_cases() -> list[dict]:
     cases.append(_case("twostate_coeffs_real_b_overflow", [
         "twostate", "--coeffs", "real_b.json", "--energy-unit", "10"],
         {"real_b.json": json.dumps({"t": 1.0, "r": 0.5, "b": [1e308, 0]})}))
+    # level energies near the largest float from a huge energy unit
+    cases.append(_case("twostate_coeffs_energy_unit_huge", [
+        "twostate", "--coeffs", "small.json", "--energy-unit", "1.7e308"],
+        {"small.json": json.dumps({"t": [0.00087890625, 0.00087890625], "r": 0,
+                                   "b": [0.00087890625, 0.00087890625]})}))
+    # an explicit -0.0 emission amplitude keeps its sign
+    cases.append(_case("profile_b_minus_zero", [
+        "profile", "--which", "b", "--b-r", "-0.0", "--b-l", "0.25", "--points", "4",
+        "--x-max", "1"]))
     return cases
 
 
@@ -240,10 +249,10 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run_case(case: dict, workdir: str) -> dict:
+def run_case(case: dict, workdir: str) -> tuple[dict, str]:
     """What ``cli.main`` gives on the case's argv, run in ``workdir`` with
     its files written there: exit code, sha256 of stdout and of stderr, and
-    the number of warnings raised."""
+    the number of warnings raised; and the stdout itself."""
     for name, text in case["files"].items():
         Path(workdir, name).write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
@@ -259,12 +268,12 @@ def run_case(case: dict, workdir: str) -> dict:
         for name in case["files"]:
             os.remove(os.path.join(workdir, name))
     return {"exit": code, "stdout_sha256": _sha256(out.getvalue()),
-            "stderr_sha256": _sha256(err.getvalue()), "warnings": len(caught)}
+            "stderr_sha256": _sha256(err.getvalue()), "warnings": len(caught)}, out.getvalue()
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
-        entries = [{**case, **run_case(case, workdir)} for case in cases()]
+        entries = [{**case, **run_case(case, workdir)[0]} for case in cases()]
     old = {}
     if CORPUS.exists():
         old = {entry["id"]: entry for entry in json.loads(CORPUS.read_text())["cases"]}

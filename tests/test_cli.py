@@ -24,11 +24,11 @@ from sheetoptics.cli import (
     _checked_args,
     _csv,
     _json_chunks,
-    _json_default,
     build_parser,
     main,
     run,
 )
+from sheetoptics.codec import encode_complex
 from sheetoptics.fields import decompose, eval_a, eval_b
 
 GRAPHENE = "0.0229253"
@@ -897,6 +897,17 @@ class TestProfile:
         minus_row = [l for l in out.splitlines() if l.endswith("minus")][0]
         assert float(minus_row.split(",")[3]) == pytest.approx(-0.1)
 
+    def test_negative_zero_override_keeps_its_sign(self, capsys):
+        """An explicit ``--b-r -0.0`` is -0 on the plus side and right of it."""
+        code, out, err = run_cli(capsys, "profile", "--which", "b", "--b-r", "-0.0",
+                                 "--b-l", "0.25", "--points", "4", "--x-max", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[3:] == [
+            "0,0,0,0.25,0,0.125,0,-0.125,0,minus",
+            "0,-0,0,0,0,0,0,0,0,plus",
+            "0.5,-0,0,0,0,0,0,0,0,bulk",
+            "1,-0,0,0,0,0,0,0,0,bulk"]
+
     def test_json_format_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "profile", "--format", "json")
         assert code == 1
@@ -983,7 +994,8 @@ class TestProfile:
             emission = surface.emission_amplitude(params, coeffs)
             profile = eval_b(emission.b_r, emission.b_l, grid, k=k)
         else:
-            profile = eval_b(b_r or 0.0, b_l or 0.0, grid, k=k)
+            profile = eval_b(0.0 if b_r is None else b_r, 0.0 if b_l is None else b_l,
+                             grid, k=k)
         assert out.getvalue() == reference_profile_csv(profile)
 
 
@@ -1255,63 +1267,66 @@ json_parts = st.one_of(st.just(0.0), st.just(-0.0), st.floats(),
 
 @st.composite
 def json_vectors(draw):
-    parts = draw(st.lists(st.tuples(json_parts, json_parts), max_size=8))
-    if draw(st.booleans()):
-        return np.array([re for re, _ in parts], dtype=float)
+    """A complex vector of up to 8 elements, empty ones too, with signed
+    zero and non-finite parts."""
+    parts = draw(st.lists(st.tuples(json_parts, json_parts | st.sampled_from([0.0, -0.0])),
+                          max_size=8))
     vector = np.empty(len(parts), dtype=complex)
     vector.real, vector.imag = [re for re, _ in parts], [im for _, im in parts]
     return vector
 
 
 json_complexes = st.builds(complex, json_parts, json_parts | st.sampled_from([0.0, -0.0]))
-
-
-@st.composite
-def json_matrices(draw, parts, dtype):
-    """A 2-D array of ``parts``, sides 0 to 3."""
-    rows, columns = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    values = draw(st.lists(parts, min_size=rows * columns, max_size=rows * columns))
-    return np.array(values, dtype=dtype).reshape(rows, columns)
-
-
-json_leaves = st.one_of(
+json_values = st.one_of(
     st.text(max_size=6), st.none(), st.booleans(),
     st.integers() | st.integers(2**63, 2**200) | st.integers(-2**200, -2**63),
-    json_parts, json_complexes, json_parts.map(np.float64),
-    json_parts.map(np.array), json_complexes.map(np.array),
-    json_matrices(json_parts, float), json_matrices(json_complexes, complex), json_vectors())
-json_values = st.recursive(
-    json_leaves,
-    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(st.text(max_size=6), children, max_size=4)),
-    max_leaves=24)
+    json_parts, json_complexes, json_parts.map(np.float64), json_vectors())
+
+
+def json_reference(value):
+    """json.dumps' ``default`` for the values of a document that json has no
+    type for: a complex number in the codec's form, an array as a list."""
+    if isinstance(value, complex):
+        return encode_complex(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=st.dictionaries(st.text(max_size=8), json_values | json_vectors(), max_size=8))
+@given(doc=st.dictionaries(
+    st.text(max_size=8),
+    json_values | st.dictionaries(st.text(max_size=6), json_values, min_size=1, max_size=10),
+    min_size=1, max_size=8))
 def test_json_emitter_matches_json_dumps(doc):
-    """Documents of every value type a result holds, nested at any depth:
-    strings with escapes and non-ASCII characters, None, bools, ints beyond
-    2**63, floats with signed zeros, subnormals, huge exponents and
-    non-finite values, lists, tuples and dicts (empty ones too), complex
-    numbers with zero and non-zero imaginary parts, numpy float64 scalars,
-    0-d and 2-D arrays, and 1-D arrays (empty ones too) anywhere among the
-    items of the document, where the vector writer takes them."""
-    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    """Documents shaped as the commands write them, a non-empty object that
+    may hold one level of non-empty objects, of every value type a result
+    holds: strings with escapes and non-ASCII characters, None, bools, ints
+    beyond 2**63, floats with signed zeros, subnormals, huge exponents and
+    non-finite values, numpy float64 scalars, complex numbers with zero and
+    non-zero imaginary parts, and 1-D complex arrays, empty ones too."""
+    text = json.dumps(doc, indent=2, default=json_reference) + "\n"
     assert "".join(_json_chunks(doc)) == text
+
+
+@pytest.mark.parametrize("value", [[1.0], (1.0,), {}, np.zeros(3), np.array(1j),
+                                   np.zeros((2, 2), dtype=complex), object()],
+                         ids=["list", "tuple", "empty_dict", "float_vector", "0d_array",
+                              "2d_array", "object"])
+def test_json_emitter_rejects_values_no_command_writes(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        "".join(_json_chunks({"tool_version": "0.1.0", "config_echo": {"value": value}}))
 
 
 @st.composite
 def long_json_vectors(draw, cells):
-    """A float vector of ``cells`` floats or a complex one of ``cells // 2``
-    elements: each part a drawn value of ``json_parts`` or an integral
-    float, a random float64 bit pattern or a scaled normal; a quarter of
-    the imaginary parts +0 or -0."""
+    """A complex vector of ``cells // 2`` elements: each part a drawn value
+    of ``json_parts`` or an integral float, a random float64 bit pattern or
+    a scaled normal; a quarter of the imaginary parts +0 or -0."""
     pool = draw(st.lists(json_parts | st.integers(-2**60, 2**60).map(float),
                          min_size=1, max_size=16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    complex_vector = draw(st.booleans())
-    size = cells // 2 if complex_vector else cells
+    size = cells // 2
 
     def part():
         bits = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64)
@@ -1319,8 +1334,6 @@ def long_json_vectors(draw, cells):
         source = rng.integers(0, 3, size)
         return np.choose(source, [rng.choice(np.array(pool), size), bits, scaled])
 
-    if not complex_vector:
-        return part()
     vector = np.empty(size, dtype=complex)
     vector.real, vector.imag = part(), part()
     zero = rng.random(size) < 0.25
@@ -1334,11 +1347,12 @@ def long_json_vectors(draw, cells):
 @given(data=st.data())
 def test_long_json_vectors_match_json_dumps(cells, data):
     """Vectors on both sides of the float kernel's crossover and well past
-    it, where floattext.shortest writes their floats: the bytes of
-    json.dumps."""
-    doc = {"tool_version": "0.1.0", "R": 0.25, "sheet_fields": data.draw(long_json_vectors(cells)),
-           "degenerate": False}
-    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
+    it, where floattext.shortest writes their floats, in the document and
+    in an object of it: the bytes of json.dumps."""
+    vector = data.draw(long_json_vectors(cells))
+    doc = {"tool_version": "0.1.0", "R": 0.25, "sheet_fields": vector,
+           "nested": {"sheet_fields": vector}, "degenerate": False}
+    text = json.dumps(doc, indent=2, default=json_reference) + "\n"
     assert "".join(_json_chunks(doc)) == text
 
 
@@ -1363,7 +1377,7 @@ def test_deep_stack_json_matches_json_dumps(capsys, tmp_path):
     doc.update(t=solution.t, r=solution.r, R=solution.R, T=solution.T, A=solution.A,
                R_emission=solution.R_emission, sheet_fields=solution.sheet_fields)
     assert len(solution.sheet_fields) * 2 >= cli._KERNEL_CELLS
-    assert out == json.dumps(doc, indent=2, default=_json_default) + "\n"
+    assert out == json.dumps(doc, indent=2, default=json_reference) + "\n"
 
 
 #: Bit patterns of +0, -0, +inf, -inf, a quiet nan, a negative nan, the

@@ -6,6 +6,9 @@ Stdout hashes and warning counts are compared only on the numpy version
 that made the corpus: another numpy may round the last bit of a complex
 ``exp`` differently or warn on other steps.  Exit codes and stderr, which
 hold only messages about the inputs, are compared on every version.
+
+Every JSON document the corpus prints is also checked against json
+itself: it must be ``json.dumps(json.loads(out), indent=2)``.
 """
 
 import json
@@ -21,7 +24,7 @@ SAME_NUMPY = np.__version__ == CORPUS_DOC["numpy"]
 def test_corpus_replays(tmp_path):
     differ = []
     for case in CORPUS_DOC["cases"]:
-        got = run_case(case, str(tmp_path))
+        got, _ = run_case(case, str(tmp_path))
         keys = ["exit", "stderr_sha256"]
         if SAME_NUMPY:
             keys += ["stdout_sha256", "warnings"]
@@ -30,3 +33,14 @@ def test_corpus_replays(tmp_path):
                                         if got[key] != case[key]}))
     assert not differ, f"{len(differ)} of {len(CORPUS_DOC['cases'])} entries differ: {differ}"
 
+
+def test_json_output_is_json_dumps(tmp_path):
+    """Every JSON document the corpus prints is json.dumps(indent=2) of what
+    json reads back from it."""
+    documents = 0
+    for case in CORPUS_DOC["cases"]:
+        got, out = run_case(case, str(tmp_path))
+        if got["exit"] == 0 and out.startswith("{"):
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", case["id"]
+            documents += 1
+    assert documents >= 37

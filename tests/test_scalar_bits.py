@@ -5,8 +5,9 @@ floor-mod of the angle and ``np.sqrt`` of the emission magnitude.
 
 The decoupling phases, level energies and corrected reflection are
 computed, in the oracle as in ``twostate``, on t + r and b scaled by powers
-of two (numpy's ``frexp`` and ``ldexp`` here), energy and correction
-scaled back by ``ldexp``, so that no modulus or product overflows; whether
+of two (numpy's ``frexp`` and ``ldexp`` here), the energies on the energy
+unit u scaled too, energy and correction scaled back by ``ldexp``, so that
+no modulus or product overflows; whether
 t + r or b vanishes is read from the unscaled moduli.  Where t + r
 overflows, it is the sum of t and r scaled first, and where the coupling
 u conj(b) (t + r) is not finite, it is formed again from the scaled pair
@@ -104,9 +105,9 @@ def old_decoupling_phase(u, t, r, b):
 
 
 def old_level_energy(u, t, r, b, theta):
-    (s, k_s), (b, k_b) = scaled_sum(t, r), scaled(b)
+    (s, k_s), (b, k_b), (u, k_u) = scaled_sum(t, r), scaled(b), np.frexp(u)
     return 2.0 * float(np.ldexp(u * float(np.real(np.exp(1j * theta) * np.conj(s) * b)),
-                                k_s + k_b))
+                                k_s + k_b + int(k_u)))
 
 
 def old_corrected_reflection(t, r, b):
@@ -203,6 +204,8 @@ def check_against_oracle(sys_):
                         energy_unit=10.0))
 @example(TwoStateSystem(coeffs=ScatterCoeffs(t=1 + 0j, r=0.5 + 0j), b=1e308 + 0j,
                         energy_unit=10.0))
+@example(TwoStateSystem(coeffs=ScatterCoeffs(t=0.00087890625 + 0.00087890625j, r=0j),
+                        b=0.00087890625 + 0.00087890625j, energy_unit=1.7e308))
 def test_twostate_matches_numpy_formulas(sys_):
     check_against_oracle(sys_)
 
