@@ -11,14 +11,17 @@ each is a package attribute and in ``sys.modules`` from the start, as a
 first attribute access, after which it is a plain module.  The public
 names (``__all__``) are served by a module ``__getattr__`` (PEP 562), so
 ``from sheetoptics import solve_stack`` loads ``stack`` and nothing else.
-A ``coeffs``, ``twostate`` or ``profile`` process thus never runs
-``stack``, and a ``stack`` or ``sweep`` process never runs ``fields`` or
-``twostate``.  numpy loads only where an array is built: ``surface`` and
-the scalar functions of ``twostate`` compute on ``math`` and ``cmath``, so
-a ``coeffs`` or ``twostate`` process never loads it.  A one-shot
+``surface`` holds the N-sheet closed form and the layer-number search, so
+a ``coeffs``, ``twostate``, ``decouple`` or ``profile`` process, or a
+layer-number ``sweep``, never runs ``stack``, and a ``stack`` or ``sweep``
+process never runs ``fields`` or ``twostate``.  numpy loads only where an
+array is built: ``surface`` and the scalar functions of ``twostate``
+compute on ``math`` and ``cmath``, so a ``coeffs``, ``twostate`` or
+``decouple`` process never loads it.  A one-shot
 ``python -m sheetoptics.cli coeffs`` took 85 ms where the same lazy
 modules with numpy loaded at start took 171 (and eager imports 214, in
-earlier runs), ``twostate`` 83 where they took 169 (medians of 15
+earlier runs), ``twostate`` 83 where they took 169, and ``decouple`` 85
+where it took 172 with the search in ``stack`` (medians of 15 to 21
 alternating runs, shared 2-core x86_64, Python 3.11, numpy 2.4.6, no
 ``.pyc`` written; README.md has the table).  Before Python 3.12 a lazy
 module's first load takes no lock: two threads that first touch one at
@@ -53,16 +56,15 @@ _EXPORTS = {
     "errors": ("AsymmetricGrid", "ContinuityViolation", "DegenerateDecoupling",
                "LedgerMismatch", "SheetOpticsError", "SingularStack"),
     "surface": ("FINE_STRUCTURE", "GRAPHENE_COND", "EmissionAmplitudes", "ScatterCoeffs",
-                "SheetParams", "absorbance", "emission_amplitude", "solve_boundary_system",
-                "solve_single_sheet"),
+                "SheetParams", "absorbance", "decoupling_layer_number", "emission_amplitude",
+                "nlayer_replacement", "solve_boundary_system", "solve_single_sheet"),
     "twostate": ("DecoupledPair", "TwoStateSystem", "corrected_reflection", "decouple",
                  "decoupling_phase", "level_energies", "offdiagonal", "orthogonalize",
                  "spin_matrix"),
     "stack": ("EmissionLedger", "LayerStack", "Sheet", "Slab", "StackSolution", "StackSweep",
-              "build_emission_ledger", "decoupling_layer_number", "interface_matrix",
-              "load_stack", "local_fields", "nlayer_replacement", "reflectance_with_emission",
-              "sheet_matrix", "solve_stack", "solve_sweep", "stack_absorbance", "stack_coeffs",
-              "substrate_index", "substrate_presets"),
+              "build_emission_ledger", "interface_matrix", "load_stack", "local_fields",
+              "reflectance_with_emission", "sheet_matrix", "solve_stack", "solve_sweep",
+              "stack_absorbance", "stack_coeffs", "substrate_index", "substrate_presets"),
     "fields": ("FieldProfile", "GaugeDecomposition", "axial_at_surface", "decompose", "eval_a",
                "eval_b", "make_grid", "parity_transform"),
 }

@@ -34,10 +34,12 @@ vectorized kernel with the bytes of ``repr``, and the array's text is
 assembled as bytes (see ``floattext.json_vector``).
 
 numpy is imported where an array is built: by the stack, sweep and profile
-commands and by the lazy modules they run.  ``coeffs`` and ``twostate``
-compute on ``math`` and ``cmath`` (``surface``, ``twostate``) and build no
-array, so their processes never load numpy; the writers test for an array
-through ``sys.modules`` (``_ndarray``).
+commands and by the lazy modules they run.  ``coeffs``, ``twostate`` and
+``decouple`` compute on ``math`` and ``cmath`` (``surface``, ``twostate``)
+and build no array, so their processes never load numpy; the writers test
+for an array through ``sys.modules`` (``_ndarray``).  ``decouple`` and the
+layer-number sweep take the N-sheet closed form from ``surface`` and never
+run ``stack``.
 """
 
 from __future__ import annotations
@@ -499,7 +501,7 @@ def _cmd_stack(args: argparse.Namespace) -> dict:
 
 
 def _cmd_decouple(args: argparse.Namespace) -> dict:
-    found = stack_mod.decoupling_layer_number(args.cond)
+    found = surface.decoupling_layer_number(args.cond)
     return {"n_exact": found.n_exact, "n_int": found.n_int, "residual": found.residual}
 
 
@@ -548,7 +550,7 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
                 "abs_t_plus_r": [abs(c.t + c.r) for c in coeffs]}
     if variable == "n_layers":
         n_layers = [int(round(v)) for v in values]
-        coeffs = [stack_mod.nlayer_replacement(n, args.cond) for n in n_layers]
+        coeffs = [surface.nlayer_replacement(n, args.cond) for n in n_layers]
         return {"n_layers": n_layers, **_coeff_columns(coeffs),
                 "abs_t_plus_r": [abs(c.t + c.r) for c in coeffs]}
     sweep = _stack_sweep(args)

@@ -54,13 +54,10 @@ import numpy as np
 
 from .codec import complex_parts, decode_complex, encode_complex, floats
 from .errors import LedgerMismatch, SingularStack
-from .surface import (
-    DEGENERATE_TOL,
-    TWO_PI,
-    ScatterCoeffs,
-    SheetParams,
-    solve_single_sheet,
-)
+from .surface import DEGENERATE_TOL, TWO_PI, ScatterCoeffs, SheetParams
+# The N-sheet closed form lives in surface, which needs no numpy; its names
+# stay readable here, where bench/selfcheck.py reads stack.nlayer_replacement.
+from .surface import DecouplingSearch, decoupling_layer_number, nlayer_replacement  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -200,15 +197,6 @@ class EmissionLedger:
     b: tuple[complex, ...] = ()
     theta: tuple[float, ...] = ()
     signs: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class DecouplingSearch:
-    """Result of the t + r = 0 layer-number search."""
-
-    n_exact: float
-    n_int: int
-    residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,38 +526,6 @@ def stack_coeffs(stack: LayerStack, wavelength_scale: float = 1.0) -> ScatterCoe
 def stack_absorbance(stack: LayerStack, wavelength_scale: float = 1.0) -> float:
     """Absorbed fraction 1 - |r|^2 - (Re n_out / Re n_in) |t|^2."""
     return solve_stack(stack, wavelength_scale).A
-
-
-def nlayer_replacement(n_layers: int, cond: complex) -> ScatterCoeffs:
-    """Closed form for N zero-spacing sheets: the single sheet at N * cond."""
-    if n_layers < 1:
-        raise ValueError("n_layers must be >= 1")
-    merged = n_layers * cond
-    if cmath.isfinite(complex(cond)) and not cmath.isfinite(complex(merged)):
-        raise ValueError(f"n_layers * cond overflows: n_layers {n_layers}, cond {cond!r}")
-    return solve_single_sheet(SheetParams(cond=merged))
-
-
-def decoupling_layer_number(cond: float) -> DecouplingSearch:
-    """Layer count with t + r = 0: exact value 2/cond plus the integer minimizer.
-
-    |t_N + r_N| = |2 - N g| / |2 + N g| falls until N = 2/g and rises after
-    it, so the integer minimizer over N >= 1 is max(1, floor(2/g)) or
-    ceil(2/g); ties go to the smaller N.
-    """
-    if not cond > 0:
-        raise ValueError("cond must be positive")
-    n_exact = 2.0 / cond
-    if not math.isfinite(n_exact):
-        raise ValueError("cond is too small for a finite layer number")
-    candidates = {max(1, math.floor(n_exact)), math.ceil(n_exact)}
-    best_n, best = 1, np.inf
-    for n in sorted(candidates):
-        c = nlayer_replacement(n, cond)
-        residual = abs(c.t + c.r)
-        if residual < best:
-            best_n, best = n, residual
-    return DecouplingSearch(n_exact=n_exact, n_int=best_n, residual=float(best))
 
 
 def local_fields(stack: LayerStack, wavelength_scale: float = 1.0) -> np.ndarray:

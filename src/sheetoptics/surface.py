@@ -1,8 +1,13 @@
-"""Single conducting-sheet scattering, absorption and emission amplitudes.
+"""Single conducting-sheet scattering, absorption and emission amplitudes,
+the N-sheet closed form and the decoupling layer-number search.
 
 A sheet at x = 0 carries a surface current proportional to the local field,
 characterized by the dimensionless conductance g = sigma / (epsilon_0 c).
 Natural units are used throughout (epsilon_0 = c = 1, incident amplitude 1).
+N sheets with zero spacing act as one sheet of conductance N g, so the
+layer count at which t + r = 0 follows from the single sheet: N = 2/g, or
+2/(pi alpha) for graphene.  Everything here computes on ``math`` and
+``cmath``, so a process that runs only this module never loads numpy.
 """
 
 from __future__ import annotations
@@ -81,6 +86,15 @@ class EmissionAmplitudes:
     f_mag: float
 
 
+@dataclass(frozen=True)
+class DecouplingSearch:
+    """Result of the t + r = 0 layer-number search."""
+
+    n_exact: float
+    n_int: int
+    residual: float
+
+
 def solve_single_sheet(params: SheetParams) -> ScatterCoeffs:
     """Closed-form coefficients t = 2/(2+g), r = -g/(2+g) of one sheet in vacuum."""
     g = complex(params.cond)
@@ -136,3 +150,35 @@ def emission_amplitude(params: SheetParams, coeffs: ScatterCoeffs) -> EmissionAm
     f_mag = math.sqrt(2.0 * params.branching * a)
     b = -params.f_sign * (f_mag / 2.0) * coeffs.t
     return EmissionAmplitudes(b_r=b, b_l=b, f_mag=f_mag)
+
+
+def nlayer_replacement(n_layers: int, cond: complex) -> ScatterCoeffs:
+    """Closed form for N zero-spacing sheets: the single sheet at N * cond."""
+    if n_layers < 1:
+        raise ValueError("n_layers must be >= 1")
+    merged = n_layers * cond
+    if cmath.isfinite(complex(cond)) and not cmath.isfinite(complex(merged)):
+        raise ValueError(f"n_layers * cond overflows: n_layers {n_layers}, cond {cond!r}")
+    return solve_single_sheet(SheetParams(cond=merged))
+
+
+def decoupling_layer_number(cond: float) -> DecouplingSearch:
+    """Layer count with t + r = 0: exact value 2/cond plus the integer minimizer.
+
+    |t_N + r_N| = |2 - N g| / |2 + N g| falls until N = 2/g and rises after
+    it, so the integer minimizer over N >= 1 is max(1, floor(2/g)) or
+    ceil(2/g); ties go to the smaller N.
+    """
+    if not cond > 0:
+        raise ValueError("cond must be positive")
+    n_exact = 2.0 / cond
+    if not math.isfinite(n_exact):
+        raise ValueError("cond is too small for a finite layer number")
+    candidates = {max(1, math.floor(n_exact)), math.ceil(n_exact)}
+    best_n, best = 1, math.inf
+    for n in sorted(candidates):
+        c = nlayer_replacement(n, cond)
+        residual = abs(c.t + c.r)
+        if residual < best:
+            best_n, best = n, residual
+    return DecouplingSearch(n_exact=n_exact, n_int=best_n, residual=float(best))

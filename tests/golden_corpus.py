@@ -210,6 +210,14 @@ def ladder_cases() -> list[dict]:
     cases.append(_case("bad_coeffs_file", ["twostate", "--coeffs", "coeffs.json"],
                        {"coeffs.json": json.dumps({"r": 0.1, "b": 0.2})}))
     cases.append(_case("decouple_subnormal_cond", ["decouple", "--cond", "1.5e-308"]))
+    # n_exact exactly 1; below 1, so that n_int is 1; and integer
+    # candidates near 2e300
+    cases.append(_case("decouple_n_exact_1", ["decouple", "--cond", "2"]))
+    cases.append(_case("decouple_n_exact_below_1", ["decouple", "--cond", "3"]))
+    cases.append(_case("decouple_tiny_cond", ["decouple", "--cond", "1e-300"]))
+    # r = -0/(2 + 0) writes r_re as -0 in every row
+    cases.append(_case("sweep_n_layers_cond_0", [
+        "sweep", "--sweep", "n_layers:1:3:3", "--cond", "0"]))
     # a t + r whose modulus overflows, and a coupling h near the largest float
     cases.append(_case("twostate_coeffs_modulus_overflow", ["twostate", "--coeffs", "huge.json"],
                        {"huge.json": json.dumps({"t": [0.75e308, 0.75e308],

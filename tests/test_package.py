@@ -1,7 +1,10 @@
 """The package's exports and which modules a process runs.
 
-numpy loads only in a process that builds an array: never for ``coeffs``
-or ``twostate``, always for ``stack``, ``sweep`` and ``profile``.
+numpy loads only in a process that builds an array: never for ``coeffs``,
+``twostate`` or ``decouple``, always for ``stack``, ``sweep`` and
+``profile``.  ``decouple`` and the layer-number sweep read the N-sheet
+closed form from ``surface`` and never run ``stack``, which still offers
+its old names.
 
 ``stack``, ``twostate``, ``fields`` and ``floattext`` are registered at
 package import and run on first attribute access; until then each is an
@@ -27,15 +30,15 @@ EXPORTED = {
     "errors": ["AsymmetricGrid", "ContinuityViolation", "DegenerateDecoupling",
                "LedgerMismatch", "SheetOpticsError", "SingularStack"],
     "surface": ["FINE_STRUCTURE", "GRAPHENE_COND", "EmissionAmplitudes", "ScatterCoeffs",
-                "SheetParams", "absorbance", "emission_amplitude", "solve_boundary_system",
-                "solve_single_sheet"],
+                "SheetParams", "absorbance", "decoupling_layer_number", "emission_amplitude",
+                "nlayer_replacement", "solve_boundary_system", "solve_single_sheet"],
     "twostate": ["DecoupledPair", "TwoStateSystem", "corrected_reflection", "decouple",
                  "decoupling_phase", "level_energies", "offdiagonal", "orthogonalize",
                  "spin_matrix"],
     "stack": ["EmissionLedger", "LayerStack", "Sheet", "Slab", "StackSolution", "StackSweep",
-              "build_emission_ledger", "decoupling_layer_number", "interface_matrix",
-              "load_stack", "local_fields", "nlayer_replacement", "reflectance_with_emission",
-              "sheet_matrix", "solve_stack", "solve_sweep", "stack_absorbance", "stack_coeffs"],
+              "build_emission_ledger", "interface_matrix", "load_stack", "local_fields",
+              "reflectance_with_emission", "sheet_matrix", "solve_stack", "solve_sweep",
+              "stack_absorbance", "stack_coeffs"],
     "fields": ["FieldProfile", "GaugeDecomposition", "axial_at_surface", "decompose", "eval_a",
                "eval_b", "make_grid", "parity_transform"],
 }
@@ -108,13 +111,27 @@ def test_coeffs_leaves_stack_unrun():
                     "sheetoptics.twostate"]
 
 
+def test_decouple_and_layer_number_sweep_leave_stack_unrun():
+    [lazy] = fresh(STILL_LAZY, [["decouple"], ["sweep", "--sweep", "n_layers:1:5:5"]])
+    assert lazy == ["sheetoptics.fields", "sheetoptics.floattext", "sheetoptics.stack",
+                    "sheetoptics.twostate"]
+
+
+def test_stack_still_offers_the_closed_form():
+    """stack.nlayer_replacement and stack.decoupling_layer_number are the
+    functions of surface, as bench/selfcheck.py reads them."""
+    for name in ("nlayer_replacement", "decoupling_layer_number"):
+        assert getattr(sheetoptics.stack, name) is getattr(sheetoptics.surface, name)
+
+
 def test_scalar_commands_leave_numpy_unloaded(tmp_path):
-    """coeffs and twostate compute on math and cmath and build no array."""
+    """coeffs, twostate and decouple compute on math and cmath and build no
+    array."""
     path = tmp_path / "coeffs.json"
     assert main(["coeffs", "--cond", "0.5", "--out", str(path)]) == 0
     argv = [["coeffs"], ["coeffs", "--format", "csv"], ["twostate"],
-            ["twostate", "--coeffs", str(path)]]
-    assert fresh(NUMPY_LOADED, argv) == [[False] * 5]
+            ["twostate", "--coeffs", str(path)], ["decouple"], ["decouple", "--format", "csv"]]
+    assert fresh(NUMPY_LOADED, argv) == [[False] * 7]
 
 
 @pytest.mark.parametrize("argv", [
