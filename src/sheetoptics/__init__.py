@@ -17,7 +17,9 @@ layer-number ``sweep``, never runs ``stack``, and a ``stack`` or ``sweep``
 process never runs ``fields`` or ``twostate``.  numpy loads only where an
 array is built: ``surface`` and the scalar functions of ``twostate``
 compute on ``math`` and ``cmath``, so a ``coeffs``, ``twostate`` or
-``decouple`` process never loads it.  A one-shot
+``decouple`` process does not load it, unless ``twostate`` takes the angle
+of a coupling off both axes (as from a ``--coeffs`` file of complex
+coefficients), which comes from numpy's ``arctan2``.  A one-shot
 ``python -m sheetoptics.cli coeffs`` took 85 ms where the same lazy
 modules with numpy loaded at start took 171 (and eager imports 214, in
 earlier runs), ``twostate`` 83 where they took 169, and ``decouple`` 85

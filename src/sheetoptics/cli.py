@@ -36,8 +36,11 @@ assembled as bytes (see ``floattext.json_vector``).
 numpy is imported where an array is built: by the stack, sweep and profile
 commands and by the lazy modules they run.  ``coeffs``, ``twostate`` and
 ``decouple`` compute on ``math`` and ``cmath`` (``surface``, ``twostate``)
-and build no array, so their processes never load numpy; the writers test
-for an array through ``sys.modules`` (``_ndarray``).  ``decouple`` and the
+and build no array, so their processes do not load numpy, with one
+exception: ``twostate`` takes the angle of a coupling that lies off both
+axes, as from a ``--coeffs`` file of complex coefficients, from numpy's
+``arctan2`` (see ``twostate.decoupling_phase``).  The writers test for an
+array through ``sys.modules`` (``_ndarray``).  ``decouple`` and the
 layer-number sweep take the N-sheet closed form from ``surface`` and never
 run ``stack``.
 """
@@ -62,7 +65,7 @@ from . import fields as fields_mod
 from . import floattext
 from . import stack as stack_mod
 from . import surface, twostate
-from .codec import decode_complex, encode_complex, json_float
+from .codec import decode_complex, encode_complex, json_float, load_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -434,11 +437,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> dict:
 def _cmd_twostate(args: argparse.Namespace) -> dict:
     params = _sheet_params(args)
     if args.coeffs_json:
-        with open(args.coeffs_json, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ValueError("--coeffs file nests too deeply") from None
+        data = load_json(args.coeffs_json, "--coeffs file")
         if not isinstance(data, dict):
             raise ValueError("--coeffs file must hold a JSON object")
         for key in ("t", "r", "b"):
@@ -719,7 +718,7 @@ def main(argv=None) -> int:
     try:
         args = _checked_args(_parse(argv))
         return _write(args, run(args))
-    except (CliConfigError, ValueError, json.JSONDecodeError, MemoryError) as exc:
+    except (CliConfigError, ValueError, MemoryError) as exc:
         print(f"sheetoptics: config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -5,7 +5,8 @@ A complex number is written as a plain number when its imaginary part is
 zero and as an ``[re, im]`` pair otherwise; both forms are read back.  A
 float's text is its ``repr``, or json's NaN, Infinity and -Infinity.
 
-Every number read from a stack description or a ``--coeffs`` file is
+Stack files and ``--coeffs`` files are read by :func:`load_json`, and
+every number read from a stack description or a ``--coeffs`` file is
 converted by one rule, :func:`floats`.
 """
 
@@ -13,18 +14,26 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import json
 import math
 import warnings
 from array import array
 
 
+def load_json(path, what: str):
+    """The JSON document of the file at ``path``.  A document nested too
+    deeply for the parser is a ValueError naming ``what``, the kind of
+    file; a file that is not JSON is json's ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{what} nests too deeply") from None
+
+
 def encode_complex(z) -> float | list[float]:
     z = complex(z)
     return z.real if z.imag == 0.0 else [z.real, z.imag]
-
-
-#: The types of JSON's numbers.
-_PLAIN = frozenset({float, int, bool})
 
 
 def floats(values) -> array:
@@ -38,10 +47,6 @@ def floats(values) -> array:
     would lose their imaginary part.  Raises TypeError if a value is not a
     number, or else OverflowError if an int is too large for a float.
     """
-    # JSON's own numbers convert without a warning; for a few of them the
-    # guard would cost more than the conversion
-    if len(values) <= 2 and _PLAIN.issuperset(map(type, values)):
-        return array("d", values)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricGrid, ContinuityViolation
-from .surface import CONTINUITY_TOL, SELF_CHECK_TOL
+from .surface import CONTINUITY_TOL, MIRROR_RTOL, SELF_CHECK_TOL
 
 SIDE_MINUS = "minus"
 SIDE_PLUS = "plus"
@@ -109,11 +109,7 @@ def eval_a(t: complex, r: complex, grid=None, k: float = 1.0) -> FieldProfile:
     """
     if abs(1.0 + r - t) > CONTINUITY_TOL:
         raise ContinuityViolation(f"1 + r - t = {1.0 + r - t!r} exceeds tolerance")
-    x, side = _normalize_grid(grid)
-    left_region = np.arange(x.size) <= _surface_pair(x, side)[0]
-    right_env = np.where(left_region, 1.0 + 0.0j, complex(t))
-    left_env = np.where(left_region, complex(r), 0.0 + 0.0j)
-    return FieldProfile(x=x, side=side, right_env=right_env, left_env=left_env, k=k)
+    return _step_profile((1.0 + 0.0j, complex(t)), (complex(r), 0.0 + 0.0j), grid, k)
 
 
 def eval_b(b_r: complex, b_l: complex, grid=None, k: float = 1.0) -> FieldProfile:
@@ -122,11 +118,18 @@ def eval_b(b_r: complex, b_l: complex, grid=None, k: float = 1.0) -> FieldProfil
     Asymmetric amplitudes are allowed; the profile is continuous at the
     surface iff b_r = b_l (reported, not enforced).
     """
+    return _step_profile((0.0 + 0.0j, complex(b_r)), (complex(b_l), 0.0 + 0.0j), grid, k)
+
+
+def _step_profile(right: tuple[complex, complex], left: tuple[complex, complex],
+                  grid, k: float) -> FieldProfile:
+    """The profile whose right- and left-moving envelopes take the first
+    value of their (before, after) pair up to the 0- sample and the second
+    from the 0+ sample on."""
     x, side = _normalize_grid(grid)
-    left_region = np.arange(x.size) <= _surface_pair(x, side)[0]
-    right_env = np.where(left_region, 0.0 + 0.0j, complex(b_r))
-    left_env = np.where(left_region, complex(b_l), 0.0 + 0.0j)
-    return FieldProfile(x=x, side=side, right_env=right_env, left_env=left_env, k=k)
+    before = np.arange(x.size) <= _surface_pair(x, side)[0]
+    return FieldProfile(x=x, side=side, right_env=np.where(before, *right),
+                        left_env=np.where(before, *left), k=k)
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ def parity_transform(profile: FieldProfile) -> FieldProfile:
     the axial component parity-even.  Requires a mirror-symmetric grid.
     """
     x, side = profile.x, profile.side
-    if not np.allclose(x, -x[::-1], atol=0.0):
+    if not np.allclose(x, -x[::-1], rtol=MIRROR_RTOL, atol=0.0):
         raise AsymmetricGrid("grid is not mirror symmetric about x = 0")
     minus, plus = side == SIDE_MINUS, side == SIDE_PLUS
     if not (np.array_equal(minus, plus[::-1]) and (minus | plus | (side == SIDE_BULK)).all()):

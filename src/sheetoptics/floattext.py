@@ -333,8 +333,11 @@ def _spell(values, d, index, placed, zero, layout, fallback) -> np.ndarray:
         last[short] = 12 - nonzero.argmax(axis=1)
     klass = np.where(zero, _ZERO_FORM * 17, classes[index] + last)
     klass += np.signbit(values) * _NEGATIVE
-    # The byte gather, in blocks: one index array for every cell would be
-    # large enough to be mapped and faulted in afresh on each call.
+    # The byte gather, in blocks of _GATHER_ROWS cells: the first 35 profile
+    # and cond-sweep commands of the sheet_tools benchmark workload peaked
+    # at 41.8-42.0 MB RSS in a fresh process with one index array for every
+    # cell, 41.0-41.2 MB in blocks (seeds 1-3); the benchmark's times did
+    # not tell the two apart.
     source = text.reshape(-1)
     text = np.empty((n, WIDTH), dtype=np.uint8)
     for start in range(0, n, _GATHER_ROWS):
@@ -354,7 +357,9 @@ def _spell(values, d, index, placed, zero, layout, fallback) -> np.ndarray:
 #: comes from CPython's small-object allocator (up to 512 bytes).  Larger
 #: strs come from the C heap, next to a growing output buffer such as a
 #: StringIO's; whole 1024-row pieces raised a benchmark run's peak RSS by
-#: 8-10% at an equal command count, pieces of two rows by nothing.
+#: 8-10% at an equal command count, pieces of two rows by nothing.  The
+#: pieces trade time for that memory: in 12 later 4 s sheet_tools runs,
+#: whole pieces peaked 4-5% higher and ran 4-6% more commands per second.
 _PIECE_CHARS = 460
 
 

@@ -52,7 +52,7 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .codec import complex_parts, decode_complex, encode_complex, floats
+from .codec import complex_parts, decode_complex, encode_complex, floats, load_json
 from .errors import LedgerMismatch, SingularStack
 from .surface import DEGENERATE_TOL, TWO_PI, ScatterCoeffs, SheetParams
 # The N-sheet closed form lives in surface, which needs no numpy; its names
@@ -795,12 +795,7 @@ def stack_to_dict(stack: LayerStack, wavelength_nm: float | None = None) -> dict
 
 
 def load_stack(path) -> tuple[LayerStack, float | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError("stack file nests too deeply") from None
-    return stack_from_dict(doc)
+    return stack_from_dict(load_json(path, "stack file"))
 
 
 def substrate_presets() -> dict[str, dict]:

@@ -35,6 +35,11 @@ SELF_CHECK_TOL = 1e-12
 #: Largest |1 + r - t| that ``fields.eval_a`` accepts as continuous.
 CONTINUITY_TOL = 1e-10
 
+#: Relative difference between each grid point and the negated mirror point
+#: that ``fields.parity_transform`` accepts as a mirror-symmetric grid
+#: (``np.allclose``'s default rtol, with no absolute term).
+MIRROR_RTOL = 1e-5
+
 TWO_PI = 2.0 * math.pi
 
 

@@ -246,6 +246,11 @@ def ladder_cases() -> list[dict]:
     cases.append(_case("profile_b_minus_zero", [
         "profile", "--which", "b", "--b-r", "-0.0", "--b-l", "0.25", "--points", "4",
         "--x-max", "1"]))
+    # a sweep start that is no number, and a thickness sweep with no slab
+    cases.append(_case("sweep_start_not_a_number", ["sweep", "--sweep", "cond:a:1:3"]))
+    cases.append(_case("sweep_thickness_without_slab", [
+        "sweep", "--sweep", "thickness:0:1:3", "--stack", "sheets.json"],
+        {"sheets.json": json.dumps({"layers": [sheet, sheet]})}))
     return cases
 
 

@@ -720,6 +720,22 @@ class TestSweep:
         assert out == ""
         assert "slab thickness must be >= 0" in err
 
+    def test_sweep_start_not_a_number(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--sweep", "cond:a:1:3")
+        assert code == 1
+        assert out == ""
+        assert err == ("sheetoptics: config error: bad sweep spec 'cond:a:1:3': "
+                       "could not convert string to float: 'a'\n")
+
+    def test_thickness_sweep_needs_a_slab(self, capsys, tmp_path):
+        path = tmp_path / "sheets.json"
+        path.write_text(json.dumps({"layers": [{"type": "sheet", "cond": 0.1}] * 2}))
+        code, out, err = run_cli(capsys, "sweep", "--stack", str(path),
+                                 "--sweep", "thickness:0:1:3")
+        assert code == 1
+        assert out == ""
+        assert err == "sheetoptics: config error: thickness sweep needs a slab in the stack\n"
+
     def test_wavelength_sweep_needs_reference(self, capsys, tmp_path):
         path = tmp_path / "noref.json"
         path.write_text(json.dumps(NO_REFERENCE_STACK))

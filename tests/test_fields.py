@@ -329,6 +329,12 @@ class TestAgainstReference:
             FieldProfile(x=x, side=np.array(["bulk", "minus", "bulk"]),
                          right_env=np.zeros(3, complex), left_env=np.zeros(3, complex))
 
+    def test_unequal_shapes(self):
+        x, side = make_grid(1.0, 4)
+        with pytest.raises(ValueError, match="profile arrays must share one shape"):
+            FieldProfile(x=x, side=side, right_env=np.zeros(x.size, complex),
+                         left_env=np.zeros(x.size - 1, complex))
+
     def test_parity_rejects_unknown_label(self):
         profile = eval_a(0.8, -0.2)
         side = profile.side.copy()

@@ -1,10 +1,12 @@
 """The package's exports and which modules a process runs.
 
-numpy loads only in a process that builds an array: never for ``coeffs``,
-``twostate`` or ``decouple``, always for ``stack``, ``sweep`` and
-``profile``.  ``decouple`` and the layer-number sweep read the N-sheet
-closed form from ``surface`` and never run ``stack``, which still offers
-its old names.
+numpy loads in a process that builds an array, always for ``stack``,
+``sweep`` and ``profile``.  ``coeffs``, ``twostate`` and ``decouple`` build
+none and do not load it, with one exception: ``twostate`` takes the angle
+of a coupling off both axes, as from a ``--coeffs`` file of complex
+coefficients, from numpy's ``arctan2``.  ``decouple`` and the layer-number
+sweep read the N-sheet closed form from ``surface`` and never run
+``stack``, which still offers its old names.
 
 ``stack``, ``twostate``, ``fields`` and ``floattext`` are registered at
 package import and run on first attribute access; until then each is an

@@ -109,6 +109,11 @@ class TestElementMatrices:
     def test_interface_identity(self):
         assert np.allclose(interface_matrix(1.3, 1.3), np.eye(2))
 
+    @pytest.mark.parametrize("n1, n2", [(-1.0, 1.0), (1.0, 0.0), (1j, 1.0)])
+    def test_interface_rejects_index_without_positive_real_part(self, n1, n2):
+        with pytest.raises(ValueError, match="interface indices must have Re\\(n\\) > 0"):
+            interface_matrix(n1, n2)
+
     def test_interface_round_trip(self):
         m = interface_matrix(1.0, 1.5) @ interface_matrix(1.5, 1.0)
         assert np.allclose(m, np.eye(2), atol=1e-15)
