@@ -70,8 +70,6 @@ _MANTISSA, _ONE = np.uint64(2**52 - 1), np.uint64(0x3FF0000000000000)
 # last 3 digits (of 4 from the digit table).
 _MINUS, _POINT, _ZERO, _DIGIT0, _NUL, _E, _EXP_SIGN, _EXP_DIGITS = 0, 1, 2, 3, 20, 24, 25, 29
 _ROW = 32
-#: Cells per block of the byte gather.
-_GATHER_ROWS = 1024
 # Forms: fixed for E = -4 ... 16, exponent form with 2 or 3 exponent digits,
 # and zero.  A class is a form, the digits left (1 ... 17) and the sign.
 _FORMS, _EXP2_FORM, _EXP3_FORM, _ZERO_FORM = 24, 21, 22, 23
@@ -194,7 +192,7 @@ def g17(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     bits = values.view(np.uint64)
     new = bits[1:] != bits[:-1]
-    if new.all():
+    if new.all():  # also an empty array, which the run index cannot take
         return _g17(values)
     # each run of bit-equal neighbours is formatted once
     starts = np.flatnonzero(np.concatenate(([True], new)))
@@ -333,17 +331,9 @@ def _spell(values, d, index, placed, zero, layout, fallback) -> np.ndarray:
         last[short] = 12 - nonzero.argmax(axis=1)
     klass = np.where(zero, _ZERO_FORM * 17, classes[index] + last)
     klass += np.signbit(values) * _NEGATIVE
-    # The byte gather, in blocks of _GATHER_ROWS cells: the first 35 profile
-    # and cond-sweep commands of the sheet_tools benchmark workload peaked
-    # at 41.8-42.0 MB RSS in a fresh process with one index array for every
-    # cell, 41.0-41.2 MB in blocks (seeds 1-3); the benchmark's times did
-    # not tell the two apart.
-    source = text.reshape(-1)
-    text = np.empty((n, WIDTH), dtype=np.uint8)
-    for start in range(0, n, _GATHER_ROWS):
-        flat = np.take(templates, klass[start:start + _GATHER_ROWS], axis=0)
-        flat += _ROW * np.arange(start, start + len(flat))[:, None]
-        np.take(source, flat, out=text[start:start + _GATHER_ROWS])
+    flat = np.take(templates, klass, axis=0)
+    flat += _ROW * np.arange(n)[:, None]
+    text = np.take(text.reshape(-1), flat)
 
     unsure = np.flatnonzero(~(placed | zero))
     if unsure.size:
@@ -356,10 +346,11 @@ def _spell(values, d, index, placed, zero, layout, fallback) -> np.ndarray:
 #: one row.  An ASCII str of 460 characters takes 509 bytes, so each piece
 #: comes from CPython's small-object allocator (up to 512 bytes).  Larger
 #: strs come from the C heap, next to a growing output buffer such as a
-#: StringIO's; whole 1024-row pieces raised a benchmark run's peak RSS by
-#: 8-10% at an equal command count, pieces of two rows by nothing.  The
-#: pieces trade time for that memory: in 12 later 4 s sheet_tools runs,
-#: whole pieces peaked 4-5% higher and ran 4-6% more commands per second.
+#: StringIO's.  The pieces trade time for memory.  Measured by
+#: ``bench/run.py`` with its command count fixed at 160 and at 480
+#: sheet_tools commands (seeds 1101-1106), whole 1024-row pieces peaked at
+#: 68.6 and 73.9 MB RSS against 65.1 and 70.4 MB in pieces, and ran 8-9%
+#: more commands per second.
 _PIECE_CHARS = 460
 
 
