@@ -18,12 +18,14 @@ Every command returns data and one renderer writes it.  Record commands
 JSON document or as a one-row CSV; table commands (sweep, profile) return
 columns, an ordered dict of column name to equal-length values, rendered
 as CSV only.  A table is written 1024 rows at a time.  A long chunk is laid
-out as one byte matrix by ``floattext.csv_pieces``, its float cells written
-by ``floattext.g17``, a vectorized kernel with the bytes of ``%.17g``, and
-its text is yielded in pieces of whole rows, each a str of under 512 bytes
-unless it is one row, so that it comes from CPython's small-object
-allocator; a short table is written by one ``%`` format per row (see
-``_csv``).
+out as one byte matrix by ``floattext.csv_pieces``: its float cells are
+written by ``floattext.g17``, a vectorized kernel with the bytes of
+``%.17g``, its labels held as a numpy str array are copied from the
+array's code units, and its other cells (ints, bools, None, labels held as
+lists) are encoded from Python values.  Its text is yielded in pieces of
+whole rows, each a str of under 512 bytes unless it is one row, so that it
+comes from CPython's small-object allocator.  A short table is written by
+one ``%`` format per row (see ``_csv``).
 
 A JSON document comes from one writer, ``_json_text``, with the bytes of
 ``json.dumps(doc, indent=2)``, for the values the commands write: str,
@@ -350,10 +352,14 @@ def _csv(columns: dict) -> Iterator[str]:
     ``float.__format__(v, ".17g")``), each row yielded alone.  A longer
     chunk (profiles, longer sweeps) is one byte matrix
     (``floattext.csv_pieces``) with the same bytes, yielded in pieces of
-    whole rows.  Nothing is quoted: the writer takes the cells and names
-    the commands write, numbers, True/False, empty cells and ASCII labels
-    and names with no comma, quote or line break, in tables of at least
-    two columns, where an empty cell is never a row of its own.
+    whole rows: its float columns and its labels held as a numpy str array
+    (a profile's ``side``) are laid out from the arrays, and its other
+    columns (ints, bools, labels and None held as lists) from lists of
+    Python values (``_csv_cells``).  Nothing is quoted: the writer takes
+    the cells and names the commands write, numbers, True/False, empty
+    cells and ASCII labels and names with no comma, quote or line break, in
+    tables of at least two columns, where an empty cell is never a row of
+    its own.
     """
     values = list(columns.values())
     lengths = {len(column) for column in values}
@@ -369,13 +375,16 @@ def _csv(columns: dict) -> Iterator[str]:
         listed = sum(code == "%.17g" and not isinstance(column, ndarray)
                      for code, column in zip(codes, values))
         kernel_cells += _KERNEL_CELLS * listed // 6
+        # the columns the byte matrix takes as they are: floats, str arrays
+        kept = [code == "%.17g" or isinstance(column, ndarray) and column.dtype.kind == "U"
+                for code, column in zip(codes, values)]
     yield ",".join(columns) + "\n"
     for start in range(0, rows, _CSV_CHUNK_ROWS):
         chunk = [column[start:start + _CSV_CHUNK_ROWS] for column in values]
         if len(chunk[0]) * floats >= kernel_cells:
             yield from floattext.csv_pieces(
-                [column if code == "%.17g" else _csv_cells(column)
-                 for column, code in zip(chunk, codes)], codes)
+                [column if keep else _csv_cells(column)
+                 for column, keep in zip(chunk, kept)], codes)
         else:
             yield from map(template.__mod__, zip(*map(_csv_cells, chunk)))
 

@@ -358,19 +358,23 @@ def csv_pieces(columns: list, codes: list) -> list[str]:
     """The CSV rows of equal-length columns, one printf code each, as pieces
     of whole rows.
 
-    A ``%.17g`` column is an array or a list of floats; any other is a list
-    of the Python values its cells show, whose texts are ASCII with no NUL
-    or newline.  The columns are laid out as one ``(rows, columns, width +
-    1)`` byte matrix: each cell NUL-padded to the widest cell, then a ``,``
-    or, after a row's last cell, a newline.  The float cells are the texts
-    of ``g17``, the bytes of ``%.17g``, of all the float columns in one
-    call; the others are encoded (``_encoded``).  The text is the matrix
-    with its NULs dropped (``_unpadded``), decoded once as ASCII, and cut
-    into pieces of ``_PIECE_CHARS // widest row`` rows (at least one).
+    A ``%.17g`` column is an array or a list of floats.  A ``%s`` column of
+    labels may be a numpy str array, as a profile's side labels are; any
+    other column is a list of the Python values its cells show (ints,
+    bools, labels, None as an empty string).  Every text is ASCII with no
+    NUL or newline.  The columns are laid out as one ``(rows, columns,
+    width + 1)`` byte matrix: each cell NUL-padded to the widest cell, then
+    a ``,`` or, after a row's last cell, a newline.  The float cells are the
+    texts of ``g17``, the bytes of ``%.17g``, of all the float columns in
+    one call; a str array's cells are laid out from the array itself
+    (``_labels``), a list's cells are encoded (``_encoded``).  The text is
+    the matrix with its NULs dropped (``_unpadded``), decoded once as
+    ASCII, and cut into pieces of ``_PIECE_CHARS // widest row`` rows (at
+    least one).
     """
     size = len(columns[0])
     float_at = [j for j, code in enumerate(codes) if code == "%.17g"]
-    others = {j: _encoded(column, code)
+    others = {j: _labels(column) if isinstance(column, np.ndarray) else _encoded(column, code)
               for j, (column, code) in enumerate(zip(columns, codes)) if code != "%.17g"}
     width = max([WIDTH, *(text.shape[1] for text in others.values())])
     cells = np.zeros((size, len(codes), width + 1), dtype=np.uint8)
@@ -392,10 +396,24 @@ def csv_pieces(columns: list, codes: list) -> list[str]:
     return [text[start:end] for start, end in zip([0] + ends, ends)]
 
 
+def _labels(column: np.ndarray) -> np.ndarray:
+    """The cells of a 1-D numpy str array as a NUL-padded byte matrix, a row
+    per cell as wide as the dtype: the low byte of each UCS4 code unit,
+    read in the array's own byte order.  ValueError, before a byte is laid
+    out, if a cell holds a character that is not ASCII."""
+    units = np.ascontiguousarray(column).view(column.dtype.str[0] + "u4").reshape(
+        len(column), column.dtype.itemsize // 4)
+    if units.max(initial=0) > 127:
+        label = column[(units > 127).any(axis=1)][0]
+        raise ValueError(f"CSV label {str(label)!r} is not ASCII")
+    return units.astype(np.uint8)
+
+
 def _encoded(cells: list, code: str) -> np.ndarray:
-    """``(code % v).encode()`` of each cell as a NUL-padded byte matrix, a
-    row per cell as wide as the longest.  Each distinct value is formatted
-    once: a ``%s`` column holds a few labels, or bools."""
+    """``(code % v).encode()`` of each cell of a list as a NUL-padded byte
+    matrix, a row per cell as wide as the longest: the ``%d`` ints of an
+    n_layers sweep, bools and labels held as lists.  Each distinct value is
+    formatted once: such a column holds a few labels, or bools."""
     encoded = {v: (code % v).encode() for v in set(cells)}
     width = max(1, *map(len, encoded.values()))
     texts = np.array(list(map(encoded.__getitem__, cells)), dtype=f"S{width}")

@@ -152,14 +152,16 @@ class _Columns(NamedTuple):
 
     ``is_sheet`` marks each layer in stack order; ``cond``, ``branching``,
     ``f_sign`` and ``sign`` hold one entry per sheet and ``n`` and ``d``
-    one per slab, each in stack order.
+    one per slab, each in stack order.  The branch signs are floats, +1.0
+    or -1.0, as the emission ledger multiplies by them; ``layers`` turns
+    them into ints.
     """
 
     is_sheet: np.ndarray  # bool
     cond: np.ndarray  # complex
     branching: np.ndarray  # float
-    f_sign: list[int]
-    sign: tuple[int, ...]
+    f_sign: np.ndarray  # float
+    sign: np.ndarray  # float
     n: np.ndarray  # complex
     d: np.ndarray  # float
 
@@ -175,15 +177,16 @@ class _Columns(NamedTuple):
             is_sheet=np.array([isinstance(layer, Sheet) for layer in layers], dtype=bool),
             cond=np.array([s.params.cond for s in sheets], dtype=complex),
             branching=np.array([s.params.branching for s in sheets], dtype=float),
-            f_sign=[s.params.f_sign for s in sheets],
-            sign=tuple(s.sign for s in sheets),
+            f_sign=np.array([s.params.f_sign for s in sheets], dtype=float),
+            sign=np.array([s.sign for s in sheets], dtype=float),
             n=np.array([complex(s.n) for s in slabs], dtype=complex),
             d=np.array([s.d for s in slabs], dtype=float),
         )
 
     def layers(self) -> tuple[Layer, ...]:
         sheets = map(Sheet, map(SheetParams, self.cond.tolist(), self.branching.tolist(),
-                                self.f_sign), self.sign)
+                                self.f_sign.astype(int).tolist()),
+                     self.sign.astype(int).tolist())
         slabs = map(Slab, self.n.tolist(), self.d.tolist())
         return tuple(next(sheets) if is_sheet else next(slabs)
                      for is_sheet in self.is_sheet.tolist())
@@ -354,9 +357,9 @@ class _Layout:
         # ledger inputs as (sheets, 1) columns
         self.cond_re = cond.real.reshape(-1, 1)
         self.half_branching = columns.branching.reshape(-1, 1) / 2.0
-        self.neg_f_sign = -_column(columns.f_sign)
-        self.signs = columns.sign
-        self.sign_column = _column(self.signs)
+        self.neg_f_sign = -columns.f_sign.reshape(-1, 1)
+        self.signs = tuple(columns.sign.astype(int).tolist())
+        self.sign_column = columns.sign.reshape(-1, 1)
         self.ratio = ambient_out.real / ambient_in.real
 
     def slab_phases(self, wavelength_scale, last_slab_d=None):
@@ -384,10 +387,6 @@ def _check_finite(name: str, values: np.ndarray) -> None:
     finite = np.isfinite(values)
     if not finite.all():
         raise ValueError(f"{name} must be finite, got {values[~finite][0].item()!r}")
-
-
-def _column(values) -> np.ndarray:
-    return np.array(values, dtype=float).reshape(-1, 1)
 
 
 def element_matrices(stack: LayerStack, wavelength_scale=1.0, last_slab_d=None, *,
@@ -705,10 +704,9 @@ def _clean_columns(entries: list) -> _Columns | None:
             and np.minimum.reduce(n_re, initial=math.inf) > 0.0
             and (np.abs(signs) == 1.0).all()):
         return None
-    signs = signs.astype(int).tolist()
     return _Columns(is_sheet=np.array(is_sheet, dtype=bool), cond=_join(cond_re, cond_im),
                     branching=branching, f_sign=signs[:len(sheets)],
-                    sign=tuple(signs[len(sheets):]), n=_join(n_re, n_im), d=d)
+                    sign=signs[len(sheets):], n=_join(n_re, n_im), d=d)
 
 
 def _reject_layers(entries: list) -> NoReturn:

@@ -1493,6 +1493,62 @@ def test_csv_mixed_column_rejected(columns):
         next(_csv(columns))
 
 
+SIDES = ["minus", "plus", "bulk", ""]
+#: Label columns in the layouts numpy hands the writer, 80 rows each: the
+#: native and the byte-swapped order, strided views, a dtype wider than its
+#: labels, labels wider than a float cell (24 bytes) and empty labels.
+LABEL_ARRAYS = {
+    "native": np.array(SIDES * 20),
+    "byte_swapped": np.array(SIDES * 20, dtype=">U5"),
+    "strided": np.array(SIDES * 40)[1::2],
+    "strided_byte_swapped": np.array(SIDES * 40, dtype=">U5")[::-2],
+    "wide_dtype": np.array(SIDES * 20, dtype="<U40"),
+    "wide_dtype_byte_swapped": np.array(SIDES * 20, dtype=">U33"),
+    "long_labels": np.array(["x" * 25, "y" * 40, "bulk", "z" * 24] * 20),
+    "empty_labels": np.array([""] * 80),
+}
+
+
+@pytest.mark.parametrize("labels", list(LABEL_ARRAYS.values()), ids=list(LABEL_ARRAYS))
+@pytest.mark.parametrize("kernel_cells", [0, 10**9], ids=["byte_matrix", "per_row"])
+def test_csv_label_array_layouts(labels, kernel_cells):
+    """A label column held as a numpy str array gives the reference bytes
+    on both routes, whatever its byte order, strides and width; on the byte
+    matrix it reaches ``floattext.csv_pieces`` as the array itself."""
+    columns = {"x": np.linspace(-1.0, 1.0, len(labels)), "side": labels, "n": list(range(80))}
+    csv_pieces = cli.floattext.csv_pieces
+    with mock.patch.object(cli, "_KERNEL_CELLS", kernel_cells), \
+            mock.patch.object(cli.floattext, "csv_pieces", wraps=csv_pieces) as pieces:
+        text = "".join(_csv(columns))
+    assert text == reference_table(list(columns), zip(*columns.values()))
+    assert pieces.call_count == (kernel_cells == 0)
+    for call in pieces.call_args_list:
+        assert np.shares_memory(call.args[0][1], labels)
+
+
+@pytest.mark.parametrize("labels", [np.array(["plus", "\u0142"] * 40),
+                                    np.array(["plus", "\u0142"] * 40, dtype=">U4"),
+                                    np.array(["bulk", "x", "a\u0142b", "y"] * 40)[::2]],
+                         ids=["native", "byte_swapped", "strided"])
+def test_csv_label_array_not_ascii_rejected(labels):
+    """"\u0142" is U+0142, whose low byte is "B".  The byte matrix refuses a
+    label array that holds it with a ValueError, as it refuses a list label
+    that is not ASCII, and writes no cell of that chunk; one ``%`` per row
+    writes the label itself."""
+    columns = {"x": np.linspace(-1.0, 1.0, len(labels)), "side": labels}
+    written = []
+    with mock.patch.object(cli, "_KERNEL_CELLS", 0), \
+            pytest.raises(ValueError, match="CSV label .* is not ASCII"):
+        written.extend(_csv(columns))
+    assert written == ["x,side\n"]
+    with pytest.raises(ValueError, match="not ASCII"):
+        cli.floattext.csv_pieces([columns["x"], labels], ["%.17g", "%s"])
+    with mock.patch.object(cli, "_KERNEL_CELLS", 10**9):
+        text = "".join(_csv(columns))
+    assert text == reference_table(list(columns), zip(*columns.values()))
+    assert "B" not in text
+
+
 #: Real command lines whose CSV tables cover the column shapes the writer
 #: meets: profile labels as a ``<U5`` array, n_layers ints and cond sweep
 #: floats as lists, stack sweep arrays and one-row records, each at row

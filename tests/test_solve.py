@@ -1,8 +1,10 @@
 """solve_stack against a sequential-fold oracle, physics invariants, and the
 views built on the solution."""
 
+import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -22,7 +24,15 @@ from sheetoptics import (
     stack_absorbance,
     stack_coeffs,
 )
-from sheetoptics.stack import interface_matrix, sheet_matrix, solve_stack, stack_from_dict
+from sheetoptics.stack import (
+    _scan,
+    element_matrices,
+    interface_matrix,
+    sheet_matrix,
+    solve_stack,
+    solve_sweep,
+    stack_from_dict,
+)
 
 TWO_PI = 2.0 * np.pi
 TOL = 1e-14
@@ -269,6 +279,189 @@ def test_hundred_thousand_elements():
     assert abs(solution.t - merged.t) <= bound
     assert abs(solution.r - merged.r) <= bound
     assert np.all(np.abs(solution.sheet_fields - merged.t) <= bound)
+
+
+# The exact reference: the scan against the product, in exact rationals,
+# of the same rounded element matrices A_0 ... A_{K-1}.  Its tolerance is
+# derived for the scan's own arithmetic, never fitted to measured errors.
+# u is the unit roundoff and gamma_n = n u / (1 - n u) (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3).
+#
+# One product of the scan, entry (i, j) of L R = L_i0 R_0j + L_i1 R_1j (or
+# of A v for a suffix column), is two complex products, each within
+# sqrt(2) gamma_2 |x| |y| of x y whatever contraction the loop uses (Lemma
+# 3.5), and one complex sum within u of its value: within NODE (|L| |R|)_ij
+# of the exact product of its computed inputs.  By induction over the
+# product tree, a computed product of n factors, its two halves within
+# (1 + NODE)^a - 1 and (1 + NODE)^b - 1 of theirs (a + b = n - 2), is
+# within ((1 + NODE)^(n - 1) - 1) |A_0| ... |A_(n-1)| of the exact one,
+# entry by entry.  Every product of the tree scales the whole product it
+# joins, so the exponent counts the n - 1 products of each entry's tree,
+# not the tree's depth ceil(log2 K): the scan's depth bounds the rounding
+# of a pairwise sum, but a product of K slabs alone, K complex phases,
+# meets K - 1 roundings in any order.
+U = 2.0**-53
+
+
+def gamma(n):
+    return n * U / (1 - n * U)
+
+
+NODE = math.sqrt(2) * gamma(2) + U * (1 + math.sqrt(2) * gamma(2))
+# numpy divides complex numbers by Smith's method: with |c| >= |d|,
+# q = d / c, (a + ib) / (c + id) = ((a + b q) + i (b - a q)) (1 / (c + d q)).
+# c + d q sums two terms of one sign, so 1 / (c + d q) is within gamma_4 of
+# 1 / (c (1 + q^2)), each numerator is within gamma_3 (|a| + |b| |q|) (and
+# gamma_3 (|b| + |a| |q|)) of its value, which two terms in quadrature hold
+# to gamma_3 |a + ib| (1 + |q|) <= gamma_3 sqrt 2 |a + ib| sqrt(1 + q^2).  So
+# a quotient is within DIVIDE of its exact value, relatively.
+DIVIDE = gamma(5) + math.sqrt(2) * gamma(3) * (1 + gamma(5))
+# The bounds are evaluated in float arithmetic, whose own rounding, about
+# (K + 10) u relatively for K <= 200 factors, is far inside this slack.
+SLACK = 1 + 2.0**-30
+
+
+def exact(z):
+    """A complex float as a pair of exact rationals."""
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def exact_suffixes(mats, column):
+    """The exact suffix products A_s ... A_{K-1} e_column, s = 0 ... K - 1,
+    of (K, 2, 2) complex matrices, as (re, im) Fraction pairs."""
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    v = [one, zero] if column == 0 else [zero, one]
+    suffixes = []
+    for mat in mats[::-1]:
+        rows = []
+        for i in range(2):
+            re = im = Fraction(0)
+            for j in range(2):
+                (ar, ai), (vr, vi) = exact(complex(mat[i, j])), v[j]
+                re += ar * vr - ai * vi
+                im += ar * vi + ai * vr
+            rows.append((re, im))
+        v = rows
+        suffixes.append(v)
+    return suffixes[::-1]
+
+
+def distance(z, reference):
+    """|z - reference| for a complex float and an exact (re, im) pair."""
+    return math.hypot(float(Fraction(z.real) - reference[0]),
+                      float(Fraction(z.imag) - reference[1]))
+
+
+def modulus(reference):
+    return math.hypot(float(reference[0]), float(reference[1]))
+
+
+def exact_quotient(numerator, denominator):
+    """numerator / denominator of exact (re, im) pairs; None is 1."""
+    nr, ni = (Fraction(1), Fraction(0)) if numerator is None else numerator
+    dr, di = denominator
+    norm = dr * dr + di * di
+    return (nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm
+
+
+def product_bound(n):
+    """(1 + NODE)^(n - 1) - 1: a computed product of n factors."""
+    return math.expm1((n - 1) * math.log1p(NODE))
+
+
+EXACT_SEEDS = range(20)
+
+
+def exact_reference_stack(seed):
+    """A seeded stack of 1 to 50 sheet + slab pairs, spread geometrically
+    over the seeds, the last slab left out of about half of them: 2 to 151
+    elements.  Odd seeds draw from wide ranges (g in [0, 3] + i[-3, 3],
+    n in [1, 4] + i[0, 0.05], d up to 50 wavelengths), where (|A_0| ...
+    |A_{K-1}|)_00 can exceed |M00| by many orders; even seeds draw weak
+    sheets and thin slabs, where the bound on t is close to the errors'
+    own size."""
+    rng = np.random.default_rng(seed)
+    pairs = round(50.0 ** (seed / (len(EXACT_SEEDS) - 1)))
+    wide = seed % 2
+    g_re, g_im, n_im, d_max = (3.0, 3.0, 0.05, 50.0) if wide else (0.05, 0.01, 1e-3, 1.0)
+    layers = []
+    for _ in range(pairs):
+        cond = [rng.uniform(0.0, g_re), rng.uniform(-g_im, g_im)]
+        layers.append({"type": "sheet", "cond": cond})
+        layers.append({"type": "slab", "n_re": rng.uniform(1.0, 4.0),
+                       "n_im": rng.uniform(0.0, n_im), "d": rng.uniform(0.0, d_max)})
+    if rng.random() < 0.5:  # end on a sheet: one pair is then 2 elements
+        layers.pop()
+    return stack_from_dict({"ambient_out": [rng.uniform(1.0, 4.0), 0.0],
+                            "layers": layers})[0]
+
+
+@pytest.mark.parametrize("seed", EXACT_SEEDS)
+def test_scan_within_derived_bound_of_exact_product(seed):
+    """The scan's stack matrix M and suffix columns, and t = 1/M00,
+    r = M10/M00 and the sheet fields t (S00 + S10) that solve_sweep
+    computes from them, lie within the derived bound of the exact product
+    of the same rounded element matrices, at two wavelength scales."""
+    stack = exact_reference_stack(seed)
+    scales = [1.0, 0.77]
+    entries = element_matrices(stack, scales).transpose(2, 3, 0, 1)
+    m, suffix = _scan(entries)
+    solution = solve_sweep(stack, scales)
+    # numpy's quotients, as solve_sweep forms them
+    assert np.array_equal(solution.t, 1.0 / m[0, 0])
+    assert np.array_equal(solution.r, m[1, 0] / m[0, 0])
+    k = entries.shape[2]
+    assert 2 <= k <= 151
+    for w in range(len(scales)):
+        mats = entries[:, :, :, w].transpose(2, 0, 1)
+        # |A_s| ... |A_{K-1}|, suffix by suffix, evaluated in floats
+        abs_suffix = np.empty((k, 2, 2))
+        acc = np.eye(2)
+        for s in range(k - 1, -1, -1):
+            acc = np.abs(mats[s]) @ acc
+            abs_suffix[s] = acc
+        exact_suffix = exact_suffixes(mats, 0)
+        exact_m = [exact_suffix[0], exact_suffixes(mats, 1)[0]]  # M's columns
+
+        for i in range(2):
+            for j in range(2):
+                bound = product_bound(k) * abs_suffix[0, i, j] * SLACK
+                assert distance(m[i, j, w], exact_m[j][i]) <= bound
+        for s in range(k):
+            for i in range(2):
+                bound = product_bound(k - s) * abs_suffix[s, i, 0] * SLACK
+                assert distance(suffix[i, s, w], exact_suffix[s][i]) <= bound
+
+        # 1/m00 against 1/M00, then the rounded quotient against 1/m00;
+        # r likewise, from m10 M00 - M10 m00 = (m10 - M10) M00 - M10 (m00 - M00)
+        t, r = solution.t[w], solution.r[w]
+        m00, m10 = complex(m[0, 0, w]), complex(m[1, 0, w])
+        exact00, exact10 = modulus(exact_m[0][0]), modulus(exact_m[0][1])
+        far00, far10 = product_bound(k) * abs_suffix[0, :, 0]
+        exact_t = exact_quotient(None, exact_m[0][0])
+        tol_t = (DIVIDE + far00 / exact00) / abs(m00) * SLACK
+        assert distance(t, exact_t) <= tol_t
+        tol_r = (DIVIDE * abs(m10 / m00)
+                 + (far10 * exact00 + exact10 * far00) / (abs(m00) * exact00)) * SLACK
+        assert distance(r, exact_quotient(exact_m[0][1], exact_m[0][0])) <= tol_r
+        # the bound binds: at least eight digits of t on every stack drawn
+        assert tol_t < 1e-8 * abs(t)
+
+        # a sheet field f = fl(t fl(u0 + u1)), or t itself for a sheet at the
+        # exit, against t (S00 + S10) with S the exact suffix column after it
+        for f, s in zip(solution.sheet_fields[:, w], stack._layout.after_sheets):
+            if s == k:
+                assert f == t
+                continue
+            u0, u1 = suffix[:, s, w]
+            column_far = product_bound(k - s) * abs_suffix[s, :, 0].sum()
+            tol_f = (tol_t * abs(u0 + u1)
+                     + modulus(exact_t) * (column_far + U * (abs(u0) + abs(u1)))
+                     + math.sqrt(2) * gamma(2) * abs(t) * abs(u0 + u1)) * SLACK
+            (s0r, s0i), (s1r, s1i) = exact_suffix[s]
+            exact_f = (exact_t[0] * (s0r + s1r) - exact_t[1] * (s0i + s1i),
+                       exact_t[0] * (s0i + s1i) + exact_t[1] * (s0r + s1r))
+            assert distance(f, exact_f) <= tol_f
 
 
 lossless_stacks = st.builds(
