@@ -18,22 +18,24 @@ Every command returns data and one renderer writes it.  Record commands
 JSON document or as a one-row CSV; table commands (sweep, profile) return
 columns, an ordered dict of column name to equal-length values, rendered
 as CSV only.  A table is written 1024 rows at a time.  A long chunk is laid
-out as one byte matrix by ``floattext.csv_pieces``: its float cells are
-written by ``floattext.g17``, a vectorized kernel with the bytes of
-``%.17g``, its labels held as a numpy str array are copied from the
-array's code units, and its other cells (ints, bools, None, labels held as
-lists) are encoded from Python values.  Its text is yielded in pieces of
-whole rows, each a str of under 512 bytes unless it is one row, so that it
-comes from CPython's small-object allocator.  A short table is written by
-one ``%`` format per row (see ``_csv``).
+out, as the command returned it, as one byte matrix by
+``floattext.csv_pieces``: its float cells are written by
+``floattext.g17``, a vectorized kernel with the bytes of ``%.17g``, its
+labels held as a numpy str array are copied from the array's code units,
+and its other cells (ints, bools, None, labels held as lists) are encoded
+from their values.  Its text is yielded in pieces of whole rows, each a
+str of under 512 bytes unless it is one row, so that it comes from
+CPython's small-object allocator.  A short chunk is written by one ``%``
+format per row; which chunks are long, the printf codes alone decide
+(see ``_csv``).
 
 A JSON document comes from one writer, ``_json_text``, with the bytes of
 ``json.dumps(doc, indent=2)``, for the values the commands write: str,
 None, bools, ints, floats, complex numbers in the codec's forms, non-empty
 dicts of these and 1-D complex arrays, like a stack's ``sheet_fields``.
 The floats of a long such array are written by ``floattext.shortest``, a
-vectorized kernel with the bytes of ``repr``, and the array's text is
-assembled as bytes (see ``floattext.json_vector``).
+vectorized kernel with the bytes of ``codec.json_float``, and the array's
+text is assembled as bytes (see ``floattext.json_vector``).
 
 numpy is imported where an array is built: by the stack, sweep and profile
 commands and by the lazy modules they run.  ``coeffs``, ``twostate`` and
@@ -88,24 +90,16 @@ _CSV_CHUNK_ROWS = 1024
 #: even with its per-cell route, one ``%`` per CSV row or one ``repr`` per
 #: JSON float, at 200-250 cells: the two routes cost about the same per
 #: float, so one crossover serves both.  At 250 cells the kernels were
-#: 1.08-1.14x faster, at 500 1.66-1.73x.  The CSV byte-matrix route (median
-#: of 9 ratios of best-of-7 timings, written to a StringIO) breaks even at
-#: about 250 float cells for a stack sweep's nine float columns, and each
-#: int or label column adds about as many again: a profile chunk (nine
-#: float columns and the side label) broke even at about 55 rows (500 float
-#: cells), an n_layers sweep (an int column and five float ones) at 100-130
-#: rows (500-650), where at 60 rows the byte matrix took 1.4-1.6x as long
-#: as one ``%`` per row.  So ``_csv`` asks ``_KERNEL_CELLS`` more float
-#: cells of a chunk for each column that is not float.  A float column held
-#: as a list of Python floats, as a cond or n_layers sweep returns its
-#: t, r, A and |t + r| columns, is first turned into an array: a cond sweep
-#: (an array and six lists of floats) broke even at 65-70 rows (455-490
-#: float cells), where at 40 rows the byte matrix took 1.4x as long, and an
-#: n_layers sweep (an int column and five lists of floats) at about 140
-#: rows (700 cells).  So ``_csv`` asks a sixth of ``_KERNEL_CELLS`` more
-#: for each such list.  The term marks these sweeps' shape rather than
-#: the lists' cost: with its columns built as arrays a cond sweep broke
-#: even at the same 72 rows (ROADMAP item 13).
+#: 1.08-1.14x faster, at 500 1.66-1.73x.  A CSV chunk goes to the byte
+#: matrix from ``_KERNEL_CELLS * (2 + ints)`` float cells, ints its ``%d``
+#: columns (``_csv``): stack sweeps and profiles (nine float columns) from
+#: 56 rows, cond sweeps (seven) from 72, n_layers sweeps (five and an int
+#: column) from 150.  In process (median of 9 ratios of best-of-7 timings
+#: of ``"".join(_csv(columns))``) the byte matrix took 0.97x the per-row
+#: time at the profile break-even, 1.00x at the cond and 0.95x at the
+#: n_layers one, and 0.87-0.72x on 40-55-row stack sweeps; yet end to end
+#: ``bench/run.py``'s spectrum_sweep, whose stack sweeps have 5 to 50 rows,
+#: lost nothing with those written a row at a time (ROADMAP item 22).
 _KERNEL_CELLS = 250
 
 
@@ -317,7 +311,8 @@ def _json_vector(values: np.ndarray, pad: str) -> str:
 def _csv_code(column) -> str:
     """The printf code of a column, from the types of its cells: ``%.17g``
     for floats, ``%d`` for ints, ``%s`` for bools, strings and None (which
-    ``_csv_cells`` turns into an empty cell)."""
+    ``_csv_cells`` turns into an empty cell).  A label that is not ASCII is
+    a ValueError: neither CSV route writes one."""
     cells = column[:1].tolist() if isinstance(column, _ndarray()) else column
     types = set(map(type, cells))
     if all(issubclass(t, float) for t in types):
@@ -325,14 +320,27 @@ def _csv_code(column) -> str:
     if all(issubclass(t, int) and t is not bool for t in types):
         return "%d"
     if types <= {bool, str, type(None)}:
+        if str in types:
+            _check_ascii(column)
         return "%s"
     raise TypeError("no CSV format for a column of "
                     + ", ".join(sorted(t.__name__ for t in types)))
 
 
+def _check_ascii(labels) -> None:
+    """ValueError naming the first label that is not ASCII, if any; a numpy
+    str array is read as its UCS4 code units, with no str per cell."""
+    if isinstance(labels, _ndarray()) and labels.dtype.kind == "U":
+        units = sys.modules["numpy"].ascontiguousarray(labels).view(labels.dtype.str[0] + "u4")
+        labels = labels.tolist() if units.max(initial=0) > 127 else ()
+    for label in labels:
+        if isinstance(label, str) and not label.isascii():
+            raise ValueError(f"CSV label {label!r} is not ASCII")
+
+
 def _csv_cells(cells) -> list:
     """The cells of a column slice as a list of Python values, None as an
-    empty string."""
+    empty string, for one ``%`` format per row."""
     if isinstance(cells, _ndarray()):
         return cells.tolist()
     return ["" if v is None else v for v in cells] if None in cells else cells
@@ -343,23 +351,20 @@ def _csv(columns: dict) -> Iterator[str]:
 
     The columns are taken ``_CSV_CHUNK_ROWS`` rows at a time, so a long
     table is never held whole, as values or as text.  A chunk of fewer than
-    ``_KERNEL_CELLS`` float cells, ``_KERNEL_CELLS`` more for each int or
-    label column and a sixth as many more for each float column given as a
-    list (records; stack sweeps of up to 27 rows, cond sweeps of up to 71,
-    profile chunks of up to 55 and n_layers sweeps of up to 141), is
-    written a row at a time: one ``%`` format of a template that holds one
-    printf code per column (``_csv_code``; ``"%.17g" % v`` is
-    ``float.__format__(v, ".17g")``), each row yielded alone.  A longer
-    chunk (profiles, longer sweeps) is one byte matrix
+    ``_KERNEL_CELLS * (2 + ints)`` float cells, ints its number of ``%d``
+    columns, however its columns are held (records; stack sweeps and
+    profile chunks of up to 55 rows, cond sweeps of up to 71 and n_layers
+    sweeps of up to 149), is written a row at a time: one ``%`` format of a
+    template that holds one printf code per column (``_csv_code``;
+    ``"%.17g" % v`` is ``float.__format__(v, ".17g")``), each row yielded
+    alone.  A longer chunk (profiles, longer sweeps) is one byte matrix
     (``floattext.csv_pieces``) with the same bytes, yielded in pieces of
-    whole rows: its float columns and its labels held as a numpy str array
-    (a profile's ``side``) are laid out from the arrays, and its other
-    columns (ints, bools, labels and None held as lists) from lists of
-    Python values (``_csv_cells``).  Nothing is quoted: the writer takes
-    the cells and names the commands write, numbers, True/False, empty
-    cells and ASCII labels and names with no comma, quote or line break, in
-    tables of at least two columns, where an empty cell is never a row of
-    its own.
+    whole rows, which takes the chunk's columns as the command returned
+    them.  Nothing is quoted: the writer takes the cells and names the
+    commands write, numbers, True/False, empty cells and ASCII labels and
+    names with no comma, quote or line break, in tables of at least two
+    columns, where an empty cell is never a row of its own.  A label that
+    is not ASCII is refused before the header.
     """
     values = list(columns.values())
     lengths = {len(column) for column in values}
@@ -368,23 +373,12 @@ def _csv(columns: dict) -> Iterator[str]:
     codes = list(map(_csv_code, values))
     template = ",".join(codes) + "\n"
     floats = codes.count("%.17g")
-    rows = max(lengths, default=0)
-    kernel_cells = _KERNEL_CELLS * (1 + len(codes) - floats)
-    if rows * floats >= kernel_cells:
-        ndarray = _ndarray()
-        listed = sum(code == "%.17g" and not isinstance(column, ndarray)
-                     for code, column in zip(codes, values))
-        kernel_cells += _KERNEL_CELLS * listed // 6
-        # the columns the byte matrix takes as they are: floats, str arrays
-        kept = [code == "%.17g" or isinstance(column, ndarray) and column.dtype.kind == "U"
-                for code, column in zip(codes, values)]
+    kernel_cells = _KERNEL_CELLS * (2 + codes.count("%d"))
     yield ",".join(columns) + "\n"
-    for start in range(0, rows, _CSV_CHUNK_ROWS):
+    for start in range(0, max(lengths, default=0), _CSV_CHUNK_ROWS):
         chunk = [column[start:start + _CSV_CHUNK_ROWS] for column in values]
         if len(chunk[0]) * floats >= kernel_cells:
-            yield from floattext.csv_pieces(
-                [column if keep else _csv_cells(column)
-                 for column, keep in zip(chunk, kept)], codes)
+            yield from floattext.csv_pieces(chunk, codes)
         else:
             yield from map(template.__mod__, zip(*map(_csv_cells, chunk)))
 

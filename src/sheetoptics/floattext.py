@@ -1,11 +1,12 @@
-"""The texts of ``'%.17g' % v`` and of ``repr(v)`` for every float64 of an
-array, vectorized: two kernels with one scaling and one byte gather.
+"""The texts of ``'%.17g' % v`` and of json's ``repr(v)`` for every float64
+of an array, vectorized: two kernels with one scaling and one byte gather.
 
 ``g17(values)`` gives the ``%.17g`` texts.  It formats each run of bit-equal
 neighbours once and copies its text along the run, as the envelope columns
 of a profile, with one value on each side of the sheet, have long runs; an
 array with no equal neighbours pays for one comparison.  ``shortest(values)``
-gives the ``repr`` texts, the shortest digits that read back as v.
+gives json's texts: the ``repr`` texts, the shortest digits that read back
+as v, and NaN, Infinity and -Infinity for the values that are not finite.
 
 Both kernels scale each |v| by 10**(16 - E), E = floor(log10 |v|), in
 double-double arithmetic: Dekker's split and exact two-product (Numer. Math.
@@ -20,10 +21,10 @@ from one template table per text layout.
 
 This is the fast path with an exact bail-out of Loitsch's Grisu3 (PLDI
 2010): a cell whose text is not certain goes through ``'%.17g' %`` or
-``repr`` itself, so the bytes are always those of CPython's correctly
-rounded dtoa.  For both kernels those cells are the non-finite ones, those
-with |E| beyond the table (subnormals among them) and scaled values outside
-[10**16, 10**17) (``log10`` misjudged E).  For ``g17`` they are also scaled
+``codec.json_float`` itself, so the bytes are always those of CPython's
+correctly rounded dtoa.  For both kernels those cells are the non-finite
+ones, those with |E| beyond the table (subnormals among them) and scaled
+values outside [10**16, 10**17) (``log10`` misjudged E).  For ``g17`` they are also scaled
 values within 1e-6 of a rounding tie or of 10**16.  A scaled value of
 exactly 10**16 (hi 1e16, lo 0), as for 1.0 and every other power of ten a
 float64 holds exactly, is placed: the true product lies within 1e-13 of
@@ -210,15 +211,15 @@ def _g17(values: np.ndarray) -> np.ndarray:
     placed &= ((np.abs(x_lo - rounded) <= 0.5 - _MARGIN) & (x_hi < 1e17)
                & (((x_hi - 1e16) + x_lo >= _MARGIN) | ((x_hi == 1e16) & (x_lo == 0.0))))
     del x_hi, x_lo, rounded
-    return _spell(values, d, index, placed, zero, _layout("g17"), b"%.17g".__mod__)
+    return _spell(values, d, index, placed, zero, _layout("g17"), "%.17g".__mod__)
 
 
 def shortest(values: np.ndarray) -> np.ndarray:
-    """``repr(v)`` of each element of a 1-D float64 array, as bytes of dtype
-    ``S24`` (NUL-padded)."""
+    """json's text of each element of a 1-D float64 array, ``repr(v)`` or
+    NaN, Infinity and -Infinity, as bytes of dtype ``S24`` (NUL-padded)."""
     values = np.asarray(values, dtype=np.float64)
     # the work arrays of the digits are dropped before the spelling
-    return _spell(values, *_shortest_digits(values), _layout("repr"), _repr_bytes)
+    return _spell(values, *_shortest_digits(values), _layout("repr"), json_float)
 
 
 def _shortest_digits(values: np.ndarray):
@@ -253,10 +254,6 @@ def _shortest_digits(values: np.ndarray):
     placed &= ((digits15 | digits16 | digits17) & (mantissa != 0)
                & (whole >= 10**16) & (d < 10**17))
     return d, index, placed, zero
-
-
-def _repr_bytes(value: float) -> bytes:
-    return float.__repr__(value).encode()
 
 
 def _scaled(values: np.ndarray):
@@ -297,8 +294,8 @@ def _scaled(values: np.ndarray):
 def _spell(values, d, index, placed, zero, layout, fallback) -> np.ndarray:
     """The text of each cell, as bytes of dtype ``S24``: the 17-digit
     integer D = ``d`` of a placed cell spelled in ``layout`` (``_layout``
-    of one text layout), and ``fallback(v)`` of every other cell but
-    zeros."""
+    of one text layout), and the ASCII str ``fallback(v)`` of every other
+    cell but zeros."""
     tables = _tables()
     words = tables.words
     classes, templates = layout
@@ -360,21 +357,22 @@ def csv_pieces(columns: list, codes: list) -> list[str]:
 
     A ``%.17g`` column is an array or a list of floats.  A ``%s`` column of
     labels may be a numpy str array, as a profile's side labels are; any
-    other column is a list of the Python values its cells show (ints,
-    bools, labels, None as an empty string).  Every text is ASCII with no
-    NUL or newline.  The columns are laid out as one ``(rows, columns,
-    width + 1)`` byte matrix: each cell NUL-padded to the widest cell, then
-    a ``,`` or, after a row's last cell, a newline.  The float cells are the
-    texts of ``g17``, the bytes of ``%.17g``, of all the float columns in
-    one call; a str array's cells are laid out from the array itself
-    (``_labels``), a list's cells are encoded (``_encoded``).  The text is
-    the matrix with its NULs dropped (``_unpadded``), decoded once as
-    ASCII, and cut into pieces of ``_PIECE_CHARS // widest row`` rows (at
-    least one).
+    other column is a list or a non-str array of the values its cells show
+    (ints, bools, labels, None for an empty cell).  Every text is ASCII
+    with no NUL or newline.  The columns are laid out as one ``(rows,
+    columns, width + 1)`` byte matrix: each cell NUL-padded to the widest
+    cell, then a ``,`` or, after a row's last cell, a newline.  The float
+    cells are the texts of ``g17``, the bytes of ``%.17g``, of all the float
+    columns in one call; a str array's cells are laid out from the array
+    itself (``_labels``), any other column's cells are encoded
+    (``_encoded``).  The text is the matrix with its NULs dropped
+    (``_unpadded``), decoded once as ASCII, and cut into pieces of
+    ``_PIECE_CHARS // widest row`` rows (at least one).
     """
     size = len(columns[0])
     float_at = [j for j, code in enumerate(codes) if code == "%.17g"]
-    others = {j: _labels(column) if isinstance(column, np.ndarray) else _encoded(column, code)
+    others = {j: _labels(column) if isinstance(column, np.ndarray) and column.dtype.kind == "U"
+              else _encoded(column, code)
               for j, (column, code) in enumerate(zip(columns, codes)) if code != "%.17g"}
     width = max([WIDTH, *(text.shape[1] for text in others.values())])
     cells = np.zeros((size, len(codes), width + 1), dtype=np.uint8)
@@ -397,24 +395,20 @@ def csv_pieces(columns: list, codes: list) -> list[str]:
 
 
 def _labels(column: np.ndarray) -> np.ndarray:
-    """The cells of a 1-D numpy str array as a NUL-padded byte matrix, a row
-    per cell as wide as the dtype: the low byte of each UCS4 code unit,
-    read in the array's own byte order.  ValueError, before a byte is laid
-    out, if a cell holds a character that is not ASCII."""
-    units = np.ascontiguousarray(column).view(column.dtype.str[0] + "u4").reshape(
-        len(column), column.dtype.itemsize // 4)
-    if units.max(initial=0) > 127:
-        label = column[(units > 127).any(axis=1)][0]
-        raise ValueError(f"CSV label {str(label)!r} is not ASCII")
-    return units.astype(np.uint8)
+    """The cells of a 1-D numpy str array of ASCII labels as a NUL-padded
+    byte matrix, a row per cell as wide as the dtype: the low byte of each
+    UCS4 code unit, read in the array's own byte order."""
+    units = np.ascontiguousarray(column).view(column.dtype.str[0] + "u4")
+    return units.reshape(len(column), column.dtype.itemsize // 4).astype(np.uint8)
 
 
-def _encoded(cells: list, code: str) -> np.ndarray:
-    """``(code % v).encode()`` of each cell of a list as a NUL-padded byte
-    matrix, a row per cell as wide as the longest: the ``%d`` ints of an
-    n_layers sweep, bools and labels held as lists.  Each distinct value is
-    formatted once: such a column holds a few labels, or bools."""
-    encoded = {v: (code % v).encode() for v in set(cells)}
+def _encoded(cells, code: str) -> np.ndarray:
+    """``(code % v).encode()`` of each cell of a list or a non-str array as
+    a NUL-padded byte matrix, a row per cell as wide as the longest, None
+    as an empty cell: the ``%d`` ints of an n_layers sweep, bools and
+    labels held as lists.  Each distinct value is formatted once: such a
+    column holds a few labels, or bools."""
+    encoded = {v: b"" if v is None else (code % v).encode() for v in set(cells)}
     width = max(1, *map(len, encoded.values()))
     texts = np.array(list(map(encoded.__getitem__, cells)), dtype=f"S{width}")
     return texts.view(np.uint8).reshape(len(cells), width)
@@ -430,19 +424,15 @@ def json_vector(values: np.ndarray, pad: str) -> str:
     """The JSON text, as ``json.dumps(value, indent=2)`` writes it, of a 1-D
     complex128 array on a line indented by ``pad``.  An element with zero
     imaginary part is a plain number, any other an [re, im] pair (the
-    codec's forms).  The floats are written by ``shortest``, the bytes of
-    ``float.__repr__``, and the non-finite ones as json spells them.
+    codec's forms).  The floats are written by ``shortest``, as json
+    spells them.
 
     Each element's item, with the separator after it, is one NUL-padded
     row of bytes; the text is every row with its NULs dropped.
     """
     size = len(values)
     cells = np.concatenate((values.real, values.imag))
-    texts = shortest(cells)
-    finite = np.isfinite(cells)
-    if not finite.all():
-        texts[~finite] = list(map(json_float, cells[~finite].tolist()))
-    texts = texts.view(np.uint8).reshape(2, size, WIDTH)
+    texts = shortest(cells).view(np.uint8).reshape(2, size, WIDTH)
     # the bytes around the texts of an element's parts, and after its item
     inner = pad + "  "
     pair_open, middle, close, end = (

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import string
 import subprocess
@@ -1528,32 +1529,58 @@ def test_csv_label_array_layouts(labels, kernel_cells):
 
 @pytest.mark.parametrize("labels", [np.array(["plus", "\u0142"] * 40),
                                     np.array(["plus", "\u0142"] * 40, dtype=">U4"),
-                                    np.array(["bulk", "x", "a\u0142b", "y"] * 40)[::2]],
-                         ids=["native", "byte_swapped", "strided"])
+                                    np.array(["bulk", "x", "a\u0142b", "y"] * 40)[::2],
+                                    ["plus", None, "\u0142", True] * 20],
+                         ids=["native", "byte_swapped", "strided", "list"])
 def test_csv_label_array_not_ascii_rejected(labels):
-    """"\u0142" is U+0142, whose low byte is "B".  The byte matrix refuses a
-    label array that holds it with a ValueError, as it refuses a list label
-    that is not ASCII, and writes no cell of that chunk; one ``%`` per row
-    writes the label itself."""
+    """"\u0142" is U+0142, whose low byte is "B".  Neither route writes a
+    label that is not ASCII, held as an array or as a list: ``_csv`` refuses
+    it with a ValueError naming it before it yields the header."""
     columns = {"x": np.linspace(-1.0, 1.0, len(labels)), "side": labels}
-    written = []
-    with mock.patch.object(cli, "_KERNEL_CELLS", 0), \
-            pytest.raises(ValueError, match="CSV label .* is not ASCII"):
-        written.extend(_csv(columns))
-    assert written == ["x,side\n"]
-    with pytest.raises(ValueError, match="not ASCII"):
-        cli.floattext.csv_pieces([columns["x"], labels], ["%.17g", "%s"])
-    with mock.patch.object(cli, "_KERNEL_CELLS", 10**9):
-        text = "".join(_csv(columns))
-    assert text == reference_table(list(columns), zip(*columns.values()))
-    assert "B" not in text
+    for kernel_cells in (0, 10**9):  # the byte matrix, one ``%`` per row
+        written = []
+        with mock.patch.object(cli, "_KERNEL_CELLS", kernel_cells), \
+                pytest.raises(ValueError, match="CSV label '(a)?\u0142(b)?' is not ASCII"):
+            written.extend(_csv(columns))
+        assert written == []
+
+
+@pytest.mark.parametrize("label", [False, True], ids=["no_label", "label"])
+@pytest.mark.parametrize("held", ["arrays", "lists"])
+@pytest.mark.parametrize("ints", [0, 1])
+def test_csv_route_flips_at_kernel_cells(ints, held, label):
+    """A chunk goes to the byte matrix from ``_KERNEL_CELLS * (2 + ints)``
+    float cells, ints its ``%d`` columns, and one row short of that is
+    written a row at a time, whether its float columns are arrays or lists
+    and with or without a label column; both give the reference bytes."""
+    floats = 5
+    edge = math.ceil(cli._KERNEL_CELLS * (2 + ints) / floats)
+    for rows, matrix in ((edge - 1, False), (edge, True)):
+        columns = {f"f{j}": np.linspace(j, j + 1.0, rows) for j in range(floats)}
+        if held == "lists":
+            columns = {name: column.tolist() for name, column in columns.items()}
+        if ints:
+            columns["n"] = list(range(rows))
+        if label:
+            columns["side"] = np.array(["minus", "plus"] * rows)[:rows]
+        with mock.patch.object(cli.floattext, "csv_pieces",
+                               wraps=cli.floattext.csv_pieces) as pieces:
+            text = "".join(_csv(columns))
+        assert pieces.call_count == matrix, rows
+        assert text == reference_table(list(columns), zip(*columns.values()))
+
+
+#: The stack file of the command-line route tests.
+ROUTE_STACK = {"ambient_out": [3.882, 0.019], "wavelength_nm": 633.0,
+               "layers": [{"type": "sheet", "cond": 0.0229253},
+                          {"type": "slab", "n_re": 1.46, "d": 0.3}] * 3}
 
 
 #: Real command lines whose CSV tables cover the column shapes the writer
 #: meets: profile labels as a ``<U5`` array, n_layers ints and cond sweep
 #: floats as lists, stack sweep arrays and one-row records, each at row
 #: counts on both sides of its shape's crossover (profiles 56 rows, cond
-#: sweeps 72, n_layers sweeps 142, stack sweeps 28) and across a chunk.
+#: sweeps 72, n_layers sweeps 150, stack sweeps 56) and across a chunk.
 ROUTE_SWAP_ARGV = [
     ["profile", "--which", "a", "--points", "39"],
     ["profile", "--which", "a", "--points", "1100"],
@@ -1565,8 +1592,10 @@ ROUTE_SWAP_ARGV = [
     ["sweep", "--sweep", "n_layers:1:300:200"],
     ["sweep", "--stack", "STACK", "--sweep", "wavelength_nm:500:800:10"],
     ["sweep", "--stack", "STACK", "--sweep", "wavelength_nm:500:800:40"],
+    ["sweep", "--stack", "STACK", "--sweep", "wavelength_nm:500:800:60"],
     ["sweep", "--stack", "STACK", "--sweep", "thickness:0:1:10"],
     ["sweep", "--stack", "STACK", "--sweep", "thickness:0:1:40"],
+    ["sweep", "--stack", "STACK", "--sweep", "thickness:0:1:60"],
     ["coeffs", "--format", "csv"],
     ["twostate", "--format", "csv"],
     ["twostate", "--cond", "2", "--format", "csv"],
@@ -1582,9 +1611,7 @@ def test_csv_routes_swap_on_command_output(capsys, tmp_path, argv):
     at a time (``_KERNEL_CELLS`` above any table) and the routes the
     crossover picks."""
     stack = tmp_path / "stack.json"
-    stack.write_text(json.dumps({"ambient_out": [3.882, 0.019], "wavelength_nm": 633.0,
-                                 "layers": [{"type": "sheet", "cond": 0.0229253},
-                                            {"type": "slab", "n_re": 1.46, "d": 0.3}] * 3}))
+    stack.write_text(json.dumps(ROUTE_STACK))
     argv = [str(stack) if arg == "STACK" else arg for arg in argv]
     outputs = []
     for kernel_cells in (0, 10**9, cli._KERNEL_CELLS):
@@ -1594,3 +1621,36 @@ def test_csv_routes_swap_on_command_output(capsys, tmp_path, argv):
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
     assert len(outputs[0].splitlines()) > 1
+
+
+#: Each table command's break-even: the fewest rows of its table that the
+#: byte matrix writes, with a command line of fewer rows and one of exactly
+#: that many (a profile has an even number of rows: 54 and 56).
+BREAK_EVENS = {
+    "stack_sweep": (56, ["sweep", "--stack", "STACK", "--sweep", "thickness:0:1:55"],
+                    ["sweep", "--stack", "STACK", "--sweep", "wavelength_nm:500:800:56"]),
+    "profile": (56, ["profile", "--which", "a", "--points", "52"],
+                ["profile", "--which", "b", "--points", "53"]),
+    "cond_sweep": (72, ["sweep", "--sweep", "cond:0:2:71"], ["sweep", "--sweep", "cond:0:2:72"]),
+    "n_layers_sweep": (150, ["sweep", "--sweep", "n_layers:1:149:149"],
+                       ["sweep", "--sweep", "n_layers:1:150:150"]),
+}
+
+
+@pytest.mark.parametrize("rows, below, at", list(BREAK_EVENS.values()), ids=list(BREAK_EVENS))
+def test_csv_break_evens_of_command_tables(capsys, tmp_path, rows, below, at):
+    """The tables of the commands flip to the byte matrix at their
+    break-evens: stack sweeps and profiles at 56 rows (nine float columns),
+    cond sweeps at 72 (seven) and n_layers sweeps at 150 (five float
+    columns and an int one)."""
+    stack = tmp_path / "stack.json"
+    stack.write_text(json.dumps(ROUTE_STACK))
+    for argv, matrix in ((below, False), (at, True)):
+        argv = [str(stack) if arg == "STACK" else arg for arg in argv]
+        with mock.patch.object(cli.floattext, "csv_pieces",
+                               wraps=cli.floattext.csv_pieces) as pieces:
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        table_rows = len(out.splitlines()) - 1
+        assert table_rows == rows if matrix else table_rows < rows
+        assert pieces.call_count == matrix

@@ -1,5 +1,6 @@
 """floattext.g17 and floattext.shortest: the exact texts of '%.17g' and of
-repr for every float64."""
+json's repr (NaN, Infinity and -Infinity where repr is not a JSON number)
+for every float64."""
 
 from unittest import mock
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheetoptics.codec import json_float
 from sheetoptics.floattext import E_MAX, E_MIN, g17, shortest
 
 
@@ -14,8 +16,8 @@ def reference(values) -> list:
     return [b"%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
 
 
-def repr_reference(values) -> list:
-    return [float.__repr__(v).encode() for v in np.asarray(values, dtype=np.float64).tolist()]
+def json_reference(values) -> list:
+    return [json_float(v).encode() for v in np.asarray(values, dtype=np.float64).tolist()]
 
 
 def powers_of_ten_and_neighbours(exponents) -> list:
@@ -66,7 +68,7 @@ def test_edge_table():
     values = np.array(EDGES + REPR_EDGES)
     values = np.concatenate([values, -values])
     assert g17(values).tolist() == reference(values)
-    assert shortest(values).tolist() == repr_reference(values)
+    assert shortest(values).tolist() == json_reference(values)
 
 
 def test_result_type():
@@ -85,14 +87,14 @@ def test_result_type():
 def test_bit_patterns(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     assert g17(values).tolist() == reference(values)
-    assert shortest(values).tolist() == repr_reference(values)
+    assert shortest(values).tolist() == json_reference(values)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), max_size=300))
 def test_floats(values):
     assert g17(np.array(values, dtype=np.float64)).tolist() == reference(values)
-    assert shortest(np.array(values, dtype=np.float64)).tolist() == repr_reference(values)
+    assert shortest(np.array(values, dtype=np.float64)).tolist() == json_reference(values)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -102,20 +104,20 @@ def test_random_bit_patterns_and_scaled_normals(seed):
     scaled = rng.standard_normal(20_000) * 10.0 ** rng.integers(-20, 20, 20_000)
     for values in (bits.view(np.float64), scaled):
         assert g17(values).tolist() == reference(values)
-        assert shortest(values).tolist() == repr_reference(values)
+        assert shortest(values).tolist() == json_reference(values)
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_misjudged_exponent(shift):
     """A log10 one off puts the scaled value outside [10**16, 10**17): the
-    cell then goes through '%.17g' or repr itself, so no output rests on
-    log10."""
+    cell then goes through '%.17g' or json_float itself, so no output rests
+    on log10."""
     rng = np.random.default_rng(2)
     values = rng.standard_normal(2000) * 10.0 ** rng.integers(-200, 200, 2000)
     log10 = np.log10
     with mock.patch.object(np, "log10", lambda a: log10(a) + shift):
         assert g17(values).tolist() == reference(values)
-        assert shortest(values).tolist() == repr_reference(values)
+        assert shortest(values).tolist() == json_reference(values)
 
 
 def bits_of(value: float) -> int:

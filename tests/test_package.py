@@ -103,7 +103,8 @@ def test_stack_and_short_sweep_leave_fields_twostate_floattext_unrun(tmp_path):
     path.write_text(json.dumps({"wavelength_nm": 633.0, "layers": [
         {"type": "sheet", "cond": 0.1}, {"type": "slab", "n_re": 1.5, "d": 0.2}]}))
     [lazy] = fresh(STILL_LAZY, [["stack", "--stack", str(path)],
-                                ["sweep", "--stack", str(path), "--sweep", "thickness:0:1:5"]])
+                                ["sweep", "--stack", str(path), "--sweep", "thickness:0:1:5"],
+                                ["sweep", "--stack", str(path), "--sweep", "thickness:0:1:50"]])
     assert lazy == ["sheetoptics.fields", "sheetoptics.floattext", "sheetoptics.twostate"]
 
 
