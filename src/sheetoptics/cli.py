@@ -476,6 +476,17 @@ def _cmd_twostate(args: argparse.Namespace) -> dict:
     return results
 
 
+def _wavelength_scale(value: float, reference_nm: float, what: str) -> float:
+    """``value / reference_nm`` for a positive wavelength ``value``; a config
+    error naming ``what``, the value and the reference when the quotient
+    overflows or underflows to 0."""
+    scale = value / reference_nm
+    if scale == 0.0 or math.isinf(scale):
+        raise CliConfigError(f"{what} {value!r} over the stack file's wavelength_nm "
+                             f"{reference_nm!r} {'overflows' if scale else 'underflows to 0'}")
+    return scale
+
+
 def _stack_scale(wavelength_nm, reference_nm) -> float:
     """Wavelength scale of ``--wavelength-nm`` (None: the reference)."""
     if wavelength_nm is None:
@@ -484,7 +495,7 @@ def _stack_scale(wavelength_nm, reference_nm) -> float:
         raise CliConfigError("--wavelength-nm needs wavelength_nm in the stack file")
     if wavelength_nm <= 0:
         raise CliConfigError(f"--wavelength-nm must be positive, got {float(wavelength_nm)!r}")
-    return wavelength_nm / reference_nm
+    return _wavelength_scale(float(wavelength_nm), reference_nm, "--wavelength-nm")
 
 
 def _cmd_stack(args: argparse.Namespace) -> dict:
@@ -525,6 +536,10 @@ def _stack_sweep(args: argparse.Namespace) -> stack_mod.StackSweep:
         if len(not_positive):
             raise CliConfigError("wavelength_nm sweep value must be positive, "
                                  f"got {float(not_positive[0])!r}")
+        # the values run from start to stop, so each quotient lies between
+        # those of the two ends
+        for end in (values[0], values[-1]):
+            _wavelength_scale(float(end), reference_nm, "wavelength_nm sweep value")
         return stack_mod.solve_sweep(stk, values / reference_nm)
     # thickness: vary the last slab
     if not stk._layout.has_slab:
@@ -536,8 +551,6 @@ def _stack_sweep(args: argparse.Namespace) -> stack_mod.StackSweep:
 def _cmd_sweep(args: argparse.Namespace) -> dict:
     # --jobs is accepted and ignored: a thread pool over these small,
     # GIL-bound numpy solves ran slower than the serial loop.
-    import numpy as np
-
     variable, values = args.sweep
     if args.stack_file and variable in ("cond", "n_layers"):
         raise CliConfigError(f"--stack does not apply to --sweep {variable}")
@@ -559,8 +572,8 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
     # a zero imaginary part is written as +0, the form the JSON codec gives
     # a complex number with zero imaginary part
     return {variable: values,
-            "t_re": sweep.t.real, "t_im": np.where(sweep.t.imag == 0.0, 0.0, sweep.t.imag),
-            "r_re": sweep.r.real, "r_im": np.where(sweep.r.imag == 0.0, 0.0, sweep.r.imag),
+            "t_re": sweep.t.real, "t_im": sweep.t.imag + 0.0,
+            "r_re": sweep.r.real, "r_im": sweep.r.imag + 0.0,
             "R": sweep.R, "T": sweep.T, "A": sweep.A, "R_emission": sweep.R_emission}
 
 

@@ -25,10 +25,8 @@ This is the fast path with an exact bail-out of Loitsch's Grisu3 (PLDI
 correctly rounded dtoa.  For both kernels those cells are the non-finite
 ones, those with |E| beyond the table (subnormals among them) and scaled
 values outside [10**16, 10**17) (``log10`` misjudged E).  For ``g17`` they are also scaled
-values within 1e-6 of a rounding tie or of 10**16.  A scaled value of
-exactly 10**16 (hi 1e16, lo 0), as for 1.0 and every other power of ten a
-float64 holds exactly, is placed: the true product lies within 1e-13 of
-10**16, and on either side of it the text is that of D = 10**16.  For
+values within 1e-6 of a rounding tie or of 10**16, so 1.0 and every other
+power of ten a float64 holds exactly go through ``'%.17g' %``.  For
 ``shortest`` they are also the cells whose chosen candidate or the one a
 digit shorter lies within 1e-6 of the interval's edge, or whose chosen
 candidate lies within 1e-6 of a rounding tie or carries to 10**17;
@@ -37,14 +35,14 @@ of 14 digits or fewer.
 
 The command line's long tables and vectors are laid out here too, as byte
 matrices around the kernels' texts: ``csv_pieces`` writes a CSV chunk,
-``json_vector`` a JSON array.  This module loads on first use, so a
-command that writes neither compiles none of it.
+``json_vector`` a JSON array.  This module loads on first use and builds
+its shared tables as it runs, so a command that writes neither compiles
+none of it and builds no table.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,9 +55,9 @@ WIDTH = 24
 #: the scaling is a finite, normal float, and ``log10`` stays in the table.
 E_MIN, E_MAX = -281, 281
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter
-#: A scaled value within this distance of a rounding tie, or of 10**16 but
-#: not equal to it, is not placed with certainty; nor is a candidate of
-#: ``shortest`` within it of the edge of v's scaled half-ulp interval.
+#: A scaled value within this distance of a rounding tie or of 10**16 is
+#: not placed with certainty; nor is a candidate of ``shortest`` within it
+#: of the edge of v's scaled half-ulp interval.
 _MARGIN = 1e-6
 #: Stands in for the cells placed otherwise; its 17th digit is not 0.
 _STAND_IN = 1.0000000000000002
@@ -110,10 +108,10 @@ def _templates(integral: list[int]) -> np.ndarray:
     return np.vstack([positive, negative]).astype(np.intp)
 
 
-def _powers() -> list[tuple[float, float]]:
-    """10**(16 - E) for E = E_MIN ... E_MAX as hi + lo: hi is the power
-    rounded, lo the rest rounded (int to float and int / int are correctly
-    rounded)."""
+def _powers():
+    """10**(16 - E) for E = E_MIN ... E_MAX as hi + lo, hi split in Dekker's
+    head and tail: hi is the power rounded, lo the rest rounded (int to
+    float and int / int are correctly rounded)."""
     ups, power = [], 1
     for _ in range(16 - E_MIN + 1):  # 10**0 ... 10**(16 - E_MIN)
         hi = float(power)
@@ -125,46 +123,35 @@ def _powers() -> list[tuple[float, float]]:
         hi = 1 / power
         num, den = hi.as_integer_ratio()
         downs.append((hi, (den - num * power) / (den * power)))
-    return ups[::-1] + downs
+    hi, lo = np.array(ups[::-1] + downs).T
+    head = _SPLIT * hi - (_SPLIT * hi - hi)
+    return head, hi - head, np.ascontiguousarray(lo)
 
 
-class _Tables(NamedTuple):
-    words: np.ndarray
-    last_digit: np.ndarray
-    exponent_words: np.ndarray
-    power_head: np.ndarray
-    power_tail: np.ndarray
-    power_lo: np.ndarray
+def _read_only(tables):
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-@functools.cache
-def _tables() -> _Tables:
-    """The lookup tables both kernels share, built on first use and read-only.
-
-    4-digit groups as little-endian words, and the position of D's last
-    non-zero digit when the group ends D (16 less the group's trailing
-    zeros, 12 for 0000); per E, one 8-byte word of "e", the exponent's sign,
-    two NULs and the exponent's 4 digits; and 10**(16 - E) as hi + lo, one
-    table each for hi's two halves and for lo.
-    """
-    chars = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
-    for place in range(4):
-        chars[..., place] = np.arange(48, 58).reshape([10 if i == place else 1
-                                                       for i in range(4)])
-    words = chars.view("<u4").reshape(-1)
-    last_digit = np.full(10000, 16)
-    last_digit[::10] = 15
-    last_digit[::100] = 14
-    last_digit[::1000] = 13
-    last_digit[0] = 12
-    exponents = np.arange(E_MIN, E_MAX + 1)
-    signs = np.where(exponents < 0, ord("-"), ord("+")).astype("<u8")
-    exponent_words = ord("e") + (signs << 8) + (words[np.abs(exponents)].astype("<u8") << 32)
-    hi, lo = np.array(_powers()).T
-    c = _SPLIT * hi
-    head = c - (c - hi)
-    return _read_only(_Tables(words, last_digit, exponent_words, head, hi - head,
-                              np.ascontiguousarray(lo)))
+# The lookup tables both kernels share, built as the module runs and
+# read-only: 4-digit groups as little-endian words, and the position of D's
+# last non-zero digit when the group ends D (16 less the group's trailing
+# zeros, 12 for 0000); per E, one 8-byte word of "e", the exponent's sign,
+# two NULs and the exponent's 4 digits; and 10**(16 - E) as hi + lo, one
+# table each for hi's two halves and for lo.
+_WORDS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                  axis=-1).view("<u4").reshape(-1)
+_LAST_DIGIT = np.full(10000, 16)
+_LAST_DIGIT[::10] = 15
+_LAST_DIGIT[::100] = 14
+_LAST_DIGIT[::1000] = 13
+_LAST_DIGIT[0] = 12
+_EXPONENTS = np.arange(E_MIN, E_MAX + 1)
+_EXPONENT_WORDS = (ord("e") + (np.where(_EXPONENTS < 0, ord("-"), ord("+")).astype("<u8") << 8)
+                   + (_WORDS[np.abs(_EXPONENTS)].astype("<u8") << 32))
+_POWER_HEAD, _POWER_TAIL, _POWER_LO = _powers()
+_read_only((_WORDS, _LAST_DIGIT, _EXPONENTS, _EXPONENT_WORDS, _POWER_HEAD, _POWER_TAIL, _POWER_LO))
 
 
 @functools.cache
@@ -175,16 +162,9 @@ def _layout(name: str) -> tuple[np.ndarray, np.ndarray]:
     ``repr`` writes E = -4 ... 15, and ".0" after the digits of zero and of
     an integral value."""
     fixed_max, integral = (16, []) if name == "g17" else (15, [_POINT, _ZERO])
-    exponents = np.arange(E_MIN, E_MAX + 1)
-    forms = np.where((exponents >= -4) & (exponents <= fixed_max), exponents + 4,
-                     np.where(np.abs(exponents) < 100, _EXP2_FORM, _EXP3_FORM))
+    forms = np.where((_EXPONENTS >= -4) & (_EXPONENTS <= fixed_max), _EXPONENTS + 4,
+                     np.where(np.abs(_EXPONENTS) < 100, _EXP2_FORM, _EXP3_FORM))
     return _read_only((forms * 17, _templates(integral)))
-
-
-def _read_only(tables):
-    for table in tables:
-        table.flags.writeable = False
-    return tables
 
 
 def g17(values: np.ndarray) -> np.ndarray:
@@ -206,10 +186,8 @@ def _g17(values: np.ndarray) -> np.ndarray:
     # x_hi >= 2**53 is an integer, so x_lo holds the fraction
     rounded = np.rint(x_lo)
     d = x_hi.astype(np.int64) + rounded.astype(np.int64)
-    # exactly 10**16 spells D = 10**16 on either side of the true product:
-    # below it, the 17 digits of 10 * product round up to 10**17
     placed &= ((np.abs(x_lo - rounded) <= 0.5 - _MARGIN) & (x_hi < 1e17)
-               & (((x_hi - 1e16) + x_lo >= _MARGIN) | ((x_hi == 1e16) & (x_lo == 0.0))))
+               & ((x_hi - 1e16) + x_lo >= _MARGIN))
     del x_hi, x_lo, rounded
     return _spell(values, d, index, placed, zero, _layout("g17"), "%.17g".__mod__)
 
@@ -263,15 +241,13 @@ def _scaled(values: np.ndarray):
     the table, ``zero``, the table index of each cell's E, and the scaled
     value as x_hi + x_lo; cells not placed are scaled as a stand-in.
     """
-    tables = _tables()
     a = np.abs(values)
     zero = a == 0.0
     placed = (a >= 10.0**(E_MIN + 1)) & (a < 10.0**E_MAX)
     a[~placed] = _STAND_IN
     # E; log10 may misjudge it by one, which the kernels' range checks catch
     index = np.floor(np.log10(a)).astype(np.intp) - E_MIN
-    p_head, p_tail = tables.power_head[index], tables.power_tail[index]
-    p_lo = tables.power_lo[index]
+    p_head, p_tail, p_lo = _POWER_HEAD[index], _POWER_TAIL[index], _POWER_LO[index]
     # x_hi + x_lo = a * (hi + lo) in double-double; p + err = a * hi exactly.
     # Work arrays are updated in place and dropped once used, which halves
     # the call's peak memory.
@@ -296,8 +272,6 @@ def _spell(values, d, index, placed, zero, layout, fallback) -> np.ndarray:
     integer D = ``d`` of a placed cell spelled in ``layout`` (``_layout``
     of one text layout), and the ASCII str ``fallback(v)`` of every other
     cell but zeros."""
-    tables = _tables()
-    words = tables.words
     classes, templates = layout
     n = values.size
     # Source rows: "-.0" and the first digit, four 4-digit groups, a NUL
@@ -307,21 +281,21 @@ def _spell(values, d, index, placed, zero, layout, fallback) -> np.ndarray:
     tail = d - head * 10**8
     first = head // 10**8
     head -= first * 10**8
-    rows[:, 0] = words[first] - 0x0203  # "000d" less "\0\2\3" is "-.0d"
+    rows[:, 0] = _WORDS[first] - 0x0203  # "000d" less "\0\2\3" is "-.0d"
     g1 = head // 10**4
     g2 = head - g1 * 10**4
     g3 = tail // 10**4
     g4 = tail - g3 * 10**4
-    rows[:, 1] = words[g1]
-    rows[:, 2] = words[g2]
-    rows[:, 3] = words[g3]
-    rows[:, 4] = words[g4]
+    rows[:, 1] = _WORDS[g1]
+    rows[:, 2] = _WORDS[g2]
+    rows[:, 3] = _WORDS[g3]
+    rows[:, 4] = _WORDS[g4]
     rows[:, 5] = 0
-    rows.view("<u8")[:, 3] = tables.exponent_words[index]
+    rows.view("<u8")[:, 3] = _EXPONENT_WORDS[index]
     text = rows.view(np.uint8)
     del d, head, tail, first, g1, g2, g3
 
-    last = tables.last_digit[g4]
+    last = _LAST_DIGIT[g4]
     short = np.flatnonzero(g4 == 0)
     if short.size:  # trailing zeros before the last group
         nonzero = text[short, _DIGIT0 + 12:_DIGIT0 - 1:-1] != ord("0")
@@ -406,12 +380,9 @@ def _encoded(cells, code: str) -> np.ndarray:
     """``(code % v).encode()`` of each cell of a list or a non-str array as
     a NUL-padded byte matrix, a row per cell as wide as the longest, None
     as an empty cell: the ``%d`` ints of an n_layers sweep, bools and
-    labels held as lists.  Each distinct value is formatted once: such a
-    column holds a few labels, or bools."""
-    encoded = {v: b"" if v is None else (code % v).encode() for v in set(cells)}
-    width = max(1, *map(len, encoded.values()))
-    texts = np.array(list(map(encoded.__getitem__, cells)), dtype=f"S{width}")
-    return texts.view(np.uint8).reshape(len(cells), width)
+    labels held as lists."""
+    texts = np.array([b"" if v is None else (code % v).encode() for v in cells])
+    return texts.view(np.uint8).reshape(len(cells), texts.itemsize)
 
 
 def _unpadded(rows: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ Run from the repository root to regenerate it:
 ``cases`` is a seeded list of command lines, with their input files, from
 every command family at small sizes, plus an edge ladder: empty and bare
 stacks, one and 87 graphene sheets, a ``-0.0`` slab, thick Si slabs,
-overflowing sweep ranges, a sweep of layer counts up to 1e300, bad input
-files and ``--coeffs`` files whose t + r or coupling lie near or beyond
-the largest float.  The script runs each through ``cli.main`` in process and
-writes ``golden_corpus.json`` beside it: the argv, the files and what the
+overflowing sweep ranges, wavelength scales that overflow or underflow,
+a sweep of layer counts up to 1e300, bad input files and ``--coeffs``
+files whose t + r or coupling lie near or beyond the largest float.  The
+script runs each through ``cli.main`` in process and writes
+``golden_corpus.json`` beside it: the argv, the files and what the
 command gave, that is its exit code, the sha256 of its stdout and of its
 stderr and the number of warnings it raised, with the numpy and Python
 versions that gave them.  ``tests/test_golden.py``
@@ -151,7 +152,8 @@ def _stack_cases(name: str, doc, formats=("json", "csv")) -> list[dict]:
 
 def ladder_cases() -> list[dict]:
     """The edge ladder: degenerate and extreme stacks, overflowing sweep
-    ranges, ints of up to 301 digits and bad input files."""
+    ranges and wavelength scales, ints of up to 301 digits and bad input
+    files."""
     sheet = {"type": "sheet", "cond": GRAPHENE_COND}
     cases = []
     cases += _stack_cases("no_layers", {"layers": []})
@@ -168,8 +170,8 @@ def ladder_cases() -> list[dict]:
     for name, d in (("si_1e3", 1e3), ("si_4e3", 4e3), ("si_1e4", 1e4)):
         cases += _stack_cases(name, {"layers": [
             sheet, {"type": "slab", "n_re": SI[0], "n_im": SI[1], "d": d}]})
-    overflow = json.dumps({"wavelength_nm": 633.0, "layers": [
-        {"type": "sheet", "cond": 0.1}, {"type": "slab", "n_re": 1.5, "d": 0.2}]})
+    pair = [{"type": "sheet", "cond": 0.1}, {"type": "slab", "n_re": 1.5, "d": 0.2}]
+    overflow = json.dumps({"wavelength_nm": 633.0, "layers": pair})
     for variable in ("cond", "n_layers", "wavelength_nm", "thickness"):
         argv = ["sweep", "--sweep", f"{variable}:-1e308:1e308:3"]
         files = {}
@@ -177,6 +179,18 @@ def ladder_cases() -> list[dict]:
             argv += ["--stack", "overflow.json"]
             files = {"overflow.json": overflow}
         cases.append(_case(f"sweep_{variable}_range_overflow", argv, files))
+    # wavelengths whose scale over the file's wavelength_nm overflows or
+    # underflows to 0, in a stack, a thickness sweep and a wavelength sweep
+    for bound, reference, value, spec in (("overflow", 1e-300, "1e300", "1e10:1e300:3"),
+                                          ("underflow", 1e308, "1e-308", "1e-308:1:3")):
+        files = {"scale.json": json.dumps({"wavelength_nm": reference, "layers": pair})}
+        cases.append(_case(f"stack_wavelength_scale_{bound}", [
+            "stack", "--stack", "scale.json", "--wavelength-nm", value], files))
+        cases.append(_case(f"sweep_thickness_wavelength_scale_{bound}", [
+            "sweep", "--stack", "scale.json", "--sweep", "thickness:0:1:3",
+            "--wavelength-nm", value], files))
+        cases.append(_case(f"sweep_wavelength_scale_{bound}", [
+            "sweep", "--stack", "scale.json", "--sweep", f"wavelength_nm:{spec}"], files))
     cases.append(_case("sweep_n_layers_cond_overflow", [
         "sweep", "--sweep", "n_layers:1:2:2", "--cond", "1e308"]))
     # ints of up to 301 digits in a table long enough for the byte matrix

@@ -552,6 +552,29 @@ class TestStack:
         assert err.startswith("sheetoptics: config error: ")
         assert message in err
 
+    @pytest.mark.parametrize("reference, value, bound", [
+        (1e-300, "1e+300", "overflows"), (1e308, "1e-308", "underflows to 0")],
+        ids=["overflow", "underflow"])
+    @pytest.mark.parametrize("argv, what", [
+        (["stack", "--wavelength-nm", "{value}"], "--wavelength-nm"),
+        (["sweep", "--sweep", "thickness:0:0.5:3", "--wavelength-nm", "{value}"],
+         "--wavelength-nm"),
+        (["sweep", "--sweep", "wavelength_nm:{value}:{value}:1"], "wavelength_nm sweep value"),
+    ], ids=["stack", "thickness_sweep", "wavelength_sweep"])
+    def test_wavelength_scale_out_of_range(self, capsys, tmp_path, reference, value, bound,
+                                           argv, what):
+        """A wavelength scale that overflows or underflows to 0 is one
+        config error that names the option or sweep value and the file's
+        wavelength_nm, with no numpy warning."""
+        path = tmp_path / "stack.json"
+        path.write_text(json.dumps({"wavelength_nm": reference,
+                                    "layers": [self.SHEET, self.SLAB]}))
+        argv = [arg.format(value=value) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--stack", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"sheetoptics: config error: {what} {value} over the stack file's "
+                       f"wavelength_nm {reference!r} {bound}\n")
+
     @pytest.mark.parametrize("doc, field", [
         ({"layers": [1]}, "layers[0]"),
         ({"layers": {"type": "sheet"}}, "layers"),
@@ -1580,16 +1603,20 @@ ROUTE_STACK = {"ambient_out": [3.882, 0.019], "wavelength_nm": 633.0,
 #: meets: profile labels as a ``<U5`` array, n_layers ints and cond sweep
 #: floats as lists, stack sweep arrays and one-row records, each at row
 #: counts on both sides of its shape's crossover (profiles 56 rows, cond
-#: sweeps 72, n_layers sweeps 150, stack sweeps 56) and across a chunk.
+#: sweeps 72, n_layers sweeps 150, stack sweeps 56) and across a chunk; a
+#: profile whose run of incident amplitude 1.0 crosses the 1024-row chunk
+#: boundary, and layer counts of up to 301 digits on the byte matrix.
 ROUTE_SWAP_ARGV = [
     ["profile", "--which", "a", "--points", "39"],
     ["profile", "--which", "a", "--points", "1100"],
+    ["profile", "--which", "a", "--points", "2100"],
     ["profile", "--which", "b", "--points", "39"],
     ["profile", "--which", "b", "--points", "99", "--b-r", "0.2", "--b-l", "-0.1"],
     ["sweep", "--sweep", "cond:0:2:50"],
     ["sweep", "--sweep", "cond:0:2:100", "--branching", "0.5"],
     ["sweep", "--sweep", "n_layers:1:100:100"],
     ["sweep", "--sweep", "n_layers:1:300:200"],
+    ["sweep", "--sweep", "n_layers:1:1e300:150", "--cond", "1e-300"],
     ["sweep", "--stack", "STACK", "--sweep", "wavelength_nm:500:800:10"],
     ["sweep", "--stack", "STACK", "--sweep", "wavelength_nm:500:800:40"],
     ["sweep", "--stack", "STACK", "--sweep", "wavelength_nm:500:800:60"],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheetoptics import floattext
 from sheetoptics.codec import json_float
 from sheetoptics.floattext import E_MAX, E_MIN, g17, shortest
 
@@ -167,3 +168,20 @@ def test_misjudged_exponent_in_runs(shift):
     log10 = np.log10
     with mock.patch.object(np, "log10", lambda a: log10(a) + shift):
         assert g17(values).tolist() == reference(values)
+
+
+#: The tables the kernels share, and those of both text layouts.
+TABLES = {name: getattr(floattext, name) for name in (
+    "_WORDS", "_LAST_DIGIT", "_EXPONENTS", "_EXPONENT_WORDS",
+    "_POWER_HEAD", "_POWER_TAIL", "_POWER_LO")}
+for text_layout in ("g17", "repr"):
+    TABLES[f"{text_layout}_classes"], TABLES[f"{text_layout}_templates"] = (
+        floattext._layout(text_layout))
+
+
+@pytest.mark.parametrize("name", list(TABLES))
+def test_tables_read_only(name):
+    """Every table refuses writes, so no call can change another's texts."""
+    cells = TABLES[name].reshape(-1)
+    with pytest.raises(ValueError, match="read-only"):
+        cells[0] = cells[0]
